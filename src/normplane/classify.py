@@ -208,14 +208,15 @@ def kappa_extrema_thetas(model) -> np.ndarray:
         if len(idx) > 8:
             order = np.argsort(sign * finite[idx])
             idx = idx[order[:8]]
-        for j in idx:
-            t, _ = golden_min(
-                lambda th: sign * float(model.curvature_theta_many(np.array([th]))[0]),
-                thetas[j] - h,
-                thetas[j] + h,
-                iters=50,
-            )
-            out.append(t % (2.0 * np.pi))
+        if len(idx) == 0:
+            continue
+        t, _ = golden_min(
+            lambda th: sign * model.curvature_theta_many(th),
+            thetas[idx] - h,
+            thetas[idx] + h,
+            iters=50,
+        )
+        out.extend(t % (2.0 * np.pi))
     result = np.asarray(sorted(out))
     _extrema_cache[model] = result
     return result

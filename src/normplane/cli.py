@@ -3,7 +3,9 @@ curves, orbit certificates, the staircase build, figure rendering, and the
 bundled reproduction checks.
 
 Exit codes: 0 on success, 1 when a reproduction assertion fails, 2 on usage
-errors (argparse's default).
+errors (argparse's default) and on invalid input, such as a model file that
+fails validation; the latter prints one ``normplane: error: <message>`` line
+to stderr.
 """
 
 from __future__ import annotations
@@ -28,13 +30,18 @@ from . import (
     svgfig,
     tangency,
 )
+from .errors import NormPlaneError
 from .geometry import LinearMap2, Vec2
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except NormPlaneError as exc:
+        print(f"normplane: error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Singular
-from .numerics import golden_max, golden_max_batch
+from .numerics import golden_max_batch, golden_min
 
 #: support functionals differing by more than this (in sup norm) mark a kink
 SMOOTH_JUMP_TOL = 1e-6
@@ -163,12 +163,12 @@ def dual_gauge(model, f) -> float:
     j = int(np.argmax(vals))
     h = 2.0 * np.pi / DUAL_GAUGE_GRID
 
-    def val(t: float) -> float:
-        p = model.sphere_points_at(np.array([t]))[0]
-        return p[0] * f.x1 + p[1] * f.x2
+    def neg_val(t):
+        p = model.sphere_points_at(t)
+        return -(p[:, 0] * f.x1 + p[:, 1] * f.x2)
 
-    _, best = golden_max(val, thetas[j] - h, thetas[j] + h)
-    return float(max(best, vals[j]))
+    _, v = golden_min(neg_val, thetas[j] - h, thetas[j] + h)
+    return float(max(-v[0], vals[j]))
 
 
 def dual_gauge_many(model, fs: np.ndarray) -> np.ndarray:
@@ -285,11 +285,11 @@ def operator_norm(model, t) -> OperatorNorm:
     j = int(np.argmax(vals))
     h = 2.0 * np.pi / OPNORM_GRID
 
-    def val(th: float) -> float:
-        p = model.sphere_points_at(np.array([th]))
-        return float(model.gauge_many(p @ mat.T)[0])
+    def neg_val(th):
+        return -model.gauge_many(model.sphere_points_at(th) @ mat.T)
 
-    angle, best = golden_max(val, thetas[j] - h, thetas[j] + h)
+    t, v = golden_min(neg_val, thetas[j] - h, thetas[j] + h)
+    angle, best = float(t[0]), -float(v[0])
     if vals[j] >= best:
         angle, best = thetas[j], vals[j]
     return OperatorNorm(float(best), angle)

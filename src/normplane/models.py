@@ -59,6 +59,10 @@ class NormModel:
         self.params = dict(params)
         self._cache = None
         self._fine_points = None
+        # lazily derived objects, kept here so they live and die with the model
+        self._dual = None
+        self._john_ellipse = None
+        self._eccentricity_sq = None
 
     # -- family hooks --------------------------------------------------------
 
@@ -1082,22 +1086,17 @@ class DualNorm(NormModel):
         return out
 
 
-_dual_cache: dict[int, NormModel] = {}
-
-
 def dual_model(model: NormModel) -> NormModel:
-    """The dual plane as a first-class model (one instance per base model).
+    """The dual plane as a first-class model (one instance per base model,
+    kept on it).
 
     Exact for lp (conjugate exponent), quadrant mixes (conjugates quadrantwise),
     polygons (dual polygon), and single ellipses (inverse form); numerically
     sampled otherwise.
     """
-    key = id(model)
-    if key in _dual_cache:
-        return _dual_cache[key]
-    dual = _dual_model(model)
-    _dual_cache[key] = dual
-    return dual
+    if model._dual is None:
+        model._dual = _dual_model(model)
+    return model._dual
 
 
 def _dual_model(model: NormModel) -> NormModel:

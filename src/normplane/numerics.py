@@ -1,5 +1,5 @@
 """Small numeric building blocks: golden-section search, batched bisection,
-finite differences, and 2x2 symmetric matrix helpers.
+finite-difference stencils, and 2x2 symmetric matrix helpers.
 
 All routines are pure and deterministic for fixed iteration counts.
 """
@@ -12,34 +12,35 @@ INVPHI = (np.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0  # 1/phi^2
 
 
-def golden_min(f, lo: float, hi: float, iters: int = 80) -> tuple[float, float]:
-    """Golden-section minimum of a scalar unimodal function on [lo, hi].
+def golden_min(f, lo, hi, iters: int = 80):
+    """Lane-wise golden-section minimum: lo, hi are arrays of brackets and
+    f maps an array of points to an array of values, elementwise.
 
-    Returns (argmin, min). 80 iterations shrink the bracket by ~1e-17.
+    Every lane keeps the classic bookkeeping of one fresh evaluation per step,
+    reusing the other interior point, and f is called once per step on the
+    array of the lanes' new points; so each lane returns bit for bit what a
+    search on its bracket alone returns. A lane whose f is NaN leaves the
+    others alone. Returns (argmins, mins) as arrays; 80 iterations shrink a
+    bracket by ~1e-17.
     """
-    a, b = float(lo), float(hi)
+    a = np.array(lo, dtype=float, ndmin=1)
+    b = np.array(hi, dtype=float, ndmin=1)
     h = b - a
     c, d = a + INVPHI2 * h, a + INVPHI * h
     fc, fd = f(c), f(d)
     for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + INVPHI2 * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + INVPHI * h
-            fd = f(d)
-    if fc < fd:
-        return c, fc
-    return d, fd
-
-
-def golden_max(f, lo: float, hi: float, iters: int = 80) -> tuple[float, float]:
-    x, v = golden_min(lambda t: -f(t), lo, hi, iters)
-    return x, -v
+        # left lanes keep [a, d] and evaluate a new c; the others keep [c, b]
+        # and evaluate a new d
+        left = fc < fd
+        b = np.where(left, d, b)
+        a = np.where(left, a, c)
+        h = b - a
+        x = np.where(left, a + INVPHI2 * h, a + INVPHI * h)
+        fx = f(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    left = fc < fd
+    return np.where(left, c, d), np.where(left, fc, fd)
 
 
 def golden_min_batch(f, lo, hi, iters: int = 60):
@@ -82,17 +83,6 @@ def bisect_batch(f, lo, hi, iters: int = 80):
         a = np.where(neg, m, a)
         b = np.where(neg, b, m)
     return 0.5 * (a + b)
-
-
-def central_diff(f, x: float, h: float) -> float:
-    return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
-def richardson_diff(f, x: float, h: float) -> float:
-    """Central difference with one Richardson extrapolation level."""
-    d1 = central_diff(f, x, h)
-    d2 = central_diff(f, x, h / 2.0)
-    return (4.0 * d2 - d1) / 3.0
 
 
 def stencil5_d1(values, h: float):

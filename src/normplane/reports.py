@@ -97,15 +97,6 @@ def verdict_dict(v):
     }
 
 
-def curve_dict(curve):
-    return {
-        "kind": curve.kind,
-        "eps": [_num(e) for e in curve.eps_grid],
-        "values": [_num(v) for v in curve.values],
-        "power2_coeff": _num(curve.power2_coeff),
-    }
-
-
 def report(model, body: dict) -> str:
     doc = {
         "schema": SCHEMA,

@@ -210,13 +210,9 @@ def inv_norm_lower_bound(model, x: SpherePoint, y: SpherePoint) -> float:
     return math.sqrt(ky / (c * kx))
 
 
-_ecc_cache: dict[int, float] = {}
-
-
 def _eccentricity_sq(model) -> float:
-    key = id(model)
-    if key not in _ecc_cache:
+    if model._eccentricity_sq is None:
         pts = model.fine_points()
         r = np.hypot(pts[:, 0], pts[:, 1])
-        _ecc_cache[key] = float((r.max() / r.min()) ** 2)
-    return _ecc_cache[key]
+        model._eccentricity_sq = float((r.max() / r.min()) ** 2)
+    return model._eccentricity_sq

@@ -82,24 +82,6 @@ class BuiltCurve:
     endpoint_tangent: Vec2
     kfun: CurvatureFunction = field(repr=False)
 
-    def tangent_angle_at(self, s: float) -> float:
-        """Exact tangent angle (k is piecewise constant, so K is piecewise
-        linear with known breakpoints)."""
-        s = float(s)
-        if s < 0:
-            return s  # k = 1 on [-pi/2, 0]
-        total = 0.0
-        prev = 0.0
-        bps = self.kfun.breakpoints()
-        for b in bps[bps > 0]:
-            hi = min(b, s)
-            if hi > prev:
-                total += self.kfun.value(0.5 * (prev + hi)) * (hi - prev)
-                prev = hi
-            if prev >= s:
-                break
-        return total
-
     def to_csv(self) -> str:
         lines = ["s,x,y,tangent_angle"]
         for s, (x, y), k in zip(self.s, self.points, self.K):

@@ -12,7 +12,6 @@ refinement at the worst angles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ from . import geometry
 from .curvature import INF
 from .errors import BadParameter, NonSmoothPoint, NotPositiveDefinite
 from .geometry import Disc, SpherePoint, Vec2
-from .numerics import golden_max, golden_min, spd_power
+from .numerics import golden_min, spd_power
 
 #: no disc below this radius counts as existing
 MIN_DISC_RADIUS = 1e-6
@@ -34,6 +33,22 @@ CONTAIN_TOL = 1e-9
 
 #: number of worst sample angles refined during certification
 REFINE_WORST = 8
+
+
+def _refined_max(val, vals) -> float:
+    """Max of val over the circle, from its samples vals on the phase-offset
+    grid of len(vals) angles plus a golden refinement around the REFINE_WORST
+    largest finite samples, all of them lanes of one search. Refined values
+    that come out NaN are ignored."""
+    best = float(np.max(vals))
+    worst = np.argsort(-vals)[:REFINE_WORST]
+    worst = worst[np.isfinite(vals[worst])]
+    if worst.size == 0:
+        return best
+    h = 2.0 * np.pi / len(vals)
+    seeds = (worst + 0.5) * h
+    _, v = golden_min(lambda th: -val(th), seeds - h, seeds + h, iters=40)
+    return max(best, -float(np.min(np.where(np.isnan(v), INF, v))))
 
 
 @dataclass(frozen=True)
@@ -132,29 +147,17 @@ def disc_radii(model, x: SpherePoint) -> tuple[float, float]:
     k_lo, k_hi = model.curvature_sided(x.theta)
 
     n = len(model.fine_points())
-    h = 2.0 * np.pi / n
-    thetas = (np.arange(n) + 0.5) * h
-    psi = _psi_at(model, xa, f, fnorm, thetas, x.theta)
+    thetas = (np.arange(n) + 0.5) * (2.0 * np.pi / n)
 
-    def refined(seed_vals, sign: float) -> float:
-        best = float(np.min(sign * seed_vals))
-        for j in np.argsort(sign * seed_vals)[:REFINE_WORST]:
-            if not np.isfinite(seed_vals[j]):
-                continue
-            _, v = golden_min(
-                lambda th: sign
-                * float(_psi_at(model, xa, f, fnorm, np.array([th]), x.theta)[0]),
-                thetas[j] - h,
-                thetas[j] + h,
-                iters=40,
-            )
-            best = min(best, v if not math.isnan(v) else INF)
-        return sign * best
+    def psi_at(th):
+        return _psi_at(model, xa, f, fnorm, th, x.theta)
 
-    r_in = refined(np.where(np.isnan(psi), INF, psi), 1.0)
+    psi = psi_at(thetas)
+    # the infimum of psi, as minus the sup of -psi
+    r_in = -_refined_max(lambda th: -psi_at(th), -np.where(np.isnan(psi), INF, psi))
     r_in = min(r_in, INF if k_hi <= 0 else 1.0 / k_hi)
 
-    r_out = refined(np.where(np.isnan(psi) | np.isinf(psi), -INF, psi), -1.0)
+    r_out = _refined_max(psi_at, np.where(np.isnan(psi) | np.isinf(psi), -INF, psi))
     at_kink = model.kink_at(x.theta) is not None
     if k_lo == INF or at_kink:
         osc_out = 0.0  # corner or infinite curvature at x: no local constraint
@@ -222,21 +225,14 @@ def verify_disc(model, disc: Disc, which: str, tol: float = CONTAIN_TOL) -> bool
     pts = model.fine_points()
     c = disc.center.as_array()
     d = np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1])
-    n = len(pts)
-    h = 2.0 * np.pi / n
-    thetas = (np.arange(n) + 0.5) * h
 
-    def dist(th: float) -> float:
-        z = model.sphere_points_at(np.array([th]))[0]
-        return float(np.hypot(z[0] - c[0], z[1] - c[1]))
+    def dist(th):
+        z = model.sphere_points_at(th)
+        return np.hypot(z[:, 0] - c[0], z[:, 1] - c[1])
 
     if which == "inner":
-        worst = np.argsort(d)[:REFINE_WORST]
-        lo = min(golden_min(dist, thetas[j] - h, thetas[j] + h, iters=40)[1] for j in worst)
-        return min(float(d.min()), lo) >= disc.radius - tol
-    worst = np.argsort(-d)[:REFINE_WORST]
-    hi = max(golden_max(dist, thetas[j] - h, thetas[j] + h, iters=40)[1] for j in worst)
-    return max(float(d.max()), hi) <= disc.radius + tol
+        return -_refined_max(lambda th: -dist(th), -d) >= disc.radius - tol
+    return _refined_max(dist, d) <= disc.radius + tol
 
 
 # -- explicit inner-ellipse construction --------------------------------------
@@ -265,20 +261,13 @@ def build_inner_ellipse(h: float, kappa_target: float) -> Ellipse:
 
 def ellipse_inside_ball(model, ellipse: Ellipse, tol: float = CONTAIN_TOL) -> bool:
     """Certified check that the ellipse is contained in the unit ball."""
-    bd = ellipse.boundary_points(2048)
-    vals = model.gauge_many(bd)
-    n = len(bd)
-    h = 2.0 * np.pi / n
-    phis = (np.arange(n) + 0.5) * h
+    vals = model.gauge_many(ellipse.boundary_points(2048))
     inv_half = spd_power(ellipse.matrix(), -0.5)
 
-    def val(phi: float) -> float:
-        z = inv_half @ np.array([np.cos(phi), np.sin(phi)])
-        return float(model.gauge_many(z[None, :])[0])
+    def val(phi):
+        return model.gauge_many(np.column_stack([np.cos(phi), np.sin(phi)]) @ inv_half.T)
 
-    worst = np.argsort(-vals)[:REFINE_WORST]
-    hi = max(golden_max(val, phis[j] - h, phis[j] + h, iters=40)[1] for j in worst)
-    return max(float(vals.max()), hi) <= 1.0 + tol
+    return _refined_max(val, vals) <= 1.0 + tol
 
 
 def inner_ellipse(model, x: SpherePoint, max_doublings: int = 40) -> Ellipse | None:
@@ -356,22 +345,10 @@ def outer_ellipse(model, x: SpherePoint, b_start: float = 1.0) -> Ellipse | None
 
 
 def _sphere_form_max(model, ellipse: Ellipse, coarse_vals: np.ndarray) -> float:
-    n = len(coarse_vals)
-    h = 2.0 * np.pi / n
-    thetas = (np.arange(n) + 0.5) * h
-
-    def val(th: float) -> float:
-        z = model.sphere_points_at(np.array([th]))
-        return float(ellipse.gauge_many(z)[0])
-
-    worst = np.argsort(-coarse_vals)[:REFINE_WORST]
-    hi = max(golden_max(val, thetas[j] - h, thetas[j] + h, iters=40)[1] for j in worst)
-    return max(float(coarse_vals.max()), hi)
+    return _refined_max(lambda th: ellipse.gauge_many(model.sphere_points_at(th)), coarse_vals)
 
 
 # -- minimal-volume enclosing ellipse -----------------------------------------
-
-_john_cache: dict[int, Ellipse] = {}
 
 
 def john_ellipse(model) -> Ellipse:
@@ -380,11 +357,10 @@ def john_ellipse(model) -> Ellipse:
     Determinant maximization over the form entries (m11, m12, m22) with the
     fine boundary cache as containment constraints (the constraint gradients
     are constant, so the solve is cheap), then a rescale so containment is
-    certified on the refined sphere.
+    certified on the refined sphere. Kept on the model after the first call.
     """
-    key = id(model)
-    if key in _john_cache:
-        return _john_cache[key]
+    if model._john_ellipse is not None:
+        return model._john_ellipse
     from scipy.optimize import minimize
 
     pts = model.fine_points()
@@ -409,9 +385,8 @@ def john_ellipse(model) -> Ellipse:
     m = np.array([[res.x[0], res.x[1]], [res.x[1], res.x[2]]])
     e = Ellipse.from_matrix(m)
     scale = _sphere_form_max(model, e, e.gauge_many(pts))
-    e = Ellipse.from_matrix(m / (scale * scale))
-    _john_cache[key] = e
-    return e
+    model._john_ellipse = Ellipse.from_matrix(m / (scale * scale))
+    return model._john_ellipse
 
 
 # -- reports and duality -------------------------------------------------------

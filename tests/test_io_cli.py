@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,3 +173,18 @@ def test_gallery_names():
     assert len(gallery.names()) >= 10
     with pytest.raises(KeyError):
         gallery.get("nope")
+
+
+def test_cli_invalid_model_exits_2(tmp_path):
+    path = tmp_path / "bad.model"
+    path.write_text("family = lp\np = 0.5\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "normplane.cli", "classify", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("normplane: error: ")
+    assert proc.stdout == ""

@@ -1,5 +1,6 @@
 """Constructors, validation, and family-specific behavior."""
 
+import gc
 import math
 
 import numpy as np
@@ -191,3 +192,17 @@ def test_dual_model_numeric(pig):
     for v in rng.normal(size=(10, 2)):
         back = geometry.dual_gauge(dual, v)
         assert back == pytest.approx(pig.gauge(v), rel=1e-5)
+
+
+def test_dual_model_survives_address_reuse():
+    # each build is dropped before the next, so a new model can take a dead
+    # one's address; the dual must still belong to the live model
+    wrong = []
+    for k in range(60):
+        p = round(1.50 + 0.01 * k, 2)
+        dual = models.dual_model(models.make_lp(p))
+        if abs(dual.p - p / (p - 1.0)) > 1e-12:
+            wrong.append(p)
+        del dual
+        gc.collect()
+    assert wrong == []

@@ -1,0 +1,99 @@
+"""The lane-wise golden-section search and the refinement built on it."""
+
+import math
+
+import numpy as np
+
+from normplane import tangency
+from normplane.numerics import INVPHI, INVPHI2, golden_min
+
+
+def _scalar_golden(f, lo, hi, iters):
+    """Textbook golden-section search on one bracket, one point at a time."""
+    a, b = float(lo), float(hi)
+    h = b - a
+    c, d = a + INVPHI2 * h, a + INVPHI * h
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            h = b - a
+            c = a + INVPHI2 * h
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            h = b - a
+            d = a + INVPHI * h
+            fd = f(d)
+    return (c, fc) if fc < fd else (d, fd)
+
+
+def _wavy(t):
+    return np.cos(3.0 * t) + 0.3 * np.sin(7.0 * t + 0.2)
+
+
+def test_lanes_match_single_runs_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        lo = rng.uniform(-4.0, 4.0, 8)
+        hi = lo + rng.uniform(1e-6, 2.0, 8)
+        for iters in (0, 1, 40, 80):
+            xs, vs = golden_min(_wavy, lo, hi, iters)
+            for k in range(8):
+                x1, v1 = golden_min(_wavy, lo[k : k + 1], hi[k : k + 1], iters)
+                assert x1[0] == xs[k] and v1[0] == vs[k]
+                xr, vr = _scalar_golden(lambda t: float(_wavy(np.array([t]))[0]), lo[k], hi[k], iters)
+                assert xr == xs[k] and vr == vs[k]
+
+
+def test_finds_known_minima():
+    centers = np.linspace(-2.0, 2.0, 8)
+    lo, hi = centers - 0.7, centers + 0.4
+    # shifted cosine: a smooth minimum, so the value is exact to rounding and
+    # the argmin to about sqrt(machine epsilon)
+    xs, vs = golden_min(lambda t: -np.cos(t - centers), lo, hi, 80)
+    assert np.max(np.abs(vs + 1.0)) <= 1e-9
+    assert np.max(np.abs(xs - centers)) <= 1e-7
+    # a corner minimum pins the argmin itself
+    xs, vs = golden_min(lambda t: np.abs(t - centers) + 0.5, lo, hi, 80)
+    assert np.max(np.abs(xs - centers)) <= 1e-9
+    assert np.max(np.abs(vs - 0.5)) <= 1e-9
+
+
+def test_nan_and_inf_lanes_leave_the_others_alone():
+    lo = np.linspace(0.0, 3.5, 8)
+    hi = lo + 0.4  # disjoint brackets
+    bad = np.array([False, True, False, False, True, False, False, True])
+    fill = np.array([np.nan, np.nan, np.nan, np.nan, np.inf, np.nan, np.nan, -np.inf])
+
+    def f(t):
+        # the lane a point belongs to is the bracket that holds it
+        lane = np.searchsorted(lo, t, side="right") - 1
+        return np.where(bad[lane], fill[lane], _wavy(t))
+
+    xs, vs = golden_min(f, lo, hi, 40)
+    xg, vg = golden_min(_wavy, lo[~bad], hi[~bad], 40)
+    assert np.array_equal(xs[~bad], xg) and np.array_equal(vs[~bad], vg)
+    assert np.isnan(vs[1]) and vs[4] == np.inf and vs[7] == -np.inf
+    assert np.all((xs >= lo) & (xs <= hi))
+
+
+def test_refined_max_ignores_nan_lanes():
+    # psi is NaN in the exclusion zone around the base point, so some lanes
+    # of a disc_radii refinement can come out NaN; those lanes must drop out
+    # without hiding the refined maximum of the others
+    n = 256
+    thetas = (np.arange(n) + 0.5) * (2.0 * np.pi / n)
+
+    def val(th):
+        th = np.asarray(th, dtype=float)
+        return np.where(np.abs(th - math.pi) < 0.2, np.nan, np.cos(th))
+
+    vals = np.cos(thetas)
+    # four seeds inside the NaN band rank just below the grid maximum, so
+    # they share the search with the seeds around the true maximum at 0
+    band = np.searchsorted(thetas, math.pi) + np.arange(-2, 2)
+    vals[band] = vals.max() - 1e-5
+    assert abs(tangency._refined_max(val, vals) - 1.0) <= 1e-15
+    everywhere_nan = lambda th: np.full(np.shape(th), np.nan)  # noqa: E731
+    assert tangency._refined_max(everywhere_nan, vals) == vals.max()

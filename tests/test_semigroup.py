@@ -251,3 +251,43 @@ def test_is_flat_probe(l1, euclid, l4):
     assert semigroup.is_flat(l1, geometry.sphere_point(l1, 0.8))
     assert not semigroup.is_flat(euclid, geometry.sphere_point(euclid, 0.8))
     assert not semigroup.is_flat(l4, geometry.sphere_point(l4, 0.003))
+
+
+def _sampled_operator_norm(model, mat):
+    """sup of gauge(T u) / gauge(u) over unit directions u: 2**14 angles
+    phase-shifted off the certificate grid, then two zoom rounds of 257
+    samples around the four best."""
+    def ratio(th):
+        units = np.column_stack([np.cos(th), np.sin(th)])
+        return model.gauge_many(units @ mat.T) / model.gauge_many(units)
+
+    n = 1 << 14
+    h = 2.0 * math.pi / n
+    th = (np.arange(n) + 0.381966) * h
+    vals = ratio(th)
+    best = float(vals.max())
+    for _ in range(2):
+        centers = th[np.argsort(-vals)[:4]]
+        th = (centers[:, None] + np.linspace(-h, h, 257)[None, :]).ravel()
+        vals = ratio(th)
+        best = max(best, float(vals.max()))
+        h /= 128.0
+    return best
+
+
+@pytest.mark.parametrize("name", ["spliced", "nobst"])
+def test_orbit_certificates_on_arc_chains(name, request):
+    # arc-chain spheres have no closed-form operator norm: check each
+    # certificate against its defining properties and a dense sampled norm
+    model = request.getfixturevalue("nobst_model" if name == "nobst" else name)
+    rng = np.random.default_rng(2209)
+    for a, b in rng.uniform(0.0, 2.0 * math.pi, (12, 2)):
+        x = geometry.sphere_point(model, a)
+        y = geometry.sphere_point(model, b)
+        cert = semigroup.orbit_map(model, x, y)
+        assert cert is not None, (name, a, b)
+        mat = cert.T.matrix()
+        miss = mat @ x.point.as_array() - y.point.as_array()
+        assert math.hypot(*miss) <= 1e-9
+        assert 1.0 - 1e-8 <= cert.op_norm <= 1.0 + semigroup.CERTIFY_TOL + 1e-8
+        assert abs(cert.op_norm - _sampled_operator_norm(model, mat)) <= 1e-8
