@@ -15,8 +15,6 @@ and Boundary / Unknown states exist instead of overclaiming.
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,37 +86,18 @@ class TangencySweep:
     outer_ok: np.ndarray
 
 
-_sweep_cache: "weakref.WeakKeyDictionary[object, TangencySweep]" = weakref.WeakKeyDictionary()
-_sweep_lock = threading.Lock()
-
-
 def _coarse_disc_radii(model, thetas, points, supports):
-    """Vectorized psi-based inner/outer radii (no golden refinement)."""
+    """Unrefined inner/outer radii: the extremes of psi on the fine cache."""
     fine = model.fine_points()
-    nfine = len(fine)
-    fine_thetas = (np.arange(nfine) + 0.5) * (2.0 * np.pi / nfine)
+    fine_thetas = (np.arange(len(fine)) + 0.5) * (2.0 * np.pi / len(fine))
     r_in = np.empty(len(thetas))
     r_out = np.empty(len(thetas))
     chunk = 128
     for lo in range(0, len(thetas), chunk):
-        hi = min(lo + chunk, len(thetas))
-        x = points[lo:hi]
-        f = supports[lo:hi]
-        fnorm = np.hypot(f[:, 0], f[:, 1])
-        diff = fine[None, :, :] - x[:, None, :]
-        dist2 = diff[:, :, 0] ** 2 + diff[:, :, 1] ** 2
-        depth = 1.0 - f @ fine.T
-        with np.errstate(divide="ignore", invalid="ignore"):
-            psi = dist2 * fnorm[:, None] / (2.0 * depth)
-        ang = np.abs(
-            (fine_thetas[None, :] - thetas[lo:hi, None] + np.pi) % (2 * np.pi) - np.pi
-        )
-        near = ang < tangency.PSI_EXCLUDE
-        on_line = depth <= 0
-        psi_in = np.where(near | on_line, np.inf, psi)
-        r_in[lo:hi] = psi_in.min(axis=1)
-        psi_out = np.where(near, -np.inf, np.where(on_line, np.inf, psi))
-        r_out[lo:hi] = psi_out.max(axis=1)
+        sl = slice(lo, lo + chunk)
+        psi = tangency.psi_table(points[sl], supports[sl], thetas[sl], fine, fine_thetas)
+        r_in[sl] = np.nanmin(psi, axis=1)
+        r_out[sl] = np.nanmax(psi, axis=1)
     return r_in, r_out
 
 
@@ -130,10 +109,8 @@ def tangency_sweep(model) -> TangencySweep:
     one-sided curvatures, so features are evaluated in one batch; the fully
     refined per-point path stays behind inner_disc / outer_disc.
     """
-    with _sweep_lock:
-        cached = _sweep_cache.get(model)
-    if cached is not None:
-        return cached
+    if model._sweep is not None:
+        return model._sweep
     cache = model.sphere_cache()
     thetas = cache["thetas"]
     extra = np.unique(
@@ -178,20 +155,14 @@ def tangency_sweep(model) -> TangencySweep:
         & (r_out <= OUTER_DISC_CAP)
         & ((k_lo >= 1e-9) | is_kink)
     )
-    sweep = TangencySweep(thetas, r_in, r_out, inner_ok, outer_ok)
-    with _sweep_lock:
-        _sweep_cache[model] = sweep
-    return sweep
-
-
-_extrema_cache: "weakref.WeakKeyDictionary[object, np.ndarray]" = weakref.WeakKeyDictionary()
+    model._sweep = TangencySweep(thetas, r_in, r_out, inner_ok, outer_ok)
+    return model._sweep
 
 
 def kappa_extrema_thetas(model) -> np.ndarray:
     """Golden-refined local extrema of the sphere-curvature profile."""
-    cached = _extrema_cache.get(model)
-    if cached is not None:
-        return cached
+    if model._kappa_extrema is not None:
+        return model._kappa_extrema
     cache = model.sphere_cache()
     kap = cache["kappas"]
     thetas = cache["thetas"]
@@ -217,9 +188,8 @@ def kappa_extrema_thetas(model) -> np.ndarray:
             iters=50,
         )
         out.extend(t % (2.0 * np.pi))
-    result = np.asarray(sorted(out))
-    _extrema_cache[model] = result
-    return result
+    model._kappa_extrema = np.asarray(sorted(out))
+    return model._kappa_extrema
 
 
 def refined_kappa_min(model) -> float:
@@ -351,17 +321,6 @@ def umst_delta_table(model, eps_values, n_a: int = TABLE_A_POINTS, n_off: int = 
     return tuple(rows)
 
 
-def _run_collinear(points: np.ndarray, tol: float = 1e-9) -> bool:
-    """Whole-run collinearity: every point within tol of the endpoint chord."""
-    chord = points[-1] - points[0]
-    norm = float(np.hypot(chord[0], chord[1]))
-    if norm == 0.0:
-        return False
-    rel = points - points[0]
-    dev = np.abs(rel[:, 0] * chord[1] - rel[:, 1] * chord[0]) / norm
-    return bool(np.max(dev) <= tol)
-
-
 def find_flat(model) -> tuple:
     """Maximal angular intervals where the cached sphere is collinear.
 
@@ -373,10 +332,8 @@ def find_flat(model) -> tuple:
     pts = cache["points"]
     thetas = cache["thetas"]
     n = len(pts)
-    e = np.roll(pts, -1, axis=0) - pts
-    cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
-    scale = np.einsum("ij,ij->i", e, e)
-    flat = np.abs(cross) <= 1e-9 * (1.0 + scale)
+    # flat[j]: the triple j, j + 1, j + 2 (cyclically) is collinear
+    flat = semigroup.collinear_triples(np.vstack([pts, pts[:2]]))
     if not np.any(flat):
         return ()
     # walk runs of consecutive flat triples, with wraparound
@@ -398,7 +355,7 @@ def find_flat(model) -> tuple:
     out = []
     for run in intervals:
         idx = [run[0]] + [(j + 1) % n for j in run] + [(run[-1] + 2) % n]
-        if len(idx) >= 3 and _run_collinear(pts[idx]):
+        if semigroup.on_chord(pts[idx]):
             lo = float(thetas[idx[0]])
             hi = float(thetas[idx[-1]])
             if hi < lo:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Singular
-from .numerics import golden_max_batch, golden_min
+from .numerics import golden_min
 
 #: support functionals differing by more than this (in sup norm) mark a kink
 SMOOTH_JUMP_TOL = 1e-6
@@ -148,10 +148,6 @@ def gauge(model, v) -> float:
     return float(model.gauge_many(np.array([[v.x1, v.x2]]))[0])
 
 
-def gauge_many(model, points: np.ndarray) -> np.ndarray:
-    return model.gauge_many(points)
-
-
 def dual_gauge(model, f) -> float:
     """sup{<f, y> : gauge(y) <= 1}, by coarse grid plus golden refinement."""
     f = as_vec(f)
@@ -180,13 +176,12 @@ def dual_gauge_many(model, fs: np.ndarray) -> np.ndarray:
     j = np.argmax(vals, axis=1)
     h = 2.0 * np.pi / DUAL_GAUGE_GRID
 
-    def val(ts):
-        p = model.sphere_points_at(ts)
-        return np.einsum("ij,ij->i", fs, p)
+    def neg_val(ts):
+        return -np.einsum("ij,ij->i", fs, model.sphere_points_at(ts))
 
-    _, best = golden_max_batch(val, thetas[j] - h, thetas[j] + h)
+    _, v = golden_min(neg_val, thetas[j] - h, thetas[j] + h, iters=60)
     zero = np.hypot(fs[:, 0], fs[:, 1]) == 0.0
-    out = np.maximum(best, vals[np.arange(len(fs)), j])
+    out = np.maximum(-v, vals[np.arange(len(fs)), j])
     out[zero] = 0.0
     return out
 
@@ -276,45 +271,39 @@ class OperatorNorm(float):
         return obj
 
 
-def operator_norm(model, t) -> OperatorNorm:
-    """sup of gauge(T z) over the gauge-unit sphere, grid plus refinement."""
-    mat = t.matrix() if isinstance(t, LinearMap2) else np.asarray(t, dtype=float)
-    thetas = (np.arange(OPNORM_GRID) + 0.5) * (2.0 * np.pi / OPNORM_GRID)
+def _operator_norms(model, mats: np.ndarray, grid: int, iters: int):
+    """sup of gauge(T z) over the gauge-unit sphere for each T in mats (shape
+    (k, 2, 2)): the phase-offset grid of ``grid`` angles, then one lane-wise
+    golden search of ``iters`` steps around each map's best grid angle.
+    Returns (values, witness angles)."""
+    k = mats.shape[0]
+    thetas = (np.arange(grid) + 0.5) * (2.0 * np.pi / grid)
     pts = model.sphere_points_at(thetas)
-    vals = model.gauge_many(pts @ mat.T)
-    j = int(np.argmax(vals))
-    h = 2.0 * np.pi / OPNORM_GRID
+    imgs = np.einsum("kab,jb->kja", mats, pts).reshape(k * grid, 2)
+    vals = model.gauge_many(imgs).reshape(k, grid)
+    j = np.argmax(vals, axis=1)
+    h = 2.0 * np.pi / grid
 
-    def neg_val(th):
-        return -model.gauge_many(model.sphere_points_at(th) @ mat.T)
+    def neg_val(ts):
+        return -model.gauge_many(np.einsum("kab,kb->ka", mats, model.sphere_points_at(ts)))
 
-    t, v = golden_min(neg_val, thetas[j] - h, thetas[j] + h)
-    angle, best = float(t[0]), -float(v[0])
-    if vals[j] >= best:
-        angle, best = thetas[j], vals[j]
-    return OperatorNorm(float(best), angle)
+    t, v = golden_min(neg_val, thetas[j] - h, thetas[j] + h, iters)
+    coarse = vals[np.arange(k), j]
+    on_grid = coarse >= -v
+    return np.where(on_grid, coarse, -v), np.where(on_grid, thetas[j], t)
+
+
+def operator_norm(model, t) -> OperatorNorm:
+    """sup of gauge(T z) over the gauge-unit sphere: 4096-point grid plus an
+    80-step golden refinement."""
+    mat = t.matrix() if isinstance(t, LinearMap2) else np.asarray(t, dtype=float)
+    vals, angles = _operator_norms(model, mat[None], OPNORM_GRID, 80)
+    return OperatorNorm(float(vals[0]), angles[0])
 
 
 def operator_norm_batch(model, mats: np.ndarray, coarse: int = 512) -> np.ndarray:
-    """Operator norms of a batch of 2x2 matrices (shape (k, 2, 2)).
-
-    Coarse grid localizes the maximizer, a batched golden refinement drives
-    accuracy; used by sweep-style callers where the one-at-a-time path would
-    dominate the runtime.
-    """
-    mats = np.asarray(mats, dtype=float)
-    k = mats.shape[0]
-    thetas = (np.arange(coarse) + 0.5) * (2.0 * np.pi / coarse)
-    pts = model.sphere_points_at(thetas)
-    imgs = np.einsum("kab,jb->kja", mats, pts).reshape(k * coarse, 2)
-    vals = model.gauge_many(imgs).reshape(k, coarse)
-    j = np.argmax(vals, axis=1)
-    h = 2.0 * np.pi / coarse
-
-    def val(ts):
-        p = model.sphere_points_at(ts)
-        img = np.einsum("kab,kb->ka", mats, p)
-        return model.gauge_many(img)
-
-    _, best = golden_max_batch(val, thetas[j] - h, thetas[j] + h)
-    return np.maximum(best, vals[np.arange(k), j])
+    """Operator norms of a batch of 2x2 matrices (shape (k, 2, 2)): a coarse
+    grid plus a 60-step golden refinement, all maps as lanes of one search;
+    used by sweep-style callers where the one-at-a-time path would dominate
+    the runtime."""
+    return _operator_norms(model, np.asarray(mats, dtype=float), coarse, 60)[0]

@@ -1,6 +1,6 @@
 """The catalogue of norm families: lp, polar-profile, quadrant mixes,
-polygons, arc chains, ellipse intersections, blends, quadrant-curve norms,
-and numerically sampled duals.
+polygons, arc chains (the spliced sphere and the staircase sphere among
+them), ellipse intersections, blends, and numerically sampled duals.
 
 Every model is immutable after construction and carries two eagerly built
 caches: a 1024-point sphere table with supports/tangents/curvatures and a
@@ -24,10 +24,10 @@ from .errors import (
     NotConvex,
     NotPeriodic,
     NotSymmetric,
-    OutOfDomain,
     TangentBreak,
 )
 from .geometry import Vec2, as_vec
+from .numerics import bisect_batch, rotation, stencil5_d1, stencil5_d2
 
 SPHERE_CACHE_N = 1024
 FINE_CACHE_N = 4096
@@ -63,6 +63,9 @@ class NormModel:
         self._dual = None
         self._john_ellipse = None
         self._eccentricity_sq = None
+        self._sweep = None
+        self._kappa_extrema = None
+        self._delta_curve = None
 
     # -- family hooks --------------------------------------------------------
 
@@ -115,9 +118,7 @@ class NormModel:
         thetas = np.asarray(thetas, dtype=float)
         h = 2e-4
         r = [self.radial_many(thetas + k * h) for k in (-2, -1, 0, 1, 2)]
-        rp = (-r[4] + 8 * r[3] - 8 * r[1] + r[0]) / (12 * h)
-        rpp = (-r[4] + 16 * r[3] - 30 * r[2] + 16 * r[1] - r[0]) / (12 * h * h)
-        return curvature_polar_many(r[2], rp, rpp)
+        return curvature_polar_many(r[2], stencil5_d1(r, h), stencil5_d2(r, h))
 
     def kink_at(self, theta: float, tol: float = 1e-9):
         ks = self.kink_thetas()
@@ -184,7 +185,15 @@ class LpNorm(NormModel):
             return ax.sum(axis=1)
         if self.p == 2.0:
             return np.hypot(pts[:, 0], pts[:, 1])
-        return (ax[:, 0] ** self.p + ax[:, 1] ** self.p) ** (1.0 / self.p)
+        s = ax[:, 0] ** self.p + ax[:, 1] ** self.p
+        out = s ** (1.0 / self.p)
+        # where the p-th powers under- or overflow, factor out the larger
+        # component, so that the gauge stays 1-homogeneous at every scale
+        if s.size and (s.min() < 1e-300 or s.max() > 1e300):
+            off = ((s < 1e-300) | (s > 1e300)) & (ax.max(axis=1) > 0)
+            hi = ax[off].max(axis=1)
+            out[off] = hi * ((ax[off] / hi[:, None]) ** self.p).sum(axis=1) ** (1.0 / self.p)
+        return out
 
     def grad_many(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -592,39 +601,47 @@ class Arc:
         return np.array([-math.sin(alpha), math.cos(alpha)])
 
 
-class _ArcTable:
-    """Shared ray-intersection machinery over a list of arcs covering a
-    contiguous polar-angle range."""
+class ArcChainNorm(NormModel):
+    """Norm whose unit sphere is a closed G1 chain of circle arcs, listed
+    counterclockwise; ray intersections look up the arc by polar angle."""
 
-    def __init__(self, arcs: list[Arc], phi_start: float):
+    family = "arc_chain"
+
+    def __init__(self, arcs: list[Arc], params: dict | None = None):
+        super().__init__(
+            params
+            if params is not None
+            else {
+                "arcs": [
+                    [a.center.x1, a.center.x2, a.radius, a.start_angle, a.end_angle]
+                    for a in arcs
+                ]
+            }
+        )
         self.arcs = arcs
         self.centers = np.array([[a.center.x1, a.center.x2] for a in arcs])
         self.radii = np.array([a.radius for a in arcs])
         self.a0 = np.array([a.start_angle for a in arcs])
         self.a1 = np.array([a.end_angle for a in arcs])
-        self.phi_start = phi_start
-        phis = [phi_start]
+        p0 = arcs[0].start_point()
+        self.phi_start = math.atan2(p0[1], p0[0])
+        phis = [self.phi_start]
         for a in arcs:
             p = a.end_point()
             phi = math.atan2(p[1], p[0])
-            phi = phi_start + (phi - phi_start) % (2.0 * np.pi)
+            phi = self.phi_start + (phi - self.phi_start) % (2.0 * np.pi)
             # unwrap monotonically
             while phi < phis[-1] - 1e-12:
                 phi += 2.0 * np.pi
             phis.append(phi)
         self.phi_bounds = np.asarray(phis)
 
-    def span(self) -> float:
-        return self.phi_bounds[-1] - self.phi_bounds[0]
-
     def arc_index(self, thetas: np.ndarray) -> np.ndarray:
         rel = (np.asarray(thetas) - self.phi_start) % (2.0 * np.pi)
-        if self.span() < 2.0 * np.pi - 1e-9:  # partial cover (quadrant tables)
-            rel = np.clip(rel, 0.0, self.span())
         idx = np.searchsorted(self.phi_bounds[1:-1] - self.phi_start, rel, side="right")
         return np.clip(idx, 0, len(self.arcs) - 1)
 
-    def radial(self, thetas: np.ndarray) -> np.ndarray:
+    def radial_many(self, thetas):
         thetas = np.asarray(thetas, dtype=float)
         idx = self.arc_index(thetas)
         u = np.column_stack([np.cos(thetas), np.sin(thetas)])
@@ -642,75 +659,55 @@ class _ArcTable:
         rel = (alpha_far - self.a0[idx]) % (2.0 * np.pi)
         span = self.a1[idx] - self.a0[idx]
         ok_far = (rel <= span + 1e-9) | (rel >= 2.0 * np.pi - 1e-9)
-        t = np.where(ok_far & (t_far > 0), t_far, t_near)
-        return t
-
-    def junction_thetas(self) -> np.ndarray:
-        return self.phi_bounds[1:-1] % (2.0 * np.pi)
-
-    def midpoint_thetas(self) -> np.ndarray:
-        mids = []
-        for a in self.arcs:
-            p = a.point_at(0.5 * (a.start_angle + a.end_angle))
-            mids.append(math.atan2(p[1], p[0]) % (2.0 * np.pi))
-        return np.asarray(mids)
-
-
-class ArcChainNorm(NormModel):
-    """Norm whose unit sphere is a closed G1 chain of circle arcs."""
-
-    family = "arc_chain"
-
-    def __init__(self, arcs: list[Arc], params: dict | None = None):
-        super().__init__(
-            params
-            if params is not None
-            else {
-                "arcs": [
-                    [a.center.x1, a.center.x2, a.radius, a.start_angle, a.end_angle]
-                    for a in arcs
-                ]
-            }
-        )
-        p0 = arcs[0].start_point()
-        self.table = _ArcTable(arcs, math.atan2(p0[1], p0[0]))
-        self.arcs = arcs
+        return np.where(ok_far & (t_far > 0), t_far, t_near)
 
     def _gauge_raw(self, pts):
         r = np.hypot(pts[:, 0], pts[:, 1])
         th = np.arctan2(pts[:, 1], pts[:, 0])
         out = np.zeros_like(r)
         nz = r > 0
-        out[nz] = r[nz] / self.table.radial(th[nz])
+        out[nz] = r[nz] / self.radial_many(th[nz])
         return out
-
-    def radial_many(self, thetas):
-        return self.table.radial(np.asarray(thetas, dtype=float))
 
     def grad_many(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         th = np.arctan2(pts[:, 1], pts[:, 0])
-        idx = self.table.arc_index(th)
-        rad = self.table.radial(th)
+        idx = self.arc_index(th)
+        rad = self.radial_many(th)
         u = np.column_stack([np.cos(th), np.sin(th)])
         boundary = u * rad[:, None]
-        n = (boundary - self.table.centers[idx]) / self.table.radii[idx][:, None]
+        n = (boundary - self.centers[idx]) / self.radii[idx][:, None]
         pair = np.einsum("ij,ij->i", n, boundary)
         return n / pair[:, None]
 
     def curvature_theta_many(self, thetas):
         thetas = np.asarray(thetas, dtype=float)
-        return 1.0 / self.table.radii[self.table.arc_index(thetas)]
+        return 1.0 / self.radii[self.arc_index(thetas)]
 
     def curvature_sided(self, theta):
         eps = 1e-9
-        ks = 1.0 / self.table.radii[self.table.arc_index(np.array([theta - eps, theta + eps]))]
+        ks = 1.0 / self.radii[self.arc_index(np.array([theta - eps, theta + eps]))]
         return float(ks.min()), float(ks.max())
 
     def feature_thetas(self):
-        return np.sort(
-            np.concatenate([self.table.junction_thetas(), self.table.midpoint_thetas()])
-        )
+        mids = []
+        for a in self.arcs:
+            p = a.point_at(0.5 * (a.start_angle + a.end_angle))
+            mids.append(math.atan2(p[1], p[0]) % (2.0 * np.pi))
+        return np.sort(np.concatenate([self.phi_bounds[1:-1] % (2.0 * np.pi), mids]))
+
+    def theta_of_arclength(self, s: float) -> float:
+        """Polar parameter of the sphere point at arc length s along the
+        chain from its first point (the staircase sphere's (0, -1)), clipped
+        to the end of the chain."""
+        remaining = float(s)
+        for a in self.arcs:
+            length = a.radius * (a.end_angle - a.start_angle)
+            if remaining <= length or a is self.arcs[-1]:
+                alpha = a.start_angle + remaining / a.radius
+                p = a.point_at(min(alpha, a.end_angle))
+                return math.atan2(p[1], p[0]) % (2.0 * np.pi)
+            remaining -= length
 
 
 def make_arc_chain(arcs) -> ArcChainNorm:
@@ -724,7 +721,7 @@ def make_arc_chain(arcs) -> ArcChainNorm:
             raise BadParameter("arc radius must be positive")
         if a.orientation != 1:
             raise BadParameter("arcs must be oriented counterclockwise")
-        if a.end_angle <= a.start_angle + 1e-12:
+        if a.end_angle <= a.start_angle:
             raise BadParameter("arc has no angular extent")
     n = len(arcs)
     for j in range(n):
@@ -808,79 +805,6 @@ def _reflect_q4_chain(q4: list[Arc]) -> list[Arc]:
     return right + left
 
 
-# -- quadrant-curve norms (fourth-quadrant arcs plus fourfold symmetry) ------
-
-
-class QuadrantCurveNorm(NormModel):
-    """Norm defined by a fourth-quadrant boundary curve (as arcs) and the
-    reflection rule gauge(x) = gauge(|x1|, -|x2|)."""
-
-    family = "curve_norm"
-
-    def __init__(self, q4_arcs: list[Arc], params: dict):
-        super().__init__(params)
-        self.q4_arcs = q4_arcs
-        self.table = _ArcTable(q4_arcs, -np.pi / 2)
-
-    def _fold(self, pts):
-        return np.column_stack([np.abs(pts[:, 0]), -np.abs(pts[:, 1])])
-
-    def _gauge_raw(self, pts):
-        w = self._fold(pts)
-        r = np.hypot(w[:, 0], w[:, 1])
-        th = np.arctan2(w[:, 1], w[:, 0])
-        out = np.zeros_like(r)
-        nz = r > 0
-        out[nz] = r[nz] / self.table.radial(th[nz])
-        return out
-
-    def grad_many(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        w = self._fold(pts)
-        th = np.arctan2(w[:, 1], w[:, 0])
-        idx = self.table.arc_index(th)
-        rad = self.table.radial(th)
-        u = np.column_stack([np.cos(th), np.sin(th)])
-        boundary = u * rad[:, None]
-        nq = (boundary - self.table.centers[idx]) / self.table.radii[idx][:, None]
-        pair = np.einsum("ij,ij->i", nq, boundary)
-        nq = nq / pair[:, None]
-        # chain rule through the fold (x1, x2) -> (|x1|, -|x2|)
-        sx = np.where(pts[:, 0] >= 0.0, 1.0, -1.0)
-        sy = np.where(pts[:, 1] >= 0.0, 1.0, -1.0)
-        return np.column_stack([nq[:, 0] * sx, -nq[:, 1] * sy])
-
-    def curvature_theta_many(self, thetas):
-        thetas = np.asarray(thetas, dtype=float)
-        pts = self.sphere_points_at(thetas)
-        w = self._fold(pts)
-        th = np.arctan2(w[:, 1], w[:, 0])
-        return 1.0 / self.table.radii[self.table.arc_index(th)]
-
-    def curvature_sided(self, theta):
-        eps = 1e-9
-        ks = self.curvature_theta_many(np.array([theta - eps, theta + eps]))
-        return float(ks.min()), float(ks.max())
-
-    def feature_thetas(self):
-        qs = np.concatenate([self.table.junction_thetas(), self.table.midpoint_thetas()])
-        qs = np.concatenate([qs, -qs, np.pi - qs, np.pi + qs])
-        return np.sort(qs % (2.0 * np.pi))
-
-    def theta_of_arclength(self, s: float) -> float:
-        """Polar parameter of the fourth-quadrant curve point at arc length s
-        from (0, -y0); used to address staircase arcs directly."""
-        remaining = float(s)
-        for a in self.table.arcs:
-            length = a.radius * (a.end_angle - a.start_angle)
-            if remaining <= length or a is self.table.arcs[-1]:
-                alpha = a.start_angle + remaining / a.radius
-                p = a.point_at(min(alpha, a.end_angle))
-                return math.atan2(p[1], p[0]) % (2.0 * np.pi)
-            remaining -= length
-        raise OutOfDomain("arc length beyond the quadrant curve")
-
-
 # -- ellipse intersections ---------------------------------------------------
 
 
@@ -926,8 +850,6 @@ class EllipseMaxNorm(NormModel):
             d = q1 - q2
             sign_change = np.where(d * np.roll(d, -1) < 0)[0]
             kinks = []
-            from .numerics import bisect_batch
-
             for j in sign_change:
                 lo, hi = grid[j], grid[j] + 2.0 * np.pi / 8192
 
@@ -987,8 +909,6 @@ def make_ellipse(semi_axis_x: float, semi_axis_y: float, angle: float = 0.0) -> 
     """Single origin-centered ellipse norm with the given semi-axes."""
     if semi_axis_x <= 0 or semi_axis_y <= 0:
         raise BadParameter("semi-axes must be positive")
-    from .numerics import rotation
-
     r = rotation(angle)
     m = r @ np.diag([semi_axis_x**-2.0, semi_axis_y**-2.0]) @ r.T
     return make_ellipse_pair(m, m)
@@ -998,7 +918,10 @@ def make_ellipse(semi_axis_x: float, semi_axis_y: float, angle: float = 0.0) -> 
 
 
 class BlendNorm(NormModel):
-    """sqrt(base^2 + eps * euclidean^2); strictly positively curved for C2 bases."""
+    """sqrt(base^2 + eps * euclidean^2); strictly positively curved for C2 bases.
+
+    Both gauges are 1-homogeneous, so every corner ray of the base stays a
+    corner ray of the blend."""
 
     family = "blend"
 
@@ -1006,7 +929,22 @@ class BlendNorm(NormModel):
         super().__init__({"eps": eps, "base": dict(base.params), "base_family": base.family})
         self.base = base
         self.eps = float(eps)
-        self.is_c2 = base.is_c2 or isinstance(base, LpNorm) and base.p >= 2.0
+        self.is_c2 = base.is_c2
+
+    def kink_thetas(self):
+        return self.base.kink_thetas()
+
+    def one_sided_supports(self, theta):
+        # the gradient b f + eps x of the blend at its sphere point x
+        x = self.sphere_points_at(np.array([theta]))[0]
+        b = float(self.base.gauge_many(x[None, :])[0])
+        f_lo, f_hi = self.base.one_sided_supports(theta)
+        return b * np.asarray(f_lo) + self.eps * x, b * np.asarray(f_hi) + self.eps * x
+
+    def curvature_sided(self, theta):
+        if self.kink_at(theta) is not None:
+            return 0.0, INF
+        return super().curvature_sided(theta)
 
     def _gauge_raw(self, pts):
         b = self.base.gauge_many(pts)

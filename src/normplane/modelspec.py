@@ -18,6 +18,10 @@ Every file needs a ``family`` key; the remaining keys depend on it:
     family = blend               eps = 1.0        base.family = lp, base.p = 4 ...
     family = dual                base.family = ...
 
+The spliced and the staircase (nobst) spheres are arc chains; they are
+written by their construction parameters, not arc by arc. An arc chain whose
+params hold ``depth`` is written as ``family = nobst``.
+
 Lines starting with ``#`` are comments. Floats round-trip via repr.
 """
 
@@ -125,9 +129,7 @@ def read_model_file(path) -> object:
     return model_from_fields(_parse_lines(Path(path).read_text()))
 
 
-def _fields_of(model) -> list[tuple[str, str]]:
-    fam = model.family
-    p = model.params
+def _fields_of(fam: str, p: dict) -> list[tuple[str, str]]:
     if fam == "lp":
         return [("family", "lp"), ("p", repr(p["p"]) if p["p"] != "inf" else "inf")]
     if fam == "polar":
@@ -145,6 +147,8 @@ def _fields_of(model) -> list[tuple[str, str]]:
         verts = "; ".join(f"{v[0]!r},{v[1]!r}" for v in p["vertices"])
         return [("family", fam), ("vertices", verts)]
     if fam == "arc_chain":
+        if "depth" in p:
+            return [("family", "nobst"), ("depth", str(p["depth"]))]
         if set(p) == {"radius", "junction_angle"}:
             return [
                 ("family", "spliced"),
@@ -154,8 +158,6 @@ def _fields_of(model) -> list[tuple[str, str]]:
         return [("family", fam)] + [
             ("arc", ",".join(repr(float(t)) for t in arc)) for arc in p["arcs"]
         ]
-    if fam == "curve_norm":
-        return [("family", "nobst"), ("depth", str(p["depth"]))]
     if fam == "ellipse_intersection":
         f1 = p["m1"]
         f2 = p["m2"]
@@ -165,27 +167,14 @@ def _fields_of(model) -> list[tuple[str, str]]:
             ("m2", f"{f2[0][0]!r},{f2[0][1]!r},{f2[1][1]!r}"),
         ]
     if fam == "blend":
-        rows = [("family", fam), ("eps", repr(p["eps"]))]
-        base = dict(p["base"])
-        base_rows = _fields_of_params(p["base_family"], base)
-        rows.extend((f"base.{k}", v) for k, v in base_rows)
-        return rows
+        base_rows = _fields_of(p["base_family"], p["base"])
+        return [("family", fam), ("eps", repr(p["eps"]))] + [(f"base.{k}", v) for k, v in base_rows]
     if fam == "dual":
-        base_rows = _fields_of_params(p["base_family"], dict(p["base"]))
+        base_rows = _fields_of(p["base_family"], p["base"])
         return [("family", fam)] + [(f"base.{k}", v) for k, v in base_rows]
     raise BadParameter(f"family {fam!r} has no file representation")
 
 
-def _fields_of_params(family: str, params: dict) -> list[tuple[str, str]]:
-    class _Shim:
-        pass
-
-    shim = _Shim()
-    shim.family = family
-    shim.params = params
-    return _fields_of(shim)
-
-
 def write_model_file(model, path) -> None:
-    lines = [f"{k} = {v}" for k, v in _fields_of(model)]
+    lines = [f"{k} = {v}" for k, v in _fields_of(model.family, model.params)]
     Path(path).write_text("\n".join(lines) + "\n")

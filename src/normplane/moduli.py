@@ -8,8 +8,6 @@ family of root finds along the sphere.
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,23 +147,16 @@ def power2_fit(curve: ModulusCurve) -> float | None:
     return c
 
 
-_curve_cache: "weakref.WeakKeyDictionary[object, ModulusCurve]" = weakref.WeakKeyDictionary()
-_curve_lock = threading.Lock()
-
-
 def delta_curve(model) -> ModulusCurve:
-    """Cached uniform-convexity curve on the standard log-spaced grid."""
-    with _curve_lock:
-        cached = _curve_cache.get(model)
-    if cached is not None:
-        return cached
-    eps_grid = np.geomspace(CURVE_EPS_MIN, 2.0, CURVE_GRID_N)
-    values = np.array([delta_uc(model, float(e)) for e in eps_grid])
-    curve = ModulusCurve("uniform_convexity", eps_grid, values)
-    curve.power2_coeff = power2_fit(curve)
-    with _curve_lock:
-        _curve_cache[model] = curve
-    return curve
+    """Uniform-convexity curve on the standard log-spaced grid, kept on the
+    model after the first call."""
+    if model._delta_curve is None:
+        eps_grid = np.geomspace(CURVE_EPS_MIN, 2.0, CURVE_GRID_N)
+        values = np.array([delta_uc(model, float(e)) for e in eps_grid])
+        curve = ModulusCurve("uniform_convexity", eps_grid, values)
+        curve.power2_coeff = power2_fit(curve)
+        model._delta_curve = curve
+    return model._delta_curve
 
 
 def decomposition_check(model, x: SpherePoint, z) -> tuple[float, Vec2, bool]:

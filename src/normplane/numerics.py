@@ -43,31 +43,6 @@ def golden_min(f, lo, hi, iters: int = 80):
     return np.where(left, c, d), np.where(left, fc, fd)
 
 
-def golden_min_batch(f, lo, hi, iters: int = 60):
-    """Vectorized golden-section minimum: lo, hi are arrays of brackets and
-    f maps an array of points to an array of values.
-
-    Recomputes both interior points each sweep (2 vector evals per iteration);
-    at the array sizes used here that beats per-component bookkeeping.
-    Returns (argmins, mins) as arrays.
-    """
-    a = np.asarray(lo, dtype=float).copy()
-    b = np.asarray(hi, dtype=float).copy()
-    for _ in range(iters):
-        c = a + INVPHI2 * (b - a)
-        d = a + INVPHI * (b - a)
-        take = f(c) < f(d)
-        b = np.where(take, d, b)
-        a = np.where(take, a, c)
-    best = 0.5 * (a + b)
-    return best, f(best)
-
-
-def golden_max_batch(f, lo, hi, iters: int = 60):
-    x, v = golden_min_batch(lambda t: -f(t), lo, hi, iters)
-    return x, -v
-
-
 def bisect_batch(f, lo, hi, iters: int = 80):
     """Vectorized bisection for roots of f on brackets [lo, hi].
 
@@ -95,20 +70,6 @@ def stencil5_d2(values, h: float):
     """Second derivative from a 5-point symmetric stencil [-2h..2h]."""
     fm2, fm1, f0, fp1, fp2 = values
     return (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
-
-
-def simpson(values, h: float) -> float:
-    """Composite Simpson rule over an odd number of equally spaced samples."""
-    values = np.asarray(values, dtype=float)
-    n = values.shape[0]
-    if n < 3 or n % 2 == 0:
-        raise ValueError("simpson needs an odd number of samples >= 3")
-    return (h / 3.0) * (
-        values[0]
-        + values[-1]
-        + 4.0 * values[1:-1:2].sum()
-        + 2.0 * values[2:-2:2].sum()
-    )
 
 
 # -- 2x2 symmetric positive-definite helpers ---------------------------------

@@ -86,18 +86,39 @@ def certify(model, t: LinearMap2) -> ContractionCertificate:
     """Operator-norm certificate for t; Singular if t is not invertible."""
     if not t.is_invertible():
         raise Singular(f"determinant {t.det()!r}")
-    op = geometry.operator_norm(model, t)
-    inv = geometry.operator_norm(model, t.inverse())
+    # T and its inverse are two lanes of one operator-norm search
+    mats = np.stack([t.matrix(), t.inverse().matrix()])
+    (op, inv), (witness, _) = geometry._operator_norms(model, mats, geometry.OPNORM_GRID, 80)
     contractive = float(op) <= 1.0 + CERTIFY_TOL
     return ContractionCertificate(
         T=t,
         op_norm=float(op),
         inv_norm=float(inv),
         is_contractive=contractive,
-        witness_angle=op.witness_angle,
+        witness_angle=float(witness),
         tolerance=CERTIFY_TOL,
         boundary=contractive and float(op) > 1.0,
     )
+
+
+def collinear_triples(points: np.ndarray) -> np.ndarray:
+    """For each consecutive triple of points, whether it is collinear: the
+    cross product of its two edges within FLAT_TOL (1 + |first edge|^2)."""
+    e = np.diff(points, axis=0)
+    cross = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0]
+    return np.abs(cross) <= FLAT_TOL * (1.0 + np.einsum("ij,ij->i", e[:-1], e[:-1]))
+
+
+def on_chord(points: np.ndarray) -> bool:
+    """Whether every point lies within FLAT_TOL of the chord between the
+    first and the last point."""
+    chord = points[-1] - points[0]
+    norm = float(np.hypot(chord[0], chord[1]))
+    if norm == 0.0:
+        return False
+    rel = points - points[0]
+    dev = np.abs(rel[:, 0] * chord[1] - rel[:, 1] * chord[0]) / norm
+    return bool(np.max(dev) <= FLAT_TOL)
 
 
 def is_flat(model, y: SpherePoint) -> bool:
@@ -109,16 +130,7 @@ def is_flat(model, y: SpherePoint) -> bool:
     j = int(np.argmin(np.abs((thetas - y.theta + np.pi) % (2 * np.pi) - np.pi)))
     idx = (j + np.arange(-(FLAT_WINDOW // 2), FLAT_WINDOW // 2 + 1)) % n
     pts = cache["points"][idx]
-    e = np.diff(pts, axis=0)
-    cross = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0]
-    scale = np.einsum("ij,ij->i", e[:-1], e[:-1])
-    if not np.all(np.abs(cross) <= FLAT_TOL + FLAT_TOL * scale):
-        return False
-    chord = pts[-1] - pts[0]
-    norm = np.hypot(chord[0], chord[1])
-    rel = pts - pts[0]
-    dev = np.abs(rel[:, 0] * chord[1] - rel[:, 1] * chord[0]) / norm
-    return bool(np.max(dev) <= FLAT_TOL)
+    return bool(np.all(collinear_triples(pts))) and on_chord(pts)
 
 
 def flat_transport(model, x: SpherePoint, y: SpherePoint, eps: float = 0.5) -> ContractionCertificate:

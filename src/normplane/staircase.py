@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import BadParameter, NotConvex, OutOfDomain, TangencySolveFailed
 from .geometry import Vec2
-from .models import Arc, QuadrantCurveNorm
-from .numerics import simpson
+from .models import Arc, ArcChainNorm, _reflect_q4_chain, make_arc_chain
 from .semigroup import inv_norm_lower_bound
 
 #: truncation depth: intervals below 2^-19 are dropped. Depth 19 keeps the
@@ -38,13 +37,18 @@ class CurvatureFunction:
     intervals: tuple  # ((lo, hi, value), ...) disjoint, increasing
     n_max: int
 
-    def value(self, s: float) -> float:
-        if not (S_MIN <= s <= S_MAX):
+    def values(self, s: np.ndarray) -> np.ndarray:
+        s = np.asarray(s, dtype=float)
+        if np.any(~((S_MIN <= s) & (s <= S_MAX))):
             raise OutOfDomain(f"s = {s!r} outside [-pi/2, 1]")
-        for lo, hi, v in self.intervals:
-            if lo <= s <= hi:
-                return v
-        return 1.0
+        out = np.ones_like(s)
+        # reversed, so that where two closed intervals touch the first wins
+        for lo, hi, v in reversed(self.intervals):
+            out[(lo <= s) & (s <= hi)] = v
+        return out
+
+    def value(self, s: float) -> float:
+        return float(self.values(np.array([s]))[0])
 
     def breakpoints(self) -> np.ndarray:
         pts = [S_MIN, 0.0, S_MAX]
@@ -98,24 +102,25 @@ class BuiltCurve:
         if s <= 0:
             return np.array([math.sin(s), -math.cos(s)])
         bps = self.kfun.breakpoints()
+        ends = bps[bps > 0]
+        ks = self.kfun.values(0.5 * (np.concatenate([[0.0], ends[:-1]]) + ends))
         prev = 0.0
-        for b in list(bps[bps > 0]):
+        for b, k in zip(ends.tolist(), ks.tolist()):
             hi = min(b, s)
-            if hi > prev:
-                k = self.kfun.value(0.5 * (prev + hi))
-                d = hi - prev
-                x += (math.sin(tau + k * d) - math.sin(tau)) / k
-                y += (-math.cos(tau + k * d) + math.cos(tau)) / k
-                tau += k * d
-                prev = hi
+            d = hi - prev
+            x += (math.sin(tau + k * d) - math.sin(tau)) / k
+            y += (-math.cos(tau + k * d) + math.cos(tau)) / k
+            tau += k * d
+            prev = hi
             if prev >= s:
                 break
         return np.array([x, y])
 
 
 def integrate_curve(kfun: CurvatureFunction, step: float = 1e-4) -> BuiltCurve:
-    """Integrate the curve by composite Simpson quadrature, panels aligned to
-    the curvature breakpoints: first the tangent angle, then the position.
+    """Integrate the curve by Simpson's rule on each panel between nodes,
+    panels aligned to the curvature breakpoints: first the tangent angle,
+    then the position, each accumulated outward from s = 0.
 
     Starts at (0, -1) heading along +x; the negative-s branch is the exact
     unit quarter circle back to (-1, 0).
@@ -129,38 +134,24 @@ def integrate_curve(kfun: CurvatureFunction, step: float = 1e-4) -> BuiltCurve:
         n_sub += n_sub % 2  # even panel count for Simpson
         s_nodes.append(np.linspace(lo, hi, n_sub + 1)[1:])
     s = np.concatenate(s_nodes)
-    # tangent angle: Simpson on k over each inter-node panel pair (k is
-    # constant between breakpoints, so this is exact)
-    K = np.empty_like(s)
     j0 = int(np.searchsorted(s, 0.0))
+    h = 0.5 * np.diff(s)  # Simpson half-step of each panel
+    kmid = kfun.values(0.5 * (s[:-1] + s[1:]))
+    # tangent angle: k is constant on each panel, so Simpson is exact
+    dk = (h / 3.0) * (kmid + kmid + 4.0 * kmid)
+    K = np.empty_like(s)
     K[j0] = 0.0
-    for j in range(j0 + 1, len(s)):
-        mid = 0.5 * (s[j - 1] + s[j])
-        kv = kfun.value(mid)
-        K[j] = K[j - 1] + simpson(np.array([kv, kv, kv]), (s[j] - s[j - 1]) / 2.0)
-    for j in range(j0 - 1, -1, -1):
-        mid = 0.5 * (s[j] + s[j + 1])
-        kv = kfun.value(mid)
-        K[j] = K[j + 1] - simpson(np.array([kv, kv, kv]), (s[j + 1] - s[j]) / 2.0)
-    # positions: Simpson on (cos K, sin K) with the midpoint angle exact
+    K[j0 + 1 :] = np.cumsum(dk[j0:])
+    K[:j0] = -np.cumsum(dk[:j0][::-1])[::-1]
+    # positions: Simpson on (cos K, sin K), with the exact midpoint angle
+    # stepped from the panel end nearer to s = 0
+    mid = np.concatenate([K[1 : j0 + 1] - kmid[:j0] * h[:j0], K[j0:-1] + kmid[j0:] * h[j0:]])
     pts = np.empty((len(s), 2))
-    pts[j0] = (0.0, -1.0)
-    for j in range(j0 + 1, len(s)):
-        h = 0.5 * (s[j] - s[j - 1])
-        mid = 0.5 * (s[j - 1] + s[j])
-        kmid = kfun.value(mid)
-        k_mid_angle = K[j - 1] + kmid * h
-        pts[j, 0] = pts[j - 1, 0] + simpson(
-            np.cos([K[j - 1], k_mid_angle, K[j]]), h
-        )
-        pts[j, 1] = pts[j - 1, 1] + simpson(
-            np.sin([K[j - 1], k_mid_angle, K[j]]), h
-        )
-    for j in range(j0 - 1, -1, -1):
-        h = 0.5 * (s[j + 1] - s[j])
-        mid_angle = K[j + 1] - kfun.value(0.5 * (s[j] + s[j + 1])) * h
-        pts[j, 0] = pts[j + 1, 0] - simpson(np.cos([K[j], mid_angle, K[j + 1]]), h)
-        pts[j, 1] = pts[j + 1, 1] - simpson(np.sin([K[j], mid_angle, K[j + 1]]), h)
+    for axis, trig in enumerate((np.cos, np.sin)):
+        d = (h / 3.0) * (trig(K[:-1]) + trig(K[1:]) + 4.0 * trig(mid))
+        start = -1.0 if axis else 0.0
+        pts[j0:, axis] = np.cumsum(np.concatenate([[start], d[j0:]]))
+        pts[: j0 + 1, axis] = np.cumsum(np.concatenate([[start], -d[:j0][::-1]]))[::-1]
     k1 = float(K[-1])
     return BuiltCurve(
         s=s,
@@ -230,9 +221,10 @@ def _circle_pair(p: np.ndarray, k1: float):
     return r, rp, phi, (phi_lo, phi_hi)
 
 
-def close_sphere(curve: BuiltCurve) -> QuadrantCurveNorm:
-    """Close the curve into a norm: exact staircase arcs, the tangent circle
-    pair, and the fourfold reflection gauge(x) = gauge(|x1|, -|x2|)."""
+def close_sphere(curve: BuiltCurve) -> ArcChainNorm:
+    """Close the curve into a norm: exact staircase arcs and the tangent
+    circle pair form the fourth-quadrant run, whose fourfold reflection is the
+    arc chain (so gauge(x) = gauge(|x1|, -|x2|))."""
     arcs, p, k1 = _exact_staircase_arcs(curve.kfun)
     if np.max(np.abs(p - curve.endpoint.as_array())) > 1e-8:
         raise NotConvex("quadrature endpoint disagrees with the exact arc chain")
@@ -258,16 +250,15 @@ def close_sphere(curve: BuiltCurve) -> QuadrantCurveNorm:
         "closing_angle": phi,
         "closing_angle_window": list(window),
     }
-    model = QuadrantCurveNorm(arcs + closing, params)
-    return model.validate()
+    return make_arc_chain(_reflect_q4_chain(arcs + closing))._replace_params(params)
 
 
-def build_nobst(depth: int = DEFAULT_DEPTH, step: float = 1e-4) -> QuadrantCurveNorm:
+def build_nobst(depth: int = DEFAULT_DEPTH, step: float = 1e-4) -> ArcChainNorm:
     """Staircase curvature -> integrated curve -> closed sphere."""
     return close_sphere(integrate_curve(staircase_function(depth), step))
 
 
-def nobst_witness(model: QuadrantCurveNorm, n_list) -> list[tuple[int, float]]:
+def nobst_witness(model: ArcChainNorm, n_list) -> list[tuple[int, float]]:
     """Inverse-norm lower bounds from mid-flat-arc points (curvature 2^-n)
     against a fixed curvature-1 reference point; grows like sqrt(2)^n."""
     from . import geometry

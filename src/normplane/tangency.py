@@ -117,22 +117,23 @@ class TangencyReport:
 PSI_EXCLUDE = 3e-4
 
 
-def _angdist(a, b):
-    return np.abs((np.asarray(a) - b + np.pi) % (2.0 * np.pi) - np.pi)
+def psi_table(x, f, thetas, z, z_thetas) -> np.ndarray:
+    """psi of the sphere points z (polar angles z_thetas) for the tangent
+    discs at the base points x (supports f, polar angles thetas).
 
-
-def _psi_at(model, x, f, fnorm, thetas, theta0: float):
-    """psi on sphere points; NaN inside the exclusion zone / on the support line."""
-    thetas = np.asarray(thetas, dtype=float)
-    z = model.sphere_points_at(thetas)
-    diff = z - x
-    dist2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
-    depth = 1.0 - z @ f
+    Returns a (len(x), len(z)) table: NaN inside the exclusion zone around
+    each base point, INF where z lies on or beyond the support line.
+    """
+    diff = z[None, :, :] - x[:, None, :]
+    dist2 = diff[:, :, 0] ** 2 + diff[:, :, 1] ** 2
+    depth = 1.0 - f @ z.T
+    fnorm = np.hypot(f[:, 0], f[:, 1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = dist2 * fnorm / (2.0 * depth)
-    out[_angdist(thetas, theta0) < PSI_EXCLUDE] = np.nan
-    out[depth <= 0] = INF
-    return out
+        psi = dist2 * fnorm[:, None] / (2.0 * depth)
+    ang = np.abs((z_thetas[None, :] - thetas[:, None] + np.pi) % (2.0 * np.pi) - np.pi)
+    psi[ang < PSI_EXCLUDE] = np.nan
+    psi[depth <= 0] = INF
+    return psi
 
 
 def disc_radii(model, x: SpherePoint) -> tuple[float, float]:
@@ -141,18 +142,18 @@ def disc_radii(model, x: SpherePoint) -> tuple[float, float]:
     Either value may be 0 / inf when the corresponding disc does not exist;
     the curvature limit at x enters through the model's one-sided curvatures.
     """
-    xa = x.point.as_array()
-    f = x.support.as_array()
-    fnorm = float(np.hypot(f[0], f[1]))
+    xa = x.point.as_array()[None, :]
+    f = x.support.as_array()[None, :]
+    theta = np.array([x.theta])
     k_lo, k_hi = model.curvature_sided(x.theta)
 
-    n = len(model.fine_points())
-    thetas = (np.arange(n) + 0.5) * (2.0 * np.pi / n)
+    fine = model.fine_points()
+    thetas = (np.arange(len(fine)) + 0.5) * (2.0 * np.pi / len(fine))
 
     def psi_at(th):
-        return _psi_at(model, xa, f, fnorm, th, x.theta)
+        return psi_table(xa, f, theta, model.sphere_points_at(th), th)[0]
 
-    psi = psi_at(thetas)
+    psi = psi_table(xa, f, theta, fine, thetas)[0]
     # the infimum of psi, as minus the sup of -psi
     r_in = -_refined_max(lambda th: -psi_at(th), -np.where(np.isnan(psi), INF, psi))
     r_in = min(r_in, INF if k_hi <= 0 else 1.0 / k_hi)

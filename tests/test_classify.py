@@ -61,6 +61,17 @@ def test_umst_verdicts(euclid, pig_strict, pig, l4, spliced):
     assert classify.classify_umst(spliced).kind == "unknown"
 
 
+def test_blend_of_polyhedral_base_is_not_st(l1, linf, hexagon):
+    # sqrt(b^2 + eps |x|^2) keeps a corner on every corner ray of b, so the
+    # inner-disc side fails there
+    from normplane import models
+
+    for base in (l1, linf, hexagon):
+        v = classify.classify_st(models.make_blend(base, 1.0))
+        assert v.kind == "no" and v.missing_side == "inner"
+    assert classify.classify_umst(models.make_blend(linf, 1.0)).kind != "eligible_yes"
+
+
 def test_delta_table_quantifier_order(pig_strict):
     table = classify.umst_delta_table(pig_strict, (0.1, 0.4), n_a=64, n_off=16)
     for eps, delta, pairs, failures in table:

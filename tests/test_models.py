@@ -27,6 +27,16 @@ def test_make_lp_flags():
         models.make_lp(0.5)
 
 
+def test_lp_gauge_homogeneous_at_float_extremes():
+    # the p-th powers of these components leave the normal float range
+    for p in (1.5, 4.0, 50.0):
+        model = models.make_lp(p)
+        for y in (6.937731039076807e-214, 1e-12, 1e150):
+            v = np.array([[0.0, y], [y, -y]])
+            assert model.gauge_many(v) == pytest.approx([y, y * 2.0 ** (1.0 / p)], rel=1e-13)
+            assert model.gauge_many(-2.0 * v) == pytest.approx(2.0 * model.gauge_many(v), rel=1e-12)
+
+
 def test_lp_curvature_at_axes(l4, l1_5, euclid):
     k4 = l4.curvature_theta_many(np.array([0.0]))[0]
     assert k4 == 0.0
@@ -106,6 +116,36 @@ def test_arc_chain_validation():
     lower = Arc(c, r, math.atan2(-0.5, -1.0), math.atan2(-0.5, 1.0))
     with pytest.raises(TangentBreak):
         models.make_arc_chain([upper, lower])
+
+
+def test_arc_chain_extent_floor():
+    # the deepest staircase arc turns 2^-40 rad; only zero extent is rejected
+    tiny = 2.0**-40
+
+    def circle(extent):
+        cuts = [0.0, extent, np.pi, np.pi + extent, 2 * np.pi]
+        return [Arc(Vec2(0, 0), 1.0, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+
+    chain = models.make_arc_chain(circle(tiny))
+    rng = np.random.default_rng(5)
+    pts = rng.normal(size=(200, 2))
+    assert np.allclose(chain.gauge_many(pts), np.hypot(pts[:, 0], pts[:, 1]), rtol=1e-12)
+    with pytest.raises(BadParameter):
+        models.make_arc_chain(circle(0.0))
+
+
+def test_blend_keeps_base_corners(l1, linf, hexagon):
+    for base in (l1, linf, hexagon):
+        blend = models.make_blend(base, 1.0)
+        assert np.array_equal(blend.kink_thetas(), base.kink_thetas())
+        pts = blend.fine_points()
+        for theta in blend.kink_thetas():
+            x = blend.sphere_points_at(np.array([theta]))[0]
+            for f in blend.one_sided_supports(theta):
+                assert f @ x == pytest.approx(1.0, abs=1e-12)  # pairs to 1 ...
+                assert np.max(pts @ f) <= 1.0 + 1e-12  # ... and supports the ball
+            assert blend.curvature_sided(theta) == (0.0, math.inf)
+    assert not models.make_blend(linf, 1.0).is_c2
 
 
 def test_spliced_geometry(spliced):

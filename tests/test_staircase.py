@@ -89,6 +89,21 @@ def test_quadrature_matches_exact_arcs(curve):
         assert np.max(np.abs(exact - curve.points[j])) < 1e-10
 
 
+def test_quadrature_matches_exact_arcs_at_every_node(curve):
+    exact = np.array([curve.point_at(float(s)) for s in curve.s])
+    assert np.max(np.abs(exact - curve.points)) < 1e-10
+
+
+def test_curvature_lookup_vectorized():
+    # reference: the first closed interval holding s gives its value, else 1
+    kfun = staircase.staircase_function()
+    s = np.concatenate([kfun.breakpoints(), np.linspace(-1.5, 1.0, 997)])
+    expected = [next((v for lo, hi, v in kfun.intervals if lo <= t <= hi), 1.0) for t in s]
+    assert kfun.values(s).tolist() == expected
+    with pytest.raises(OutOfDomain):
+        kfun.values(np.array([0.5, 1.5]))
+
+
 def test_curve_csv(curve):
     rows = curve.to_csv().strip().splitlines()
     assert rows[0] == "s,x,y,tangent_angle"
@@ -111,7 +126,7 @@ def test_close_sphere(curve, nobst_model):
     r = model.params["closing_radius_big"]
     rp = model.params["closing_radius_small"]
     phi = model.params["closing_angle"]
-    big, small = model.q4_arcs[-2], model.q4_arcs[-1]
+    big, small = model.arcs[len(model.arcs) // 4 - 2 : len(model.arcs) // 4]
     assert big.radius == r and small.radius == rp
     c_big = big.center.as_array()
     c_small = small.center.as_array()
@@ -134,6 +149,16 @@ def test_quarter_circle_closes_to_disc():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(50, 2))
     assert np.allclose(model.gauge_many(pts), np.hypot(pts[:, 0], pts[:, 1]), atol=1e-9)
+
+
+def test_staircase_chain_fourfold_symmetry(nobst_model):
+    # the chain is the fourfold reflection of its fourth-quadrant run
+    rng = np.random.default_rng(11)
+    pts = rng.normal(size=(2000, 2))
+    folded = np.column_stack([np.abs(pts[:, 0]), -np.abs(pts[:, 1])])
+    np.testing.assert_allclose(
+        nobst_model.gauge_many(pts), nobst_model.gauge_many(folded), rtol=1e-14, atol=0
+    )
 
 
 def test_nobst_witness(nobst_model):

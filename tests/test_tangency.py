@@ -35,6 +35,27 @@ def test_disc_absences(l1_5, l4):
     assert tangency.inner_disc(l4, e1_large) is not None
 
 
+def test_psi_table(euclid, linf):
+    # unit circle: psi = |z - x|^2 / (2 (1 - <x, z>)) = 1 away from the base point
+    thetas = np.array([0.3, 2.0])
+    x = euclid.sphere_points_at(thetas)
+    z_thetas = (np.arange(4096) + 0.5) * (2.0 * np.pi / 4096)
+    psi = tangency.psi_table(x, x, thetas, euclid.sphere_points_at(z_thetas), z_thetas)
+    assert psi.shape == (2, 4096)
+    ang = np.abs((z_thetas[None, :] - thetas[:, None] + np.pi) % (2 * np.pi) - np.pi)
+    zone = ang < tangency.PSI_EXCLUDE
+    assert np.any(zone) and np.all(np.isnan(psi[zone]))
+    np.testing.assert_allclose(psi[~zone], 1.0, rtol=1e-9)
+    # square: points on the face through x are on the support line, the one
+    # inside the exclusion zone included
+    xs = np.array([[1.0, 0.3]])
+    theta = np.arctan2([0.3], [1.0])
+    z = np.array([[1.0, -0.5], [1.0, 0.9], [1.0, 0.3 + 1e-5], [0.0, 1.0]])
+    psi = tangency.psi_table(xs, np.array([[1.0, 0.0]]), theta, z, np.arctan2(z[:, 1], z[:, 0]))[0]
+    assert psi[:3].tolist() == [math.inf] * 3
+    assert psi[3] == pytest.approx((1.0 + 0.49) / 2.0)
+
+
 def test_inner_disc_ellipse_major_end():
     # semi-axes (1, 2): at the major end the osculating radius a^2/b = 1/2
     # is attained (the osculating disc rolls inside the ellipse)
