@@ -22,7 +22,7 @@ import numpy as np
 from . import geometry, models as _models, moduli, semigroup, tangency
 from .curvature import INF
 from .geometry import SpherePoint
-from .numerics import golden_min
+from .numerics import golden_min, phase_grid
 from .tangency import MIN_DISC_RADIUS, OUTER_DISC_CAP
 
 #: sweep resolution for verdicts
@@ -89,7 +89,7 @@ class TangencySweep:
 def _coarse_disc_radii(model, thetas, points, supports):
     """Unrefined inner/outer radii: the extremes of psi on the fine cache."""
     fine = model.fine_points()
-    fine_thetas = (np.arange(len(fine)) + 0.5) * (2.0 * np.pi / len(fine))
+    fine_thetas = phase_grid(len(fine))
     r_in = np.empty(len(thetas))
     r_out = np.empty(len(thetas))
     chunk = 128
@@ -123,24 +123,17 @@ def tangency_sweep(model) -> TangencySweep:
     r_in, r_out = _coarse_disc_radii(model, thetas, cache["points"], cache["supports"])
     k_lo = cache["kappas"].copy()
     k_hi = cache["kappas"].copy()
-    is_kink = np.zeros(len(thetas), dtype=bool)  # the offset grid avoids kinks
+    is_kink = cache["kink"]
     if len(extra):
-        kinked = np.array([model.kink_at(float(th)) is not None for th in extra])
-        xpts = model.sphere_points_at(extra)
-        sups = np.empty_like(xpts)
-        if np.any(~kinked):
-            sups[~kinked] = geometry._supports_many(model, extra[~kinked])
-        for j in np.where(kinked)[0]:
-            sp = geometry.sphere_point(model, float(extra[j]))
-            sups[j] = sp.support.as_array()
-        ri, ro = _coarse_disc_radii(model, extra, xpts, sups)
+        feat = geometry.sphere_data(model, extra)
+        ri, ro = _coarse_disc_radii(model, extra, feat["points"], feat["supports"])
         sided = np.array([model.curvature_sided(float(th)) for th in extra])
         thetas = np.concatenate([thetas, extra])
         r_in = np.concatenate([r_in, ri])
         r_out = np.concatenate([r_out, ro])
         k_lo = np.concatenate([k_lo, sided[:, 0]])
         k_hi = np.concatenate([k_hi, sided[:, 1]])
-        is_kink = np.concatenate([is_kink, kinked])
+        is_kink = np.concatenate([is_kink, feat["kink"]])
     r_in = np.minimum(r_in, np.where(k_hi <= 0, np.inf, 1.0 / np.maximum(k_hi, 1e-300)))
     # corners carry no local outer constraint; smooth zero-curvature points do
     osc_out = np.where(
@@ -289,18 +282,12 @@ def umst_delta_table(model, eps_values, n_a: int = TABLE_A_POINTS, n_off: int = 
 
     Rows are (eps, delta, n_pairs, n_failures).
     """
-    a_thetas = (np.arange(n_a) + 0.5) * (2.0 * np.pi / n_a)
     offsets = np.geomspace(1e-3, 0.75, n_off)
-    pair_a = np.repeat(a_thetas, n_off)
+    pair_a = np.repeat(phase_grid(n_a), n_off)
     pair_b = pair_a + np.tile(offsets, n_a)
-    sup_a = geometry._supports_many(model, pair_a)
-    sup_b = geometry._supports_many(model, pair_b)
-    pa = model.sphere_points_at(pair_a)
-    pb = model.sphere_points_at(pair_b)
-    ta = np.column_stack([-sup_a[:, 1], sup_a[:, 0]])
-    ta /= model.gauge_many(ta)[:, None]
-    tb = np.column_stack([-sup_b[:, 1], sup_b[:, 0]])
-    tb /= model.gauge_many(tb)[:, None]
+    a = geometry.sphere_data(model, pair_a)
+    b = geometry.sphere_data(model, pair_b)
+    pa, ta, pb, tb = a["points"], a["tangents"], b["points"], b["tangents"]
     dists = model.gauge_many(pa - pb)
     src = np.stack([pa, ta], axis=-1)
     src_inv = np.linalg.inv(src)
@@ -367,7 +354,7 @@ def find_flat(model) -> tuple:
 def pilgrim_probe(model, x: SpherePoint, grid: int = 512) -> str:
     """likely_yes when the orbit of x reaches at least 99% of a target grid
     via certified contractions, likely_no otherwise."""
-    thetas = (np.arange(grid) + 0.5) * (2.0 * np.pi / grid)
+    thetas = phase_grid(grid)
     hits = 0
     for th in thetas:
         y = geometry.sphere_point(model, float(th))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ScaleLawViolation, SingularPoint
-from .numerics import stencil5_d1, stencil5_d2
+from .numerics import phase_grid, stencil5_d1, stencil5_d2
 
 INF = float("inf")
 
@@ -90,7 +90,7 @@ def profile(model, n: int = 1024) -> CurvatureProfile:
     (polyhedral vertices, lp axis points) do not land on samples by accident;
     families report +inf there when asked directly.
     """
-    thetas = (np.arange(n) + 0.5) * (2.0 * np.pi / n)
+    thetas = phase_grid(n)
     kappas = model.curvature_theta_many(thetas)
     finite = kappas[np.isfinite(kappas)]
     kmin = float(finite.min()) if finite.size else INF

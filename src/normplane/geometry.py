@@ -14,10 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Singular
-from .numerics import golden_min
+from .numerics import angle_dist, circle_max, phase_grid
 
 #: support functionals differing by more than this (in sup norm) mark a kink
 SMOOTH_JUMP_TOL = 1e-6
+
+#: a polar angle this close to one of the model's kink angles is that kink
+KINK_TOL = 1e-9
 
 #: finite-difference step for support functionals without analytic gradients
 FD_STEP = 1e-5
@@ -28,6 +31,7 @@ DET_TOL = 1e-12
 #: coarse grid sizes
 DUAL_GAUGE_GRID = 2048
 OPNORM_GRID = 4096
+OPNORM_BATCH_GRID = 512
 
 
 @dataclass(frozen=True)
@@ -151,56 +155,55 @@ def gauge(model, v) -> float:
 def dual_gauge(model, f) -> float:
     """sup{<f, y> : gauge(y) <= 1}, by coarse grid plus golden refinement."""
     f = as_vec(f)
-    if f.x1 == 0.0 and f.x2 == 0.0:
-        return 0.0
-    thetas = (np.arange(DUAL_GAUGE_GRID) + 0.5) * (2.0 * np.pi / DUAL_GAUGE_GRID)
-    pts = model.sphere_points_at(thetas)
-    vals = pts @ np.array([f.x1, f.x2])
-    j = int(np.argmax(vals))
-    h = 2.0 * np.pi / DUAL_GAUGE_GRID
-
-    def neg_val(t):
-        p = model.sphere_points_at(t)
-        return -(p[:, 0] * f.x1 + p[:, 1] * f.x2)
-
-    _, v = golden_min(neg_val, thetas[j] - h, thetas[j] + h)
-    return float(max(-v[0], vals[j]))
+    return float(dual_gauge_many(model, np.array([[f.x1, f.x2]]))[0])
 
 
 def dual_gauge_many(model, fs: np.ndarray) -> np.ndarray:
-    """Batched dual gauge; same grid-plus-golden scheme, vectorized."""
+    """Dual gauges of the rows of fs: circle_max of <f, z> over the sphere
+    from a DUAL_GAUGE_GRID grid, one seed per functional, 60 steps."""
     fs = np.asarray(fs, dtype=float)
-    thetas = (np.arange(DUAL_GAUGE_GRID) + 0.5) * (2.0 * np.pi / DUAL_GAUGE_GRID)
-    pts = model.sphere_points_at(thetas)
-    vals = fs @ pts.T
-    j = np.argmax(vals, axis=1)
-    h = 2.0 * np.pi / DUAL_GAUGE_GRID
+    vals = fs @ model.sphere_points_at(phase_grid(DUAL_GAUGE_GRID)).T
 
-    def neg_val(ts):
-        return -np.einsum("ij,ij->i", fs, model.sphere_points_at(ts))
+    def val(rows, ts):
+        return np.einsum("ij,ij->i", fs[rows], model.sphere_points_at(ts))
 
-    _, v = golden_min(neg_val, thetas[j] - h, thetas[j] + h, iters=60)
-    zero = np.hypot(fs[:, 0], fs[:, 1]) == 0.0
-    out = np.maximum(-v, vals[np.arange(len(fs)), j])
-    out[zero] = 0.0
+    out, _ = circle_max(val, vals, 1, 60)
+    out[np.hypot(fs[:, 0], fs[:, 1]) == 0.0] = 0.0
     return out
 
 
-def _supports_many(model, thetas: np.ndarray) -> np.ndarray:
-    """Support functionals at sphere points, analytic or finite-difference.
-
-    Finite differences use step FD_STEP with one Richardson level, then the
-    pairing is renormalized to exactly 1.
+def sphere_data(model, thetas) -> dict:
+    """Sphere points at the polar angles thetas, their supports (analytic or
+    finite-difference gradients scaled to pairing 1), gauge-unit
+    counterclockwise tangents, and ``kink`` / ``smooth`` flags. Within
+    KINK_TOL of a kink angle the support is the mean of the one-sided limits,
+    scaled to pairing 1, and smooth only when they agree to SMOOTH_JUMP_TOL.
     """
+    thetas = np.asarray(thetas, dtype=float)
     pts = model.sphere_points_at(thetas)
     grads = model.grad_many(pts)
     if grads is None:
         grads = _fd_grad_many(model, pts)
-    pairing = np.einsum("ij,ij->i", grads, pts)
-    return grads / pairing[:, None]
+    supports = grads / np.einsum("ij,ij->i", grads, pts)[:, None]
+    kink = np.zeros(len(thetas), dtype=bool)
+    smooth = np.ones(len(thetas), dtype=bool)
+    ks = model.kink_thetas()
+    if ks.size:
+        d = angle_dist(ks[None, :], thetas[:, None])
+        nearest = np.argmin(d, axis=1)
+        kink = d[np.arange(len(thetas)), nearest] <= KINK_TOL
+        for i in np.flatnonzero(kink):
+            f_lo, f_hi = (np.asarray(f) for f in model.one_sided_supports(float(ks[nearest[i]])))
+            support = 0.5 * (f_lo + f_hi)
+            supports[i] = support / float(support @ pts[i])
+            smooth[i] = np.max(np.abs(f_hi - f_lo)) <= SMOOTH_JUMP_TOL
+    tdirs = np.column_stack([-supports[:, 1], supports[:, 0]])
+    tangents = tdirs / model.gauge_many(tdirs)[:, None]
+    return {"points": pts, "supports": supports, "tangents": tangents, "kink": kink, "smooth": smooth}
 
 
 def _fd_grad_many(model, pts: np.ndarray) -> np.ndarray:
+    """Central differences of step FD_STEP with one Richardson level."""
     def diff(h: float) -> np.ndarray:
         e1 = np.array([h, 0.0])
         e2 = np.array([0.0, h])
@@ -220,44 +223,22 @@ def sphere_point(model, theta: float) -> SpherePoint:
     average of the one-sided limits.
     """
     theta = float(theta)
-    pt = model.sphere_points_at(np.array([theta]))[0]
-    kink = model.kink_at(theta)
-    if kink is not None:
-        f_lo, f_hi = kink
-        support = 0.5 * (np.asarray(f_lo) + np.asarray(f_hi))
-        support = support / float(support @ pt)
-        smooth = bool(np.max(np.abs(np.asarray(f_hi) - np.asarray(f_lo))) <= SMOOTH_JUMP_TOL)
-    else:
-        support = _supports_many(model, np.array([theta]))[0]
-        smooth = True
-    tdir = np.array([-support[1], support[0]])
-    tangent = tdir / model.gauge_many(tdir[None, :])[0]
-    kappa = float(model.curvature_theta_many(np.array([theta]))[0])
+    data = sphere_data(model, np.array([theta]))
+    pt, support, tangent = (data[key][0] for key in ("points", "supports", "tangents"))
     return SpherePoint(
         theta=theta,
         point=Vec2(float(pt[0]), float(pt[1])),
         support=Vec2(float(support[0]), float(support[1])),
         tangent=Vec2(float(tangent[0]), float(tangent[1])),
-        curvature=kappa,
-        smooth=smooth,
+        curvature=float(model.curvature_theta_many(np.array([theta]))[0]),
+        smooth=bool(data["smooth"][0]),
     )
 
 
 def sphere_table(model, n: int) -> dict:
-    """Vectorized sphere data on the phase-offset n-grid (cache builder)."""
-    thetas = (np.arange(n) + 0.5) * (2.0 * np.pi / n)
-    pts = model.sphere_points_at(thetas)
-    supports = _supports_many(model, thetas)
-    tdirs = np.column_stack([-supports[:, 1], supports[:, 0]])
-    tangents = tdirs / model.gauge_many(tdirs)[:, None]
-    kappas = model.curvature_theta_many(thetas)
-    return {
-        "thetas": thetas,
-        "points": pts,
-        "supports": supports,
-        "tangents": tangents,
-        "kappas": kappas,
-    }
+    """Sphere data and curvatures on the phase-offset n-grid (cache builder)."""
+    thetas = phase_grid(n)
+    return {"thetas": thetas, **sphere_data(model, thetas), "kappas": model.curvature_theta_many(thetas)}
 
 
 class OperatorNorm(float):
@@ -277,20 +258,13 @@ def _operator_norms(model, mats: np.ndarray, grid: int, iters: int):
     golden search of ``iters`` steps around each map's best grid angle.
     Returns (values, witness angles)."""
     k = mats.shape[0]
-    thetas = (np.arange(grid) + 0.5) * (2.0 * np.pi / grid)
-    pts = model.sphere_points_at(thetas)
-    imgs = np.einsum("kab,jb->kja", mats, pts).reshape(k * grid, 2)
-    vals = model.gauge_many(imgs).reshape(k, grid)
-    j = np.argmax(vals, axis=1)
-    h = 2.0 * np.pi / grid
+    pts = model.sphere_points_at(phase_grid(grid))
+    vals = model.gauge_many(np.einsum("kab,jb->kja", mats, pts).reshape(k * grid, 2))
 
-    def neg_val(ts):
-        return -model.gauge_many(np.einsum("kab,kb->ka", mats, model.sphere_points_at(ts)))
+    def val(rows, ts):
+        return model.gauge_many(np.einsum("kab,kb->ka", mats[rows], model.sphere_points_at(ts)))
 
-    t, v = golden_min(neg_val, thetas[j] - h, thetas[j] + h, iters)
-    coarse = vals[np.arange(k), j]
-    on_grid = coarse >= -v
-    return np.where(on_grid, coarse, -v), np.where(on_grid, thetas[j], t)
+    return circle_max(val, vals.reshape(k, grid), 1, iters)
 
 
 def operator_norm(model, t) -> OperatorNorm:
@@ -301,9 +275,9 @@ def operator_norm(model, t) -> OperatorNorm:
     return OperatorNorm(float(vals[0]), angles[0])
 
 
-def operator_norm_batch(model, mats: np.ndarray, coarse: int = 512) -> np.ndarray:
-    """Operator norms of a batch of 2x2 matrices (shape (k, 2, 2)): a coarse
-    grid plus a 60-step golden refinement, all maps as lanes of one search;
-    used by sweep-style callers where the one-at-a-time path would dominate
-    the runtime."""
-    return _operator_norms(model, np.asarray(mats, dtype=float), coarse, 60)[0]
+def operator_norm_batch(model, mats: np.ndarray) -> np.ndarray:
+    """Operator norms of a batch of 2x2 matrices (shape (k, 2, 2)): the
+    OPNORM_BATCH_GRID grid plus a 60-step golden refinement, all maps as
+    lanes of one search; used by sweep-style callers where the one-at-a-time
+    path would dominate the runtime."""
+    return _operator_norms(model, np.asarray(mats, dtype=float), OPNORM_BATCH_GRID, 60)[0]

@@ -27,16 +27,37 @@ from .errors import (
     TangentBreak,
 )
 from .geometry import Vec2, as_vec
-from .numerics import bisect_batch, rotation, stencil5_d1, stencil5_d2
+from .numerics import angle_dist, bisect_batch, phase_grid, rotation, stencil5_d1, stencil5_d2
 
 SPHERE_CACHE_N = 1024
 FINE_CACHE_N = 4096
+
+#: radial table size of the numerically sampled dual
+DUAL_TABLE_N = 8192
 
 #: junction tangents must agree to this tolerance (Euclidean, absolute)
 TANGENT_TOL = 1e-9
 
 #: convexity slack for cross-product tests on the cache
 CONVEXITY_TOL = 1e-12
+
+
+def _rescaled(gauge, pts: np.ndarray, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Keep a gauge 1-homogeneous at every scale: on the rows whose squares
+    (or p-th powers) s leave [1e-300, 1e300], where they under- or overflow,
+    replace ``out`` by gauge(pts) evaluated with the larger component
+    factored out."""
+    if s.size and (s.min() < 1e-300 or s.max() > 1e300):
+        hi = np.abs(pts).max(axis=1)
+        off = ((s < 1e-300) | (s > 1e300)) & (hi > 0)
+        out[off] = hi[off] * gauge(pts[off] / hi[off, None])
+    return out
+
+
+def _odd_quadrants(pts: np.ndarray) -> np.ndarray:
+    """Rows in the closed quadrants I and III, decided from the signs: the
+    product x1 x2 underflows to -0.0 for tiny vectors."""
+    return np.sign(pts[:, 0]) * np.sign(pts[:, 1]) >= 0.0
 
 
 def _canonical(points: np.ndarray) -> np.ndarray:
@@ -120,13 +141,14 @@ class NormModel:
         r = [self.radial_many(thetas + k * h) for k in (-2, -1, 0, 1, 2)]
         return curvature_polar_many(r[2], stencil5_d1(r, h), stencil5_d2(r, h))
 
-    def kink_at(self, theta: float, tol: float = 1e-9):
+    def kink_at(self, theta: float):
+        """One-sided supports of the kink at theta, or None off the kinks."""
         ks = self.kink_thetas()
         if ks.size == 0:
             return None
-        d = np.abs((ks - theta + np.pi) % (2.0 * np.pi) - np.pi)
+        d = angle_dist(ks, theta)
         j = int(np.argmin(d))
-        if d[j] <= tol:
+        if d[j] <= geometry.KINK_TOL:
             return self.one_sided_supports(float(ks[j]))
         return None
 
@@ -137,8 +159,7 @@ class NormModel:
 
     def fine_points(self) -> np.ndarray:
         if self._fine_points is None:
-            thetas = (np.arange(FINE_CACHE_N) + 0.5) * (2.0 * np.pi / FINE_CACHE_N)
-            self._fine_points = self.sphere_points_at(thetas)
+            self._fine_points = self.sphere_points_at(phase_grid(FINE_CACHE_N))
             self._fine_points.setflags(write=False)
         return self._fine_points
 
@@ -170,7 +191,7 @@ class LpNorm(NormModel):
     family = "lp"
 
     def __init__(self, p: float):
-        if p != INF and p < 1.0:
+        if not p >= 1.0:
             raise BadParameter(f"p must be >= 1 or inf, got {p!r}")
         super().__init__({"p": "inf" if p == INF else p})
         self.p = p
@@ -186,14 +207,7 @@ class LpNorm(NormModel):
         if self.p == 2.0:
             return np.hypot(pts[:, 0], pts[:, 1])
         s = ax[:, 0] ** self.p + ax[:, 1] ** self.p
-        out = s ** (1.0 / self.p)
-        # where the p-th powers under- or overflow, factor out the larger
-        # component, so that the gauge stays 1-homogeneous at every scale
-        if s.size and (s.min() < 1e-300 or s.max() > 1e300):
-            off = ((s < 1e-300) | (s > 1e300)) & (ax.max(axis=1) > 0)
-            hi = ax[off].max(axis=1)
-            out[off] = hi * ((ax[off] / hi[:, None]) ** self.p).sum(axis=1) ** (1.0 / self.p)
-        return out
+        return _rescaled(self._gauge_raw, pts, s, s ** (1.0 / self.p))
 
     def grad_many(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -248,7 +262,7 @@ class LpNorm(NormModel):
             return np.ones_like(thetas)
         if self.polyhedral:
             out = np.zeros_like(thetas)
-            d = np.abs((thetas[:, None] - self.kink_thetas()[None, :] + np.pi) % (2 * np.pi) - np.pi)
+            d = angle_dist(thetas[:, None], self.kink_thetas()[None, :])
             out[np.min(d, axis=1) <= 1e-12] = INF
             return out
         pts = self.sphere_points_at(thetas)
@@ -256,7 +270,7 @@ class LpNorm(NormModel):
 
     def curvature_sided(self, theta):
         if self.polyhedral:
-            d = np.abs((self.kink_thetas() - theta + np.pi) % (2 * np.pi) - np.pi)
+            d = angle_dist(self.kink_thetas(), theta)
             if d.min() <= 1e-9:
                 return 0.0, INF
             return 0.0, 0.0
@@ -378,11 +392,13 @@ def make_polar(sin_terms=(), cos_terms=(), constant: float = 1.0) -> PolarNorm:
     """
     sin_terms = dict(sin_terms)
     cos_terms = dict(cos_terms)
+    if not np.all(np.isfinite([constant, *sin_terms.values(), *cos_terms.values()])):
+        raise BadParameter("profile coefficients must be finite")
     for n in list(sin_terms) + list(cos_terms):
         if int(n) <= 0 or int(n) % 2 == 1:
             raise NotPeriodic(f"harmonic {n} breaks pi-periodicity")
     model = PolarNorm(constant, cos_terms, sin_terms)
-    grid = (np.arange(4096) + 0.5) * (2.0 * np.pi / 4096)
+    grid = phase_grid(4096)
     g = model.g_many(grid)
     if np.any(g <= 0):
         raise NotConvex("profile g is not positive")
@@ -409,15 +425,12 @@ class QuadrantMixNorm(NormModel):
         self._lp = LpNorm(self.p)
         self._lq = LpNorm(self.q)
 
-    def _mask(self, pts):
-        return pts[:, 0] * pts[:, 1] >= 0.0
-
     def _gauge_raw(self, pts):
-        return np.where(self._mask(pts), self._lp._gauge_raw(pts), self._lq._gauge_raw(pts))
+        return np.where(_odd_quadrants(pts), self._lp._gauge_raw(pts), self._lq._gauge_raw(pts))
 
     def grad_many(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        m = self._mask(pts)[:, None]
+        m = _odd_quadrants(pts)[:, None]
         return np.where(m, self._lp.grad_many(pts), self._lq.grad_many(pts))
 
     def feature_thetas(self):
@@ -428,7 +441,7 @@ class QuadrantMixNorm(NormModel):
         pts = self.sphere_points_at(thetas)
         ax = np.abs(pts)
         on_axis = ax.min(axis=1) == 0.0
-        mask = self._mask(pts)
+        mask = _odd_quadrants(pts)
         out = np.where(mask, _lp_sphere_kappa(ax, self.p), _lp_sphere_kappa(ax, self.q))
         if np.any(on_axis):
             out = out.copy()
@@ -461,14 +474,14 @@ class HybridL2L1Norm(NormModel):
     def _gauge_raw(self, pts):
         l2 = np.hypot(pts[:, 0], pts[:, 1])
         l1 = np.abs(pts).sum(axis=1)
-        return np.where(pts[:, 0] * pts[:, 1] >= 0.0, l2, l1)
+        return np.where(_odd_quadrants(pts), l2, l1)
 
     def grad_many(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         n = np.hypot(pts[:, 0], pts[:, 1])[:, None]
         g2 = pts / n
         g1 = np.sign(pts) + (pts == 0.0)
-        return np.where((pts[:, 0] * pts[:, 1] >= 0.0)[:, None], g2, g1)
+        return np.where(_odd_quadrants(pts)[:, None], g2, g1)
 
     def kink_thetas(self):
         return np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
@@ -531,20 +544,19 @@ class PolygonNorm(NormModel):
 
     def one_sided_supports(self, theta):
         th = np.arctan2(self.vertices[:, 1], self.vertices[:, 0]) % (2.0 * np.pi)
-        j = int(np.argmin(np.abs((th - theta + np.pi) % (2 * np.pi) - np.pi)))
+        j = int(np.argmin(angle_dist(th, theta)))
         m = len(self.vertices)
         return self.normals[(j - 1) % m], self.normals[j]
 
     def curvature_theta_many(self, thetas):
         thetas = np.asarray(thetas, dtype=float)
         out = np.zeros_like(thetas)
-        ks = self.kink_thetas()
-        d = np.abs((thetas[:, None] - ks[None, :] + np.pi) % (2 * np.pi) - np.pi)
+        d = angle_dist(thetas[:, None], self.kink_thetas()[None, :])
         out[np.min(d, axis=1) <= 1e-12] = INF
         return out
 
     def curvature_sided(self, theta):
-        d = np.abs((self.kink_thetas() - theta + np.pi) % (2 * np.pi) - np.pi)
+        d = angle_dist(self.kink_thetas(), theta)
         if d.min() <= 1e-9:
             return 0.0, INF
         return 0.0, 0.0
@@ -553,8 +565,8 @@ class PolygonNorm(NormModel):
 def make_polygon(vertices) -> PolygonNorm:
     """Origin-symmetric convex polygon norm from counterclockwise vertices."""
     v = np.asarray([[as_vec(p).x1, as_vec(p).x2] for p in vertices], dtype=float)
-    if len(v) < 4 or len(v) % 2 == 1:
-        raise BadParameter("need an even number (>= 4) of vertices")
+    if len(v) < 4 or len(v) % 2 == 1 or not np.all(np.isfinite(v)):
+        raise BadParameter("need an even number (>= 4) of finite vertices")
     for row in v:
         d = np.abs(v + row).sum(axis=1)
         if d.min() > 1e-9:
@@ -694,7 +706,7 @@ class ArcChainNorm(NormModel):
         for a in self.arcs:
             p = a.point_at(0.5 * (a.start_angle + a.end_angle))
             mids.append(math.atan2(p[1], p[0]) % (2.0 * np.pi))
-        return np.sort(np.concatenate([self.phi_bounds[1:-1] % (2.0 * np.pi), mids]))
+        return np.sort(np.concatenate([self.phi_bounds[:-1] % (2.0 * np.pi), mids]))
 
     def theta_of_arclength(self, s: float) -> float:
         """Polar parameter of the sphere point at arc length s along the
@@ -733,18 +745,13 @@ def make_arc_chain(arcs) -> ArcChainNorm:
     turning = sum(a.end_angle - a.start_angle for a in arcs)
     if abs(turning - 2.0 * np.pi) > 1e-9:
         raise NotConvex(f"total turning {turning!r} is not 2 pi")
-    for a in arcs:
-        mirrored = False
-        for b in arcs:
-            if (
-                abs(a.center.x1 + b.center.x1) < 1e-9
-                and abs(a.center.x2 + b.center.x2) < 1e-9
-                and abs(a.radius - b.radius) < 1e-9
-            ):
-                mirrored = True
-                break
-        if not mirrored:
-            raise NotSymmetric("chain is not symmetric under v -> -v")
+    # every arc needs a mirror arc: center -c, same radius
+    centers = np.array([[a.center.x1, a.center.x2] for a in arcs])
+    radii = np.array([a.radius for a in arcs])
+    mirror = np.all(np.abs(centers[:, None, :] + centers[None, :, :]) < 1e-9, axis=2)
+    mirror &= np.abs(radii[:, None] - radii[None, :]) < 1e-9
+    if not np.all(np.any(mirror, axis=1)):
+        raise NotSymmetric("chain is not symmetric under v -> -v")
     return ArcChainNorm(arcs).validate()
 
 
@@ -829,8 +836,8 @@ class EllipseMaxNorm(NormModel):
         return q1, q2
 
     def _gauge_raw(self, pts):
-        q1, q2 = self._forms(pts)
-        return np.sqrt(np.maximum(q1, q2))
+        s = np.maximum(*self._forms(pts))
+        return _rescaled(self._gauge_raw, pts, s, np.sqrt(s))
 
     def grad_many(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -844,22 +851,20 @@ class EllipseMaxNorm(NormModel):
         if self.single:
             return np.empty(0)
         if self._kinks is None:
-            grid = (np.arange(8192) + 0.5) * (2.0 * np.pi / 8192)
+            grid = phase_grid(8192)
             units = np.column_stack([np.cos(grid), np.sin(grid)])
             q1, q2 = self._forms(units)
             d = q1 - q2
-            sign_change = np.where(d * np.roll(d, -1) < 0)[0]
-            kinks = []
-            for j in sign_change:
-                lo, hi = grid[j], grid[j] + 2.0 * np.pi / 8192
+            # one bisection lane per crossing, signed so that it rises through 0
+            j = np.where(d * np.roll(d, -1) < 0)[0]
+            sign = np.where(d[j] < 0, 1.0, -1.0)
 
-                def f(ts):
-                    u = np.column_stack([np.cos(ts), np.sin(ts)])
-                    a, b = self._forms(u)
-                    return (a - b) * (1 if d[j] < 0 else -1)
+            def f(ts):
+                a, b = self._forms(np.column_stack([np.cos(ts), np.sin(ts)]))
+                return (a - b) * sign
 
-                kinks.append(float(bisect_batch(f, np.array([lo]), np.array([hi]))[0]))
-            self._kinks = np.sort(np.asarray(kinks) % (2.0 * np.pi))
+            kinks = bisect_batch(f, grid[j], grid[j] + 2.0 * np.pi / 8192)
+            self._kinks = np.sort(kinks % (2.0 * np.pi))
         return self._kinks
 
     def one_sided_supports(self, theta):
@@ -888,7 +893,7 @@ class EllipseMaxNorm(NormModel):
                 out[mask] = num / (grads[:, 0] ** 2 + grads[:, 1] ** 2) ** 1.5
         ks = self.kink_thetas()
         if ks.size:
-            d = np.abs((thetas[:, None] - ks[None, :] + np.pi) % (2 * np.pi) - np.pi)
+            d = angle_dist(thetas[:, None], ks[None, :])
             out[np.min(d, axis=1) <= 1e-12] = INF
         return out
 
@@ -898,8 +903,8 @@ def make_ellipse_pair(m1, m2) -> EllipseMaxNorm:
     positive-definite 2x2 forms."""
     for m in (m1, m2):
         m = np.asarray(m, dtype=float)
-        if m.shape != (2, 2) or abs(m[0, 1] - m[1, 0]) > 1e-14:
-            raise BadParameter("forms must be symmetric 2x2")
+        if m.shape != (2, 2) or not np.all(np.isfinite(m)) or abs(m[0, 1] - m[1, 0]) > 1e-14:
+            raise BadParameter("forms must be finite symmetric 2x2")
         if np.linalg.eigvalsh(m).min() <= 0:
             raise BadParameter("forms must be positive definite")
     return EllipseMaxNorm(m1, m2).validate()
@@ -907,7 +912,7 @@ def make_ellipse_pair(m1, m2) -> EllipseMaxNorm:
 
 def make_ellipse(semi_axis_x: float, semi_axis_y: float, angle: float = 0.0) -> EllipseMaxNorm:
     """Single origin-centered ellipse norm with the given semi-axes."""
-    if semi_axis_x <= 0 or semi_axis_y <= 0:
+    if not (semi_axis_x > 0 and semi_axis_y > 0):
         raise BadParameter("semi-axes must be positive")
     r = rotation(angle)
     m = r @ np.diag([semi_axis_x**-2.0, semi_axis_y**-2.0]) @ r.T
@@ -948,8 +953,8 @@ class BlendNorm(NormModel):
 
     def _gauge_raw(self, pts):
         b = self.base.gauge_many(pts)
-        r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-        return np.sqrt(b * b + self.eps * r2)
+        s = b * b + self.eps * (pts[:, 0] ** 2 + pts[:, 1] ** 2)
+        return _rescaled(self._gauge_raw, pts, s, np.sqrt(s))
 
     def grad_many(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -981,7 +986,7 @@ class BlendNorm(NormModel):
 
 def make_blend(base: NormModel, eps: float) -> BlendNorm:
     """Blend of a validated base model with the Euclidean norm."""
-    if eps < 0:
+    if not eps >= 0:
         raise BadParameter("eps must be nonnegative")
     if eps == 0.0:
         return base
@@ -1001,12 +1006,12 @@ class DualNorm(NormModel):
 
     family = "dual"
 
-    def __init__(self, base: NormModel, table_n: int = 8192):
+    def __init__(self, base: NormModel):
         super().__init__({"base": dict(base.params), "base_family": base.family})
         self.base = base
         from scipy.interpolate import CubicSpline
 
-        thetas = np.arange(table_n + 1) * (2.0 * np.pi / table_n)
+        thetas = np.arange(DUAL_TABLE_N + 1) * (2.0 * np.pi / DUAL_TABLE_N)
         units = np.column_stack([np.cos(thetas[:-1]), np.sin(thetas[:-1])])
         vals = geometry.dual_gauge_many(base, units)
         rho = 1.0 / vals

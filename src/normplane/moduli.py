@@ -15,7 +15,7 @@ import numpy as np
 from . import geometry
 from .errors import BadEps, NonSmoothPoint
 from .geometry import SpherePoint, Vec2
-from .numerics import bisect_batch
+from .numerics import bisect_batch, phase_grid
 
 #: eps grid for cached modulus curves (log-spaced)
 CURVE_GRID_N = 64
@@ -52,30 +52,38 @@ class ModulusCurve:
         return "\n".join(lines) + "\n"
 
 
-def delta_uc(model, eps: float) -> float:
-    """Modulus of uniform convexity at eps in (0, 2]: worst midpoint depth
-    over sphere pairs at gauge distance eps.
-
-    Coarse 1024-point sweep in the base point, then two vectorized zoom
-    rounds around the argmin (window / 16 per round).
-    """
-    if not (0.0 < eps <= 2.0):
-        raise BadEps(f"eps {eps!r} outside (0, 2]")
-    thetas = (np.arange(UC_SWEEP_N) + 0.5) * (2.0 * np.pi / UC_SWEEP_N)
-    h = 2.0 * np.pi / UC_SWEEP_N
-    best, j = _uc_sweep(model, eps, thetas)
-    center = thetas[j]
+def _zoom_min(f, n: int) -> float:
+    """Min over the circle of f (an array of angles to an array of values):
+    the phase-offset n-grid, then two rounds of 33 points around the running
+    argmin, the window shrinking 16x a round. A zoom, not a golden search:
+    each round is one batched call of f."""
+    thetas = phase_grid(n)
+    h = 2.0 * np.pi / n
+    vals = f(thetas)
+    j = int(np.argmin(vals))
+    best, center = float(vals[j]), thetas[j]
     for _ in range(2):
         local = center + np.linspace(-h, h, 33)
-        v, j = _uc_sweep(model, eps, local)
-        best = min(best, v)
+        vals = f(local)
+        j = int(np.argmin(vals))
+        best = min(best, float(vals[j]))
         center = local[j]
         h /= 16.0
-    return float(best)
+    return best
 
 
-def _uc_sweep(model, eps: float, thetas: np.ndarray):
-    """Min midpoint depth over base points thetas; returns (value, argmin)."""
+def delta_uc(model, eps: float) -> float:
+    """Modulus of uniform convexity at eps in (0, 2]: worst midpoint depth
+    over sphere pairs at gauge distance eps, zoomed in from a 1024-point
+    sweep in the base point."""
+    if not (0.0 < eps <= 2.0):
+        raise BadEps(f"eps {eps!r} outside (0, 2]")
+    return _zoom_min(lambda thetas: _uc_depths(model, eps, thetas), UC_SWEEP_N)
+
+
+def _uc_depths(model, eps: float, thetas: np.ndarray) -> np.ndarray:
+    """Min midpoint depth over the pairs at gauge distance eps from each base
+    point thetas."""
     xs = model.sphere_points_at(thetas)
     n = len(thetas)
     best = np.full(n, np.inf)
@@ -94,8 +102,7 @@ def _uc_sweep(model, eps: float, thetas: np.ndarray):
         depth = 1.0 - model.gauge_many(0.5 * (xs + ys))
         depth[bad] = np.inf
         best = np.minimum(best, depth)
-    j = int(np.argmin(best))
-    return float(best[j]), j
+    return best
 
 
 def delta_strong(model, x: SpherePoint, eps: float) -> float:
@@ -103,7 +110,7 @@ def delta_strong(model, x: SpherePoint, eps: float) -> float:
     perturbations y of gauge eps keeping both rho x + y and rho x - y in the
     ball, maximized in rho by bisection over each of 512 directions.
 
-    The best direction from the grid is refined (the objective is only
+    The best direction from the grid is zoomed in on (the objective is only
     first-order flat there, so the coarse grid alone is not enough).
     """
     if not (0.0 < eps <= 1.0):
@@ -120,20 +127,7 @@ def delta_strong(model, x: SpherePoint, eps: float) -> float:
 
         return bisect_batch(slack, np.zeros(len(phis)), np.full(len(phis), 2.0), iters=50)
 
-    phis = (np.arange(STRONG_DIRS) + 0.5) * (2.0 * np.pi / STRONG_DIRS)
-    rho = rho_max(phis)
-    j = int(np.argmax(rho))
-    best = float(rho[j])
-    h = 2.0 * np.pi / STRONG_DIRS
-    center = phis[j]
-    for _ in range(2):
-        local = center + np.linspace(-h, h, 33)
-        r = rho_max(local)
-        k = int(np.argmax(r))
-        best = max(best, float(r[k]))
-        center = local[k]
-        h /= 16.0
-    return 1.0 - best
+    return 1.0 + _zoom_min(lambda phis: -rho_max(phis), STRONG_DIRS)
 
 
 def power2_fit(curve: ModulusCurve) -> float | None:

@@ -1,4 +1,5 @@
-"""Small numeric building blocks: golden-section search, batched bisection,
+"""Small numeric building blocks: the phase-offset circle grid, golden-section
+search and the circle maximum built on it, batched bisection,
 finite-difference stencils, and 2x2 symmetric matrix helpers.
 
 All routines are pure and deterministic for fixed iteration counts.
@@ -10,6 +11,17 @@ import numpy as np
 
 INVPHI = (np.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0  # 1/phi^2
+
+
+def phase_grid(n: int) -> np.ndarray:
+    """The n angles (k + 1/2) 2 pi / n: the circle grid offset by half a step,
+    so that features at rational multiples of pi never land on samples."""
+    return (np.arange(n) + 0.5) * (2.0 * np.pi / n)
+
+
+def angle_dist(a, b):
+    """Distance on the circle between the angles a and b, in [0, pi]."""
+    return np.abs((a - b + np.pi) % (2.0 * np.pi) - np.pi)
 
 
 def golden_min(f, lo, hi, iters: int = 80):
@@ -41,6 +53,36 @@ def golden_min(f, lo, hi, iters: int = 80):
         fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
     left = fc < fd
     return np.where(left, c, d), np.where(left, fc, fd)
+
+
+def circle_max(f, vals, seeds: int, iters: int):
+    """Maxima over the circle of k functions from their samples vals, shape
+    (k, n), on the phase-offset n-grid: the ``seeds`` largest finite samples
+    of each row are refined over one grid step either side, as lanes of one
+    ``iters``-step golden_min, where f(rows, thetas) evaluates each lane's
+    row function at its angle. NaN refined values are ignored. Returns
+    (maxima, argmax angles); a refined value that only ties the grid keeps
+    the grid angle."""
+    k, n = vals.shape
+    h = 2.0 * np.pi / n
+    top = np.argmax(vals, axis=1)
+    # argmax picks the first maximum; a full argsort of a large table is slow
+    idx = top[:, None] if seeds == 1 else np.argsort(-vals, axis=1)[:, :seeds]
+    keep = np.isfinite(np.take_along_axis(vals, idx, axis=1))
+    rows = np.nonzero(keep)[0]
+    th = (idx[keep] + 0.5) * h
+    t = v = th
+    if rows.size:
+        t, v = golden_min(lambda x: -f(rows, x), th - h, th + h, iters)
+    refined = np.full(idx.shape, -np.inf)
+    refined[keep] = np.where(np.isnan(v), -np.inf, -v)
+    angles = np.zeros(idx.shape)
+    angles[keep] = t
+    lane = np.argmax(refined, axis=1)
+    best = refined[np.arange(k), lane]
+    grid = vals[np.arange(k), top]
+    up = best > grid
+    return np.where(up, best, grid), np.where(up, angles[np.arange(k), lane], (top + 0.5) * h)
 
 
 def bisect_batch(f, lo, hi, iters: int = 80):

@@ -19,7 +19,7 @@ from .errors import (
     WrongModel,
 )
 from .geometry import LinearMap2, SpherePoint, Vec2
-from .numerics import spd_power
+from .numerics import angle_dist, spd_power
 
 #: a map is accepted as contractive up to this operator-norm slack
 CERTIFY_TOL = 1e-7
@@ -127,7 +127,7 @@ def is_flat(model, y: SpherePoint) -> bool:
     cache = model.sphere_cache()
     thetas = cache["thetas"]
     n = len(thetas)
-    j = int(np.argmin(np.abs((thetas - y.theta + np.pi) % (2 * np.pi) - np.pi)))
+    j = int(np.argmin(angle_dist(thetas, y.theta)))
     idx = (j + np.arange(-(FLAT_WINDOW // 2), FLAT_WINDOW // 2 + 1)) % n
     pts = cache["points"][idx]
     return bool(np.all(collinear_triples(pts))) and on_chord(pts)

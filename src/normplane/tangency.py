@@ -20,7 +20,7 @@ from . import geometry
 from .curvature import INF
 from .errors import BadParameter, NonSmoothPoint, NotPositiveDefinite
 from .geometry import Disc, SpherePoint, Vec2
-from .numerics import golden_min, spd_power
+from .numerics import angle_dist, circle_max, phase_grid, spd_power
 
 #: no disc below this radius counts as existing
 MIN_DISC_RADIUS = 1e-6
@@ -34,21 +34,17 @@ CONTAIN_TOL = 1e-9
 #: number of worst sample angles refined during certification
 REFINE_WORST = 8
 
+#: curvature doublings the inner-ellipse construction tries
+INNER_ELLIPSE_DOUBLINGS = 40
+
+#: first b of the outer-ellipse family's halving search
+OUTER_ELLIPSE_B_START = 1.0
+
 
 def _refined_max(val, vals) -> float:
-    """Max of val over the circle, from its samples vals on the phase-offset
-    grid of len(vals) angles plus a golden refinement around the REFINE_WORST
-    largest finite samples, all of them lanes of one search. Refined values
-    that come out NaN are ignored."""
-    best = float(np.max(vals))
-    worst = np.argsort(-vals)[:REFINE_WORST]
-    worst = worst[np.isfinite(vals[worst])]
-    if worst.size == 0:
-        return best
-    h = 2.0 * np.pi / len(vals)
-    seeds = (worst + 0.5) * h
-    _, v = golden_min(lambda th: -val(th), seeds - h, seeds + h, iters=40)
-    return max(best, -float(np.min(np.where(np.isnan(v), INF, v))))
+    """Max of val over the circle from its samples vals on the phase-offset
+    grid: circle_max with the REFINE_WORST largest samples and 40 steps."""
+    return float(circle_max(lambda _, th: val(th), vals[None], REFINE_WORST, 40)[0][0])
 
 
 @dataclass(frozen=True)
@@ -92,7 +88,7 @@ class Ellipse:
         return np.sqrt(np.einsum("ij,jk,ik->i", pts, self.matrix(), pts))
 
     def boundary_points(self, n: int) -> np.ndarray:
-        phis = (np.arange(n) + 0.5) * (2.0 * np.pi / n)
+        phis = phase_grid(n)
         circle = np.column_stack([np.cos(phis), np.sin(phis)])
         return circle @ spd_power(self.matrix(), -0.5).T
 
@@ -130,7 +126,7 @@ def psi_table(x, f, thetas, z, z_thetas) -> np.ndarray:
     fnorm = np.hypot(f[:, 0], f[:, 1])
     with np.errstate(divide="ignore", invalid="ignore"):
         psi = dist2 * fnorm[:, None] / (2.0 * depth)
-    ang = np.abs((z_thetas[None, :] - thetas[:, None] + np.pi) % (2.0 * np.pi) - np.pi)
+    ang = angle_dist(z_thetas[None, :], thetas[:, None])
     psi[ang < PSI_EXCLUDE] = np.nan
     psi[depth <= 0] = INF
     return psi
@@ -148,12 +144,11 @@ def disc_radii(model, x: SpherePoint) -> tuple[float, float]:
     k_lo, k_hi = model.curvature_sided(x.theta)
 
     fine = model.fine_points()
-    thetas = (np.arange(len(fine)) + 0.5) * (2.0 * np.pi / len(fine))
 
     def psi_at(th):
         return psi_table(xa, f, theta, model.sphere_points_at(th), th)[0]
 
-    psi = psi_table(xa, f, theta, fine, thetas)[0]
+    psi = psi_table(xa, f, theta, fine, phase_grid(len(fine)))[0]
     # the infimum of psi, as minus the sup of -psi
     r_in = -_refined_max(lambda th: -psi_at(th), -np.where(np.isnan(psi), INF, psi))
     r_in = min(r_in, INF if k_hi <= 0 else 1.0 / k_hi)
@@ -271,7 +266,7 @@ def ellipse_inside_ball(model, ellipse: Ellipse, tol: float = CONTAIN_TOL) -> bo
     return _refined_max(val, vals) <= 1.0 + tol
 
 
-def inner_ellipse(model, x: SpherePoint, max_doublings: int = 40) -> Ellipse | None:
+def inner_ellipse(model, x: SpherePoint) -> Ellipse | None:
     """Inner ellipse at a smooth point, by the vertical-tangent construction
     in a rotated and rescaled frame, escalating curvature until contained."""
     if not x.smooth:
@@ -290,7 +285,7 @@ def inner_ellipse(model, x: SpherePoint, max_doublings: int = 40) -> Ellipse | N
     hcoord = p[1]
     _, k_hi = model.curvature_sided(x.theta)
     kappa = max(a * (k_hi if np.isfinite(k_hi) else 0.0), a / disc.radius, 1e-9)
-    for _ in range(max_doublings):
+    for _ in range(INNER_ELLIPSE_DOUBLINGS):
         if abs(hcoord) < 1e-12:
             m_norm = np.diag([1.0, kappa])
         else:
@@ -327,14 +322,15 @@ def outer_family(model, x: SpherePoint, b: float) -> Ellipse:
     return Ellipse.from_matrix(m)
 
 
-def outer_ellipse(model, x: SpherePoint, b_start: float = 1.0) -> Ellipse | None:
-    """Outer ellipse at x from the b-family, halving b until the ball fits."""
+def outer_ellipse(model, x: SpherePoint) -> Ellipse | None:
+    """Outer ellipse at x from the b-family, halving b from
+    OUTER_ELLIPSE_B_START until the ball fits."""
     if not x.smooth:
         return None
     k_lo, _ = model.curvature_sided(x.theta)
     if k_lo < 1e-9:
         return None
-    b = b_start
+    b = OUTER_ELLIPSE_B_START
     pts = model.fine_points()
     while b >= 1e-6:
         e = outer_family(model, x, b)

@@ -136,8 +136,8 @@ def test_criterion_06_shrink_map_suite(euclid, pig, blend_l4):
         a_th = rng.uniform(0, 2 * np.pi, 10_000)
         off = rng.uniform(-0.5, 0.5, 10_000)
         eps_s = rng.uniform(0.0, 0.9, 10_000)
-        sup_a = geometry._supports_many(model, a_th)
-        sup_b = geometry._supports_many(model, a_th + off)
+        sup_a = geometry.sphere_data(model, a_th)["supports"]
+        sup_b = geometry.sphere_data(model, a_th + off)["supports"]
         pa = model.sphere_points_at(a_th)
         pb = model.sphere_points_at(a_th + off)
         ta = np.column_stack([-sup_a[:, 1], sup_a[:, 0]])

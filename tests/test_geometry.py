@@ -31,6 +31,18 @@ def test_gauge_homogeneous(l1_5, x, y, t):
     assert scaled == pytest.approx(abs(t) * base, rel=1e-12, abs=1e-300)
 
 
+def test_every_gauge_homogeneous_at_every_scale(all_gallery):
+    # squares and p-th powers of these components under- or overflow
+    rng = np.random.default_rng(11)
+    phis = rng.uniform(0.0, 2.0 * np.pi, 200)
+    dirs = np.column_stack([np.cos(phis), np.sin(phis)])
+    for name, model in all_gallery.items():
+        base = model.gauge_many(dirs)
+        for t in (1e-300, 1e-170, 1e-100, 1e100, 1e170, 1e300):
+            scaled = model.gauge_many(t * dirs) / t
+            assert np.max(np.abs(scaled - base) / base) <= 1e-12, (name, t)
+
+
 @given(x=finite_floats, y=finite_floats)
 @settings(max_examples=60, deadline=None)
 def test_gauge_symmetric_exactly(pig, x, y):
@@ -106,7 +118,7 @@ def test_sphere_point_ellipse_curvature(ellipse_2_1):
 def test_fd_supports_match_analytic(pig):
     # drop the analytic gradient and check the finite-difference fallback
     thetas = np.linspace(0.3, 5.9, 17)
-    analytic = geometry._supports_many(pig, thetas)
+    analytic = geometry.sphere_data(pig, thetas)["supports"]
 
     class NoGrad:
         def __getattr__(self, name):
@@ -115,8 +127,33 @@ def test_fd_supports_match_analytic(pig):
         def grad_many(self, pts):
             return None
 
-    fd = geometry._supports_many(NoGrad(), thetas)
+    fd = geometry.sphere_data(NoGrad(), thetas)["supports"]
     assert np.max(np.abs(fd - analytic)) < 1e-9
+
+
+def test_sphere_point_matches_the_cache_bit_for_bit(all_gallery):
+    for model in all_gallery.values():
+        cache = model.sphere_cache()
+        for i in (0, 137, 511, 1023):
+            sp = geometry.sphere_point(model, cache["thetas"][i])
+            assert sp.point.as_array().tolist() == cache["points"][i].tolist()
+            assert sp.support.as_array().tolist() == cache["supports"][i].tolist()
+            assert sp.tangent.as_array().tolist() == cache["tangents"][i].tolist()
+            assert sp.curvature == cache["kappas"][i]
+
+
+def test_sphere_data_at_kinks(l1, hexagon, hybrid):
+    for model in (l1, hexagon, hybrid):
+        ks = model.kink_thetas()
+        data = geometry.sphere_data(model, np.concatenate([ks, ks + 0.1]))
+        assert data["kink"].tolist() == [True] * len(ks) + [False] * len(ks)
+        assert data["smooth"].tolist() == [False] * len(ks) + [True] * len(ks)
+        for j, theta in enumerate(ks):
+            f_lo, f_hi = model.one_sided_supports(float(theta))
+            mean = 0.5 * (np.asarray(f_lo) + np.asarray(f_hi))
+            support = mean / (mean @ data["points"][j])
+            assert data["supports"][j] == pytest.approx(support, abs=1e-15)
+            assert data["supports"][j] @ data["tangents"][j] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_operator_norm_examples(l1, l4):

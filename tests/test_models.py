@@ -17,6 +17,7 @@ from normplane.errors import (
 )
 from normplane.geometry import Vec2
 from normplane.models import Arc
+from normplane.numerics import angle_dist
 
 
 def test_make_lp_flags():
@@ -132,6 +133,39 @@ def test_arc_chain_extent_floor():
     assert np.allclose(chain.gauge_many(pts), np.hypot(pts[:, 0], pts[:, 1]), rtol=1e-12)
     with pytest.raises(BadParameter):
         models.make_arc_chain(circle(0.0))
+
+
+def test_arc_chain_features_include_every_junction(spliced):
+    # a chain may start at any of its junctions, also at a radius change
+    arcs = spliced.arcs
+    junctions = [math.atan2(a.start_point()[1], a.start_point()[0]) for a in arcs]
+    for r in range(len(arcs)):
+        feats = models.make_arc_chain(arcs[r:] + arcs[:r]).feature_thetas()
+        for junction in junctions:
+            assert np.min(angle_dist(feats, junction)) <= 1e-12
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: models.make_lp(NAN),
+        lambda: models.make_polar(sin_terms={4: NAN}),
+        lambda: models.make_polar(cos_terms={2: NAN}),
+        lambda: models.make_polar(constant=NAN),
+        lambda: models.make_ellipse(NAN, 1.0),
+        lambda: models.make_ellipse(2.0, NAN),
+        lambda: models.make_ellipse(2.0, 1.0, NAN),
+        lambda: models.make_ellipse_pair(np.diag([1.0, NAN]), np.eye(2)),
+        lambda: models.make_blend(models.make_lp(4), NAN),
+        lambda: models.make_polygon([(1, 0), (NAN, 1), (-1, 0), (NAN, -1)]),
+    ],
+)
+def test_nan_parameters_are_bad_parameters(build):
+    with pytest.raises(BadParameter):
+        build()
 
 
 def test_blend_keeps_base_corners(l1, linf, hexagon):

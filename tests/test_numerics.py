@@ -1,11 +1,11 @@
-"""The lane-wise golden-section search and the refinement built on it."""
+"""The lane-wise golden-section search and the circle maximum built on it."""
 
 import math
 
 import numpy as np
 
 from normplane import tangency
-from normplane.numerics import INVPHI, INVPHI2, golden_min
+from normplane.numerics import INVPHI, INVPHI2, circle_max, golden_min, phase_grid
 
 
 def _scalar_golden(f, lo, hi, iters):
@@ -97,3 +97,49 @@ def test_refined_max_ignores_nan_lanes():
     assert abs(tangency._refined_max(val, vals) - 1.0) <= 1e-15
     everywhere_nan = lambda th: np.full(np.shape(th), np.nan)  # noqa: E731
     assert tangency._refined_max(everywhere_nan, vals) == vals.max()
+
+
+def _rows_wavy(rows, t):
+    # one smooth periodic function per row, each with several local maxima
+    return np.cos(3.0 * t + rows) + 0.3 * np.sin(7.0 * t + 0.2 * rows)
+
+
+def test_circle_max_matches_dense_brute_force():
+    rows = np.arange(5)
+    vals = _rows_wavy(rows[:, None], phase_grid(64)[None, :])
+    dense = phase_grid(1 << 20)
+    brute = np.array([np.max(_rows_wavy(r, dense)) for r in rows])
+    for seeds in (1, 4):
+        maxima, angles = circle_max(_rows_wavy, vals, seeds, 40)
+        assert np.max(np.abs(maxima - brute)) <= 1e-10
+        assert np.array_equal(_rows_wavy(rows, angles), maxima)
+
+
+def test_circle_max_ties_keep_the_first_grid_maximum():
+    vals = np.zeros((2, 16))
+    vals[:, [3, 10]] = 1.0
+    # row 0 refines below the grid, row 1 only ties it
+    level = np.array([0.5, 1.0])
+    maxima, angles = circle_max(lambda rows, t: level[rows] + 0.0 * t, vals, 1, 40)
+    assert maxima.tolist() == [1.0, 1.0]
+    assert angles.tolist() == [phase_grid(16)[3]] * 2
+
+
+def test_circle_max_drops_nan_lanes_and_non_finite_rows():
+    n = 256
+    vals = np.cos(phase_grid(n))[None, :].repeat(4, axis=0)
+    vals[2] = -np.inf
+    vals[3] = np.inf
+    seen = []
+
+    def f(rows, t):
+        seen.extend(rows.tolist())
+        # every lane of row 1 comes out NaN
+        return np.where(rows == 1, np.nan, np.cos(t))
+
+    maxima, angles = circle_max(f, vals, 8, 40)
+    assert abs(maxima[0] - 1.0) <= 1e-15
+    assert maxima[1] == vals[1].max() and angles[1] == phase_grid(n)[np.argmax(vals[1])]
+    assert maxima[2] == -np.inf and maxima[3] == np.inf
+    assert angles[2] == angles[3] == phase_grid(n)[0]
+    assert set(seen) == {0, 1}
