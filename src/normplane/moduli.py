@@ -3,7 +3,12 @@ and the support-line decomposition inequality.
 
 The uniform-convexity modulus is computed in its equality form (pairs at
 gauge distance exactly eps), which turns the infimum into a one-parameter
-family of root finds along the sphere.
+family of root finds along the sphere: for each base point and branch, the
+smallest partner offset at gauge distance eps. ``delta_uc`` bisects these
+roots for one eps; ``delta_curve`` brackets them for all 64 eps of its grid
+from one table of pair distances and places them with Illinois steps. Both
+sweeps only choose where one lane-wise zoom (``_zoom_min``) starts, and the
+zoom's values come from the bisection.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 from . import geometry
 from .errors import BadEps, NonSmoothPoint
 from .geometry import SpherePoint, Vec2
-from .numerics import bisect_batch, phase_grid
+from .numerics import bisect_batch, illinois_batch, phase_grid
 
 #: eps grid for cached modulus curves (log-spaced)
 CURVE_GRID_N = 64
@@ -23,6 +28,12 @@ CURVE_EPS_MIN = 0.02
 
 #: outer sweep resolution for the uniform-convexity modulus
 UC_SWEEP_N = 1024
+
+#: Illinois steps placing each bracketed root of the modulus curve's pair table
+UC_POLISH_STEPS = 8
+
+#: points per batched call of the modulus curve's sweep, bounding its memory
+UC_BLOCK = 1 << 14
 
 #: direction count for the strong-extremality modulus
 STRONG_DIRS = 512
@@ -52,22 +63,25 @@ class ModulusCurve:
         return "\n".join(lines) + "\n"
 
 
-def _zoom_min(f, n: int) -> float:
-    """Min over the circle of f (an array of angles to an array of values):
-    the phase-offset n-grid, then two rounds of 33 points around the running
-    argmin, the window shrinking 16x a round. A zoom, not a golden search:
-    each round is one batched call of f."""
-    thetas = phase_grid(n)
+def _zoom_min(f, vals: np.ndarray) -> np.ndarray:
+    """Row minima over the circle of k functions from their samples vals,
+    shape (k, n), on the phase-offset n-grid: two rounds of 33 points around
+    each row's running argmin, the window shrinking 16x a round, where f maps
+    a (k, 33) array of angles (row r for function r) to values. A zoom, not a
+    golden search: each round is one batched call of f. The first round's
+    middle point is the grid argmin itself, so the samples only choose where
+    the zoom starts."""
+    k, n = vals.shape
+    rows = np.arange(k)
     h = 2.0 * np.pi / n
-    vals = f(thetas)
-    j = int(np.argmin(vals))
-    best, center = float(vals[j]), thetas[j]
+    center = phase_grid(n)[np.argmin(vals, axis=1)]
+    best = np.full(k, np.inf)
     for _ in range(2):
-        local = center + np.linspace(-h, h, 33)
-        vals = f(local)
-        j = int(np.argmin(vals))
-        best = min(best, float(vals[j]))
-        center = local[j]
+        local = center[:, None] + np.linspace(-h, h, 33)
+        v = f(local)
+        j = np.argmin(v, axis=1)
+        best = np.minimum(best, v[rows, j])
+        center = local[rows, j]
         h /= 16.0
     return best
 
@@ -78,31 +92,106 @@ def delta_uc(model, eps: float) -> float:
     sweep in the base point."""
     if not (0.0 < eps <= 2.0):
         raise BadEps(f"eps {eps!r} outside (0, 2]")
-    return _zoom_min(lambda thetas: _uc_depths(model, eps, thetas), UC_SWEEP_N)
+    vals = _uc_depths(model, eps, phase_grid(UC_SWEEP_N))
+    return float(_zoom_min(lambda thetas: _uc_depths(model, eps, thetas), vals[None])[0])
 
 
-def _uc_depths(model, eps: float, thetas: np.ndarray) -> np.ndarray:
+def _uc_depths(model, eps, thetas) -> np.ndarray:
     """Min midpoint depth over the pairs at gauge distance eps from each base
-    point thetas."""
-    xs = model.sphere_points_at(thetas)
-    n = len(thetas)
-    best = np.full(n, np.inf)
-    for direction in (1.0, -1.0):
-        # partner angle phi = theta + direction * s, s in (0, pi]; the gauge
-        # distance grows from 0 to gauge(2x) = 2 along each branch.
-        def dist(s):
-            ys = model.sphere_points_at(thetas + direction * s)
-            return model.gauge_many(xs - ys) - eps
+    point thetas (eps and thetas broadcast together).
 
-        lo = np.full(n, 1e-9)
-        hi = np.full(n, np.pi)
-        bad = dist(hi) < 0  # cannot happen for eps <= 2, kept defensive
-        s = bisect_batch(dist, lo, hi, iters=50)
-        ys = model.sphere_points_at(thetas + direction * s)
-        depth = 1.0 - model.gauge_many(0.5 * (xs + ys))
-        depth[bad] = np.inf
-        best = np.minimum(best, depth)
-    return best
+    The partner angle is phi = theta +- s, s in (0, pi]; along each branch the
+    gauge distance d(s) grows from 0 to gauge(2x) = 2 and the midpoint depth
+    never decreases, so the depth is taken at the smallest s with d(s) >= eps.
+    Where d is flat at the level eps (x and -y on one face at eps = 2) that
+    is the start of the flat. Both branches run as lanes of one bisection.
+    """
+    eps, thetas = np.broadcast_arrays(np.asarray(eps, dtype=float), np.asarray(thetas, dtype=float))
+    shape, n = thetas.shape, thetas.size
+    xs = np.tile(model.sphere_points_at(thetas.ravel()), (2, 1))
+    th = np.tile(thetas.ravel(), 2)
+    sign = np.repeat([1.0, -1.0], n)
+    eps = np.tile(eps.ravel(), 2)
+    # At eps = 2, d - 2 vanishes to second order (fourth on l4's axes) at the
+    # antipode of a smooth point, so d rounds to 2 on a stretch before it
+    # (~1e-8 rad on a circle, ~1e-4 on l4): a root less than one sweep step
+    # short of the antipode counts as the antipode, and a face shorter than
+    # that step is below the sweep's resolution.
+    s_max = np.where(eps == 2.0, np.pi - 2.0 * np.pi / UC_SWEEP_N, np.pi)
+
+    def dist(s):
+        return model.gauge_many(xs - model.sphere_points_at(th + sign * s))
+
+    # gauge(2x) can round below 2 at eps = 2; such a branch has no root
+    bad = dist(np.full(2 * n, np.pi)) < eps
+    # bisect_batch moves its first end on f <= 0: starting that end at pi and
+    # testing d >= eps converges to the smallest root
+    s = bisect_batch(
+        lambda s: np.where((dist(s) >= eps) & (s <= s_max), -1.0, 1.0),
+        np.full(2 * n, np.pi),
+        np.full(2 * n, 1e-9),
+        iters=50,
+    )
+    ys = model.sphere_points_at(th + sign * s)
+    depth = 1.0 - model.gauge_many(0.5 * (xs + ys))
+    depth[bad] = np.inf
+    return np.minimum(depth[:n], depth[n:]).reshape(shape)
+
+
+def _sweep_depths(model, eps_grid: np.ndarray) -> np.ndarray:
+    """_uc_depths on the UC_SWEEP_N-point phase grid for every eps of the
+    grid at once, shape (len(eps_grid), UC_SWEEP_N), from one pair table.
+
+    The table holds d = gauge(x_i - x_(i+k)) for the grid points x_i and
+    k = 1 .. n/2; branch -1 of base i at offset k is row i - k (the gauge is
+    even). In a normed plane d never decreases along a branch from x to -x
+    (Martini, Swanepoel and Weiss, Expo. Math. 19 (2001)), so the first
+    offset with d >= eps brackets the smallest root within one grid step;
+    UC_POLISH_STEPS Illinois steps, on all (base, branch) lanes of
+    UC_BLOCK // (2n) eps at once, then place it. Lanes with no such offset
+    get depth inf, as in _uc_depths.
+    """
+    n = UC_SWEEP_N
+    half = n // 2
+    h = 2.0 * np.pi / n
+    thetas = phase_grid(n)
+    xs = model.sphere_points_at(thetas)
+    offsets = np.arange(1, half + 1)
+    # column k is offset k, column 0 the base point itself (d = 0)
+    table = np.zeros((n, half + 1))
+    step = UC_BLOCK // half
+    for lo in range(0, n, step):
+        base = np.arange(lo, lo + step)[:, None]
+        diffs = xs[base] - xs[(base + offsets) % n]
+        table[lo : lo + step, 1:] = model.gauge_many(diffs.reshape(-1, 2)).reshape(step, half)
+    # the first offset with d >= eps is where the running max first reaches
+    # eps; columns n .. 2n-1 are the branches -1
+    first = np.empty((len(eps_grid), 2 * n), dtype=int)
+    for i in range(n):
+        minus = np.concatenate([[0.0], table[(i - offsets) % n, offsets]])
+        first[:, i] = np.searchsorted(np.maximum.accumulate(table[i]), eps_grid)
+        first[:, n + i] = np.searchsorted(np.maximum.accumulate(minus), eps_grid)
+
+    depth = np.full((len(eps_grid), 2 * n), np.inf)
+    for e0 in range(0, len(eps_grid), UC_BLOCK // (2 * n)):
+        block = first[e0 : e0 + UC_BLOCK // (2 * n)]
+        e_idx, r_idx = np.nonzero(block <= half)
+        k = block[e_idx, r_idx]
+        row = r_idx % n
+        sign = np.where(r_idx < n, 1.0, -1.0)
+        eps = eps_grid[e0 + e_idx]
+
+        def d_at(c):  # the table's d at offset c on each lane's branch
+            return table[np.where(r_idx < n, row, (row - c) % n), c]
+
+        def gap(s):
+            return model.gauge_many(xs[row] - model.sphere_points_at(thetas[row] + sign * s)) - eps
+
+        fa, fb = d_at(k - 1) - eps, d_at(k) - eps
+        s = illinois_batch(gap, (k - 1) * h, k * h, fa, fb, UC_POLISH_STEPS)
+        ys = model.sphere_points_at(thetas[row] + sign * s)
+        depth[e0 + e_idx, r_idx] = 1.0 - model.gauge_many(0.5 * (xs[row] + ys))
+    return np.minimum(depth[:, :n], depth[:, n:])
 
 
 def delta_strong(model, x: SpherePoint, eps: float) -> float:
@@ -127,7 +216,9 @@ def delta_strong(model, x: SpherePoint, eps: float) -> float:
 
         return bisect_batch(slack, np.zeros(len(phis)), np.full(len(phis), 2.0), iters=50)
 
-    return 1.0 + _zoom_min(lambda phis: -rho_max(phis), STRONG_DIRS)
+    vals = -rho_max(phase_grid(STRONG_DIRS))
+    zoomed = _zoom_min(lambda phis: -rho_max(phis.ravel()).reshape(phis.shape), vals[None])
+    return 1.0 + float(zoomed[0])
 
 
 def power2_fit(curve: ModulusCurve) -> float | None:
@@ -146,7 +237,10 @@ def delta_curve(model) -> ModulusCurve:
     model after the first call."""
     if model._delta_curve is None:
         eps_grid = np.geomspace(CURVE_EPS_MIN, 2.0, CURVE_GRID_N)
-        values = np.array([delta_uc(model, float(e)) for e in eps_grid])
+        values = _zoom_min(
+            lambda thetas: _uc_depths(model, eps_grid[:, None], thetas),
+            _sweep_depths(model, eps_grid),
+        )
         curve = ModulusCurve("uniform_convexity", eps_grid, values)
         curve.power2_coeff = power2_fit(curve)
         model._delta_curve = curve

@@ -1,6 +1,6 @@
 """Small numeric building blocks: the phase-offset circle grid, golden-section
-search and the circle maximum built on it, batched bisection,
-finite-difference stencils, and 2x2 symmetric matrix helpers.
+search and the circle maximum built on it, batched bisection and Illinois
+root polishing, finite-difference stencils, and 2x2 symmetric matrix helpers.
 
 All routines are pure and deterministic for fixed iteration counts.
 """
@@ -88,8 +88,10 @@ def circle_max(f, vals, seeds: int, iters: int):
 def bisect_batch(f, lo, hi, iters: int = 80):
     """Vectorized bisection for roots of f on brackets [lo, hi].
 
-    Assumes f(lo) <= 0 <= f(hi) componentwise (callers arrange signs).
-    Returns the midpoint array after `iters` halvings.
+    Assumes f(lo) <= 0 <= f(hi) componentwise (callers arrange signs); lo
+    may lie above hi. f <= 0 moves the lo end, so where f vanishes on an
+    interval the result is its end farthest from lo. Returns the midpoint
+    array after `iters` halvings.
     """
     a = np.asarray(lo, dtype=float).copy()
     b = np.asarray(hi, dtype=float).copy()
@@ -100,6 +102,31 @@ def bisect_batch(f, lo, hi, iters: int = 80):
         a = np.where(neg, m, a)
         b = np.where(neg, b, m)
     return 0.5 * (a + b)
+
+
+def illinois_batch(f, a, b, fa, fb, iters: int):
+    """Lane-wise regula falsi with the Illinois modification for roots of f
+    on brackets [a, b] with fa = f(a) < 0 <= fb = f(b).
+
+    Each step calls f once on the array of the lanes' secant roots x; x
+    replaces the end whose sign it shares (f(x) >= 0 replaces b), and an end
+    kept two steps running has its value halved, which keeps convergence
+    superlinear where plain regula falsi stalls on one side. Returns the last
+    secant roots.
+    """
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    kept_a = kept_b = np.zeros(a.shape, dtype=bool)
+    x = b
+    for _ in range(iters):
+        x = b - fb * (b - a) / (fb - fa)
+        fx = f(x)
+        up = fx >= 0
+        fa = np.where(up & kept_a, 0.5 * fa, fa)
+        fb = np.where(~up & kept_b, 0.5 * fb, fb)
+        a, fa = np.where(up, a, x), np.where(up, fa, fx)
+        b, fb = np.where(up, x, b), np.where(up, fx, fb)
+        kept_a, kept_b = up, ~up
+    return x
 
 
 def stencil5_d1(values, h: float):

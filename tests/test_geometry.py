@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from normplane import geometry, models
+from scipy.optimize import minimize_scalar
+
+from normplane import gallery, geometry, models, semigroup
 from normplane.geometry import LinearMap2, Vec2
+from normplane.numerics import phase_grid
 
 finite_floats = st.floats(
     min_value=-50, max_value=50, allow_nan=False, allow_infinity=False
@@ -175,6 +178,50 @@ def test_operator_norm_euclid_matches_svd(euclid):
         got = float(geometry.operator_norm(euclid, mat))
         want = float(np.linalg.svd(mat, compute_uv=False)[0])
         assert got == pytest.approx(want, rel=1e-7)
+
+
+@pytest.mark.parametrize("name", ["euclidean", "grandpa_pig_strict", "blend_l4", "ellipse_2_1"])
+def test_operator_norm_precision_contract(name):
+    """Both operator-norm settings (operator_norm and certificates: 4096
+    points, 80 golden steps; operator_norm_batch, the UMST table: 512 points,
+    60 steps) stay within CERTIFY_TOL / 1000 of a reference that refines a
+    2^14-point grid at its 4 best samples with bounded Brent, on seeded
+    UMST-style shrink maps and Gaussian maps over the UMST-eligible models."""
+    model = gallery.get(name)
+    rng = np.random.default_rng(23)
+    k = 12
+    theta = rng.uniform(0.0, 2.0 * np.pi, k)
+    a = geometry.sphere_data(model, theta)
+    b = geometry.sphere_data(model, theta + np.geomspace(1e-3, 0.75, k))
+    src = np.stack([a["points"], a["tangents"]], axis=-1)
+    eps = rng.choice([0.05, 0.1, 0.2, 0.4], k)[:, None]
+    dst = np.stack([b["points"], (1.0 - eps) * b["tangents"]], axis=-1)
+    mats = np.concatenate([dst @ np.linalg.inv(src), rng.normal(size=(k, 2, 2))])
+
+    n = 1 << 14
+    grid = phase_grid(n)
+    pts = model.sphere_points_at(grid)
+    want = []
+    for mat in mats:
+        def neg(t, mat=mat):
+            return -model.gauge(mat @ model.sphere_points_at(np.array([t]))[0])
+
+        vals = model.gauge_many(pts @ mat.T)
+        best = vals.max()
+        for j in np.argsort(-vals)[:4]:
+            res = minimize_scalar(
+                neg,
+                bounds=(grid[j] - 2 * np.pi / n, grid[j] + 2 * np.pi / n),
+                method="bounded",
+                options={"xatol": 1e-12},
+            )
+            best = max(best, -res.fun)
+        want.append(best)
+    want = np.array(want)
+    tol = 1e-3 * semigroup.CERTIFY_TOL * want
+    single = np.array([float(geometry.operator_norm(model, mat)) for mat in mats])
+    assert np.all(np.abs(single - want) <= tol)
+    assert np.all(np.abs(geometry.operator_norm_batch(model, mats) - want) <= tol)
 
 
 def test_operator_norm_submultiplicative(pig, l1_5):

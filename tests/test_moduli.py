@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from normplane import geometry, models, moduli
+from normplane import gallery, geometry, models, moduli
 from normplane.errors import BadEps
 
 
@@ -127,3 +128,95 @@ def test_dual_curve_power2(euclid, l1_5):
     assert fit is not None  # conjugate exponent 3 still has a grid-positive fit
     dual_e = models.dual_model(euclid)
     assert moduli.power2_fit(moduli.delta_curve(dual_e)) == pytest.approx(0.125, abs=2e-3)
+
+
+def test_delta_at_two(l1, linf, hexagon, euclid, ellipse_2_1):
+    """N(x - y) = 2 puts x and -y on one face, so delta(2) is 1 - (longest
+    face, in the gauge) / 2: 0 on l1 and linf, 1/2 on the hexagon, 1 on a
+    strictly convex sphere."""
+    for model, want, tol in (
+        (l1, 0.0, 1e-3),
+        (linf, 0.0, 1e-3),
+        (hexagon, 0.5, 1e-3),
+        (euclid, 1.0, 1e-9),
+        (ellipse_2_1, 1.0, 1e-9),
+    ):
+        assert moduli.delta_uc(model, 2.0) == pytest.approx(want, abs=tol)
+        assert moduli.delta_curve(model).values[-1] == pytest.approx(want, abs=tol)
+
+
+def _curve_model(name: str):
+    """A gallery model by name, or its dual for "dual:<name>"."""
+    if name.startswith("dual:"):
+        return models.dual_model(gallery.get(name[5:]))
+    return gallery.get(name)
+
+
+@pytest.mark.parametrize("name", ["hexagon", "nobst", "dual:grandpa_pig_strict"])
+def test_curve_matches_single_eps(name):
+    """The curve's pair-table sweep only picks where the zoom starts, so it
+    gives the single-eps values."""
+    model = _curve_model(name)
+    curve = moduli.delta_curve(model)
+    for k in [*range(0, moduli.CURVE_GRID_N, 8), moduli.CURVE_GRID_N - 1]:
+        want = moduli.delta_uc(model, float(curve.eps_grid[k]))
+        assert curve.values[k] == pytest.approx(want, abs=1e-12)
+
+
+def _clarkson(p: float):
+    return lambda eps: 1.0 - (1.0 - (eps / 2.0) ** p) ** (1.0 / p)
+
+
+def _hanner(p: float):
+    """Solve (1 - d + eps/2)^p + |1 - d - eps/2|^p = 2 for d (1 < p < 2)."""
+
+    def delta(eps: float) -> float:
+        h = eps / 2.0
+        u = brentq(lambda u: (u + h) ** p + abs(u - h) ** p - 2.0, 0.0, 1.0, xtol=1e-15, rtol=1e-15)
+        return 1.0 - u
+
+    return delta
+
+
+@pytest.mark.parametrize(
+    "name, reference",
+    [
+        ("euclidean", delta2),
+        ("ellipse_2_1", delta2),  # delta is invariant under linear isomorphisms
+        ("l4", _clarkson(4.0)),
+        ("l1_5", _hanner(1.5)),
+    ],
+)
+def test_curve_closed_forms(name, reference):
+    curve = moduli.delta_curve(gallery.get(name))
+    for eps, value in zip(curve.eps_grid, curve.values):
+        want = reference(float(eps))
+        assert abs(value - want) <= 1e-5 * want + 1e-12, (float(eps), value, want)
+
+
+_SPLINE_OVERSHOOT = pytest.mark.xfail(
+    strict=True,
+    reason="the sampled DualNorm spline likely overshoots at the dual's corners: "
+    "delta dips below 0 (-6.5e-5 on l2_l1_hybrid's dual, -1.3e-8 on two_ellipses') "
+    "and falls on 28 and 22 grid steps",
+)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(tag + name, marks=_SPLINE_OVERSHOOT)
+        if tag + name in ("dual:l2_l1_hybrid", "dual:two_ellipses")
+        else tag + name
+        for name in gallery.names()
+        for tag in ("", "dual:")
+    ],
+)
+def test_curve_within_nordlander_and_monotone(name):
+    """0 <= delta(eps) <= 1 - sqrt(1 - eps^2/4) (Nordlander) and delta never
+    decreases, on every gallery curve and its dual's."""
+    curve = moduli.delta_curve(_curve_model(name))
+    eps, values = curve.eps_grid, curve.values
+    assert np.all(values <= 1.0 - np.sqrt(1.0 - eps**2 / 4.0) + 1e-12)
+    assert np.all(values >= -1e-12)
+    assert np.all(np.diff(values) >= -1e-12)

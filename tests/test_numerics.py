@@ -1,11 +1,21 @@
-"""The lane-wise golden-section search and the circle maximum built on it."""
+"""The lane-wise golden-section search and the circle maximum built on it,
+bisection plateaus and Illinois root polishing."""
 
 import math
 
 import numpy as np
+import pytest
 
 from normplane import tangency
-from normplane.numerics import INVPHI, INVPHI2, circle_max, golden_min, phase_grid
+from normplane.numerics import (
+    INVPHI,
+    INVPHI2,
+    bisect_batch,
+    circle_max,
+    golden_min,
+    illinois_batch,
+    phase_grid,
+)
 
 
 def _scalar_golden(f, lo, hi, iters):
@@ -143,3 +153,39 @@ def test_circle_max_drops_nan_lanes_and_non_finite_rows():
     assert maxima[2] == -np.inf and maxima[3] == np.inf
     assert angles[2] == angles[3] == phase_grid(n)[0]
     assert set(seen) == {0, 1}
+
+
+def test_illinois_places_roots_in_few_steps():
+    """Grid-step brackets of smooth increasing functions, as the modulus
+    curve hands them over: 8 steps reach the root to rounding, lane by lane
+    as in lone runs."""
+    h = 2.0 * np.pi / 1024
+    roots = np.linspace(0.1, 3.0, 50)
+    a = np.floor(roots / h) * h
+    b = a + h
+
+    def f(x):
+        return np.sin(0.5 * x) - np.sin(0.5 * roots)
+
+    got = illinois_batch(f, a, b, f(a), f(b), 8)
+    assert np.all(np.abs(got - roots) <= 1e-14)
+    for j in (0, 17, 49):
+        one = slice(j, j + 1)
+
+        def g(x):
+            return np.sin(0.5 * x) - np.sin(0.5 * roots[one])
+
+        assert illinois_batch(g, a[one], b[one], g(a[one]), g(b[one]), 8)[0] == got[j]
+
+
+def test_bisect_plateau_end_follows_lo():
+    """f <= 0 moves lo: on a plateau f = 0 the result is its end farthest
+    from lo, whichever side lo starts on."""
+
+    def f(x):
+        return np.where(x < 1.0, -1.0, np.where(x > 2.0, 1.0, 0.0))
+
+    up = bisect_batch(f, np.array([0.0]), np.array([3.0]), 60)[0]
+    down = bisect_batch(lambda x: -f(x), np.array([3.0]), np.array([0.0]), 60)[0]
+    assert up == pytest.approx(2.0, abs=1e-12)
+    assert down == pytest.approx(1.0, abs=1e-12)
