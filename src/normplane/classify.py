@@ -21,6 +21,7 @@ import numpy as np
 
 from . import geometry, models as _models, moduli, semigroup, tangency
 from .curvature import INF
+from .errors import SelfCheckFailed
 from .geometry import SpherePoint
 from .numerics import golden_min, phase_grid
 from .tangency import MIN_DISC_RADIUS, OUTER_DISC_CAP
@@ -203,14 +204,14 @@ def classify_st(model, dual_check: bool = False) -> StVerdict:
     """ST verdict: every swept point must admit inner and outer discs.
 
     With ``dual_check`` the numerically sampled dual plane is swept as well
-    and the verdicts are required to agree.
+    and the verdicts are required to agree; SelfCheckFailed if they do not.
     """
     verdict = _classify_st_primal(model)
     if dual_check:
         dual = _models.dual_model(model)
         dual_verdict = _classify_st_primal(dual)
         if dual_verdict.kind != verdict.kind:
-            raise AssertionError(
+            raise SelfCheckFailed(
                 f"dual ST verdict {dual_verdict.kind} disagrees with {verdict.kind}"
             )
     return verdict

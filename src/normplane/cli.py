@@ -2,10 +2,11 @@
 curves, orbit certificates, the staircase build, figure rendering, and the
 bundled reproduction checks.
 
-Exit codes: 0 on success, 1 when a reproduction assertion fails, 2 on usage
-errors (argparse's default) and on invalid input, such as a model file that
-fails validation; the latter prints one ``normplane: error: <message>`` line
-to stderr.
+Exit codes: 0 on success, 1 when a reproduction assertion or a built-in
+self-check (``classify --dual-check``) fails, 2 on usage errors (argparse's
+default) and on invalid input, such as a model file that fails validation.
+A failed self-check and invalid input print one
+``normplane: error: <message>`` line to stderr.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from . import (
     svgfig,
     tangency,
 )
-from .errors import NormPlaneError
+from .errors import NormPlaneError, SelfCheckFailed
 from .geometry import LinearMap2, Vec2
 
 
@@ -41,7 +42,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except NormPlaneError as exc:
         print(f"normplane: error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, SelfCheckFailed) else 2
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -5,6 +5,11 @@ class NormPlaneError(Exception):
     """Base class for all package-specific errors."""
 
 
+class SelfCheckFailed(NormPlaneError):
+    """A built-in consistency check failed: the input was valid, the result
+    is not trustworthy (e.g. the primal and dual ST verdicts disagree)."""
+
+
 class BadParameter(NormPlaneError):
     """A constructor parameter is outside its admissible range."""
 

@@ -252,6 +252,21 @@ class OperatorNorm(float):
         return obj
 
 
+def _map_images(mats: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """T z for 2x2 maps T (shape (..., 2, 2)) and points z (shape (..., 2))
+    broadcast together, into one array: each coordinate is
+    m[a, 0] z0 + m[a, 1] z1, the operand order of np.einsum, so the values
+    match it bit for bit (up to the sign of a zero) at a fraction of its cost
+    on size-2 axes."""
+    x, y = pts[..., 0], pts[..., 1]
+    out = np.empty(np.broadcast(mats[..., 0, 0], x).shape + (2,))
+    for a in (0, 1):
+        image = out[..., a]
+        np.multiply(mats[..., a, 0], x, out=image)
+        image += mats[..., a, 1] * y
+    return out
+
+
 def _operator_norms(model, mats: np.ndarray, grid: int, iters: int):
     """sup of gauge(T z) over the gauge-unit sphere for each T in mats (shape
     (k, 2, 2)): the phase-offset grid of ``grid`` angles, then one lane-wise
@@ -259,10 +274,10 @@ def _operator_norms(model, mats: np.ndarray, grid: int, iters: int):
     Returns (values, witness angles)."""
     k = mats.shape[0]
     pts = model.sphere_points_at(phase_grid(grid))
-    vals = model.gauge_many(np.einsum("kab,jb->kja", mats, pts).reshape(k * grid, 2))
+    vals = model.gauge_many(_map_images(mats[:, None], pts).reshape(k * grid, 2))
 
     def val(rows, ts):
-        return model.gauge_many(np.einsum("kab,kb->ka", mats[rows], model.sphere_points_at(ts)))
+        return model.gauge_many(_map_images(mats[rows], model.sphere_points_at(ts)))
 
     return circle_max(val, vals.reshape(k, grid), 1, iters)
 

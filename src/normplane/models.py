@@ -27,7 +27,15 @@ from .errors import (
     TangentBreak,
 )
 from .geometry import Vec2, as_vec
-from .numerics import angle_dist, bisect_batch, phase_grid, rotation, stencil5_d1, stencil5_d2
+from .numerics import (
+    angle_dist,
+    bisect_batch,
+    phase_grid,
+    quad_form,
+    rotation,
+    stencil5_d1,
+    stencil5_d2,
+)
 
 SPHERE_CACHE_N = 1024
 FINE_CACHE_N = 4096
@@ -64,9 +72,8 @@ def _canonical(points: np.ndarray) -> np.ndarray:
     """Flip each row to the representative with x1 > 0 (or x1 == 0, x2 >= 0)."""
     points = np.asarray(points, dtype=float)
     flip = (points[:, 0] < 0) | ((points[:, 0] == 0) & (points[:, 1] < 0))
-    out = points.copy()
-    out[flip] *= -1.0
-    return out
+    # multiplying by +-1 is exact and keeps signed zeros and NaN rows
+    return points * np.where(flip, -1.0, 1.0)[:, None]
 
 
 class NormModel:
@@ -206,7 +213,8 @@ class LpNorm(NormModel):
             return ax.sum(axis=1)
         if self.p == 2.0:
             return np.hypot(pts[:, 0], pts[:, 1])
-        s = ax[:, 0] ** self.p + ax[:, 1] ** self.p
+        with np.errstate(over="ignore", under="ignore"):
+            s = ax[:, 0] ** self.p + ax[:, 1] ** self.p
         return _rescaled(self._gauge_raw, pts, s, s ** (1.0 / self.p))
 
     def grad_many(self, pts):
@@ -829,14 +837,16 @@ class EllipseMaxNorm(NormModel):
         self.single = np.allclose(m1, m2, rtol=0, atol=1e-14)
         self.is_c2 = self.single
         self._kinks = None
+        # a single ellipse evaluates its one form once
+        self._one_form = np.array_equal(m1, m2)
 
     def _forms(self, pts):
-        q1 = np.einsum("ij,jk,ik->i", pts, self.m1, pts)
-        q2 = np.einsum("ij,jk,ik->i", pts, self.m2, pts)
-        return q1, q2
+        q1 = quad_form(pts, self.m1)
+        return q1, q1 if self._one_form else quad_form(pts, self.m2)
 
     def _gauge_raw(self, pts):
-        s = np.maximum(*self._forms(pts))
+        with np.errstate(over="ignore", under="ignore"):
+            s = np.maximum(*self._forms(pts))
         return _rescaled(self._gauge_raw, pts, s, np.sqrt(s))
 
     def grad_many(self, pts):
@@ -953,7 +963,8 @@ class BlendNorm(NormModel):
 
     def _gauge_raw(self, pts):
         b = self.base.gauge_many(pts)
-        s = b * b + self.eps * (pts[:, 0] ** 2 + pts[:, 1] ** 2)
+        with np.errstate(over="ignore", under="ignore"):
+            s = b * b + self.eps * (pts[:, 0] ** 2 + pts[:, 1] ** 2)
         return _rescaled(self._gauge_raw, pts, s, np.sqrt(s))
 
     def grad_many(self, pts):

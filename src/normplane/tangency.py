@@ -20,7 +20,7 @@ from . import geometry
 from .curvature import INF
 from .errors import BadParameter, NonSmoothPoint, NotPositiveDefinite
 from .geometry import Disc, SpherePoint, Vec2
-from .numerics import angle_dist, circle_max, phase_grid, spd_power
+from .numerics import angle_dist, circle_max, phase_grid, quad_form, spd_power
 
 #: no disc below this radius counts as existing
 MIN_DISC_RADIUS = 1e-6
@@ -85,7 +85,7 @@ class Ellipse:
 
     def gauge_many(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.sqrt(np.einsum("ij,jk,ik->i", pts, self.matrix(), pts))
+        return np.sqrt(quad_form(pts, self.matrix()))
 
     def boundary_points(self, n: int) -> np.ndarray:
         phis = phase_grid(n)

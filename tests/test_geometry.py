@@ -224,6 +224,27 @@ def test_operator_norm_precision_contract(name):
     assert np.all(np.abs(geometry.operator_norm_batch(model, mats) - want) <= tol)
 
 
+def test_operator_norm_batch_is_lane_wise(pig_strict, ellipse_2_1):
+    # every map is one lane: batching changes no value in the last bit
+    rng = np.random.default_rng(31)
+    mats = rng.normal(size=(64, 2, 2))
+    for model in (pig_strict, ellipse_2_1):
+        batch = geometry.operator_norm_batch(model, mats)
+        alone = np.array([geometry.operator_norm_batch(model, mat[None])[0] for mat in mats])
+        assert np.array_equal(batch, alone)
+
+
+def test_map_images_match_matmul(ellipse_2_1):
+    rng = np.random.default_rng(32)
+    mats = rng.normal(size=(64, 2, 2)) * 10.0 ** rng.integers(-3, 4, size=(64, 1, 1))
+    pts = ellipse_2_1.sphere_points_at(phase_grid(geometry.OPNORM_BATCH_GRID))
+    got = geometry._map_images(mats[:, None], pts)
+    want = np.swapaxes(mats @ pts.T, 1, 2)
+    # the rounding scale of m[a, 0] z0 + m[a, 1] z1 is that of its terms
+    scale = np.abs(mats[:, None]) @ np.abs(pts)[None, :, :, None]
+    assert np.all(np.abs(got - want) <= 2.0 * np.spacing(scale[..., 0]))
+
+
 def test_operator_norm_submultiplicative(pig, l1_5):
     rng = np.random.default_rng(11)
     for model in (pig, l1_5):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from normplane import cli, gallery, modelspec, models
+from normplane import classify, cli, gallery, modelspec, models
 from normplane.errors import BadParameter
 
 
@@ -188,3 +188,20 @@ def test_cli_invalid_model_exits_2(tmp_path):
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("normplane: error: ")
     assert proc.stdout == ""
+
+
+def test_cli_dual_check_disagreement_exits_1(tmp_path, monkeypatch, capsys):
+    # the primal sweep says yes, the dual sweep no
+    kinds = iter(["yes", "no"])
+
+    def fake_primal(model):
+        return classify.StVerdict(next(kinds))
+
+    monkeypatch.setattr(classify, "_classify_st_primal", fake_primal)
+    path = tmp_path / "l2.model"
+    path.write_text("family = lp\np = 2\n")
+    assert cli.main(["classify", str(path), "--dual-check"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("normplane: error: dual ST verdict no")

@@ -2,11 +2,12 @@
 
 import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from normplane import geometry, models
+from normplane import geometry, models, tangency
 from normplane.errors import (
     BadParameter,
     NotClosed,
@@ -17,7 +18,7 @@ from normplane.errors import (
 )
 from normplane.geometry import Vec2
 from normplane.models import Arc
-from normplane.numerics import angle_dist
+from normplane.numerics import angle_dist, quad_form
 
 
 def test_make_lp_flags():
@@ -227,6 +228,46 @@ def test_ellipse_models(ellipse_2_1):
     assert len(pair.kink_thetas()) == 4
     kink = geometry.sphere_point(pair, float(pair.kink_thetas()[0]))
     assert not kink.smooth
+
+
+def test_quad_form_matches_matmul(ellipse_2_1):
+    rng = np.random.default_rng(33)
+    pts = rng.normal(size=(1000, 2)) * 10.0 ** rng.integers(-5, 6, size=(1000, 1))
+    pair = models.make_ellipse_pair(np.diag([1.0, 0.25]), np.diag([0.25, 1.0]))
+    inner = tangency.Ellipse(2.0, 0.3, 0.5)
+    for m in (ellipse_2_1.m1, pair.m1, pair.m2, inner.matrix()):
+        want = ((pts @ m) * pts).sum(1)
+        assert np.all(np.abs(quad_form(pts, m) - want) <= 4.0 * np.spacing(want))
+    # both ellipse classes evaluate their forms through it
+    assert np.array_equal(pair._forms(pts)[1], quad_form(pts, pair.m2))
+    assert np.array_equal(inner.gauge_many(pts), np.sqrt(quad_form(pts, inner.matrix())))
+    # the ellipse gauges stay homogeneous, and quiet, where the forms leave
+    # the float range
+    dirs = pts / np.hypot(pts[:, 0], pts[:, 1])[:, None]
+    for model in (ellipse_2_1, pair):
+        base = model.gauge_many(dirs)
+        for t in (1e-170, 1e170):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                scaled = model.gauge_many(t * dirs) / t
+            assert np.max(np.abs(scaled - base) / base) <= 1e-12
+
+
+def test_canonical_flips_like_a_copy():
+    pts = np.array(
+        [
+            [0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0],
+            [0.0, -2.0], [-0.0, -2.0], [-0.0, 3.0], [-1.0, 0.0], [-1.0, -0.0],
+            [np.nan, 1.0], [1.0, np.nan], [-1.0, np.nan], [np.nan, np.nan],
+            [2.5, -1.0], [-2.5, 1.0],
+        ]
+    )
+    flip = (pts[:, 0] < 0) | ((pts[:, 0] == 0) & (pts[:, 1] < 0))
+    want = pts.copy()
+    want[flip] *= -1.0
+    got = models._canonical(pts)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_midpoint_convexity(all_gallery):
