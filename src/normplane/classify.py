@@ -21,7 +21,7 @@ import numpy as np
 
 from . import geometry, models as _models, moduli, semigroup, tangency
 from .curvature import INF
-from .errors import SelfCheckFailed
+from .errors import BadParameter, SelfCheckFailed
 from .geometry import SpherePoint
 from .numerics import golden_min, phase_grid
 from .tangency import MIN_DISC_RADIUS, OUTER_DISC_CAP
@@ -355,6 +355,8 @@ def find_flat(model) -> tuple:
 def pilgrim_probe(model, x: SpherePoint, grid: int = 512) -> str:
     """likely_yes when the orbit of x reaches at least 99% of a target grid
     via certified contractions, likely_no otherwise."""
+    if grid < 1:
+        raise BadParameter(f"pilgrim grid must be at least 1, got {grid!r}")
     thetas = phase_grid(grid)
     hits = 0
     for th in thetas:
@@ -367,7 +369,10 @@ def pilgrim_probe(model, x: SpherePoint, grid: int = 512) -> str:
 
 def classify(model, dual_check: bool = False, pilgrim_grid: int = 0) -> Verdict:
     """Full verdict; the pilgrim probe runs only when a grid size is given
-    (density is not decidable by sampling, so the field is labelled likely)."""
+    (density is not decidable by sampling, so the field is labelled likely);
+    0 means no probe."""
+    if pilgrim_grid < 0:
+        raise BadParameter(f"pilgrim grid must be 0 (off) or positive, got {pilgrim_grid!r}")
     st = classify_st(model, dual_check=dual_check)
     bst = classify_bst(model)
     umst = classify_umst(model)

@@ -31,7 +31,7 @@ from . import (
     svgfig,
     tangency,
 )
-from .errors import NormPlaneError, SelfCheckFailed
+from .errors import BadEps, NormPlaneError, SelfCheckFailed
 from .geometry import LinearMap2, Vec2
 
 
@@ -123,7 +123,7 @@ def _cmd_curvature(args) -> int:
 def _cmd_moduli(args) -> int:
     model = modelspec.read_model_file(args.model_file)
     if args.eps_grid:
-        eps = [float(t) for t in args.eps_grid.split(",")]
+        eps = [_eps_value(t) for t in args.eps_grid.split(",")]
         values = [moduli.delta_uc(model, e) for e in eps]
         curve = moduli.ModulusCurve("uniform_convexity", np.asarray(eps), np.asarray(values))
         curve.power2_coeff = moduli.power2_fit(curve)
@@ -132,6 +132,13 @@ def _cmd_moduli(args) -> int:
     sys.stdout.write(curve.to_csv())
     sys.stderr.write(f"power2_coeff = {curve.power2_coeff!r}\n")
     return 0
+
+
+def _eps_value(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise BadEps(f"eps {text!r} is not a number") from None
 
 
 def _cmd_orbit(args) -> int:

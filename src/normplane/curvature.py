@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ScaleLawViolation, SingularPoint
+from .errors import BadParameter, ScaleLawViolation, SingularPoint
 from .numerics import phase_grid, stencil5_d1, stencil5_d2
 
 INF = float("inf")
@@ -90,6 +90,8 @@ def profile(model, n: int = 1024) -> CurvatureProfile:
     (polyhedral vertices, lp axis points) do not land on samples by accident;
     families report +inf there when asked directly.
     """
+    if n < 1:
+        raise BadParameter(f"profile needs at least 1 point, got {n!r}")
     thetas = phase_grid(n)
     kappas = model.curvature_theta_many(thetas)
     finite = kappas[np.isfinite(kappas)]

@@ -4,9 +4,15 @@ them), ellipse intersections, blends, and numerically sampled duals.
 
 Every model is immutable after construction and carries two eagerly built
 caches: a 1024-point sphere table with supports/tangents/curvatures and a
-4096-point boundary table used for containment certificates. Gauge evaluation
-canonicalizes the sign of its argument first, so gauge(-v) == gauge(v) holds
-exactly for every family.
+4096-point boundary table used for containment certificates.
+
+gauge(-v) == gauge(v) holds exactly, bit for bit, for every family. Most
+formulas are exactly even as written (absolute values, hypot, squares, a
+quadrant picked by a sign product), so their rows are evaluated as given. The
+four families whose gauge reads an angle or a face normal (polar profiles, arc
+chains, sampled duals: arctan2(-v) is theta + pi only to rounding; polygons:
+normals are antipodal only to make_polygon's tolerance) flip each row to a
+canonical sign first.
 """
 
 from __future__ import annotations
@@ -71,13 +77,28 @@ def _odd_quadrants(pts: np.ndarray) -> np.ndarray:
 def _canonical(points: np.ndarray) -> np.ndarray:
     """Flip each row to the representative with x1 > 0 (or x1 == 0, x2 >= 0)."""
     points = np.asarray(points, dtype=float)
-    flip = (points[:, 0] < 0) | ((points[:, 0] == 0) & (points[:, 1] < 0))
+    # the sign that decides is x1's, or x2's where x1 is +-0; NaN never flips
+    flip = np.where(points[:, 0] != 0, points[:, 0], points[:, 1]) < 0
     # multiplying by +-1 is exact and keeps signed zeros and NaN rows
     return points * np.where(flip, -1.0, 1.0)[:, None]
 
 
+def _units(thetas: np.ndarray) -> np.ndarray:
+    """Rows (cos theta, sin theta), written in place: cheaper than stacking."""
+    units = np.empty(thetas.shape + (2,))
+    np.cos(thetas, out=units[..., 0])
+    np.sin(thetas, out=units[..., 1])
+    return units
+
+
 class NormModel:
-    """Base class; subclasses implement ``_gauge_raw`` on canonical points."""
+    """Base class; subclasses implement ``_gauge_raw``.
+
+    ``_gauge_raw`` receives the rows as given and must return exactly even
+    values, gauge(-v) == gauge(v) bit for bit: a family whose formula is not
+    exactly even calls ``_canonical`` on its rows first. ``_radii`` gives the
+    sphere radii along unit vectors; ``sphere_points_at`` builds those once.
+    """
 
     family = "abstract"
     is_c2 = False
@@ -124,22 +145,24 @@ class NormModel:
     # -- shared machinery -----------------------------------------------------
 
     def gauge_many(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self._gauge_raw(_canonical(pts))
+        return self._gauge_raw(np.atleast_2d(np.asarray(points, dtype=float)))
 
     def gauge(self, v) -> float:
         v = as_vec(v)
         return float(self.gauge_many(np.array([[v.x1, v.x2]]))[0])
 
+    def _radii(self, thetas: np.ndarray, units: np.ndarray) -> np.ndarray:
+        """Sphere radii along ``units``, the (cos, sin) rows of ``thetas``."""
+        return 1.0 / self.gauge_many(units)
+
     def radial_many(self, thetas) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
-        units = np.column_stack([np.cos(thetas), np.sin(thetas)])
-        return 1.0 / self.gauge_many(units)
+        return self._radii(thetas, _units(thetas))
 
     def sphere_points_at(self, thetas) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
-        units = np.column_stack([np.cos(thetas), np.sin(thetas)])
-        return units * self.radial_many(thetas)[:, None]
+        units = _units(thetas)
+        return units * self._radii(thetas, units)[:, None]
 
     def curvature_theta_many(self, thetas) -> np.ndarray:
         """Numeric fallback: polar curvature of the radial graph."""
@@ -371,6 +394,7 @@ class PolarNorm(NormModel):
         return out
 
     def _gauge_raw(self, pts):
+        pts = _canonical(pts)
         r = np.hypot(pts[:, 0], pts[:, 1])
         th = np.arctan2(pts[:, 1], pts[:, 0])
         return r / self.g_many(th)
@@ -540,7 +564,7 @@ class PolygonNorm(NormModel):
         self.normals = np.asarray(normals)
 
     def _gauge_raw(self, pts):
-        return (pts @ self.normals.T).max(axis=1)
+        return (_canonical(pts) @ self.normals.T).max(axis=1)
 
     def grad_many(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -661,10 +685,8 @@ class ArcChainNorm(NormModel):
         idx = np.searchsorted(self.phi_bounds[1:-1] - self.phi_start, rel, side="right")
         return np.clip(idx, 0, len(self.arcs) - 1)
 
-    def radial_many(self, thetas):
-        thetas = np.asarray(thetas, dtype=float)
+    def _radii(self, thetas, u):
         idx = self.arc_index(thetas)
-        u = np.column_stack([np.cos(thetas), np.sin(thetas)])
         c = self.centers[idx]
         r = self.radii[idx]
         b = np.einsum("ij,ij->i", u, c)
@@ -682,6 +704,7 @@ class ArcChainNorm(NormModel):
         return np.where(ok_far & (t_far > 0), t_far, t_near)
 
     def _gauge_raw(self, pts):
+        pts = _canonical(pts)
         r = np.hypot(pts[:, 0], pts[:, 1])
         th = np.arctan2(pts[:, 1], pts[:, 0])
         out = np.zeros_like(r)
@@ -693,9 +716,8 @@ class ArcChainNorm(NormModel):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         th = np.arctan2(pts[:, 1], pts[:, 0])
         idx = self.arc_index(th)
-        rad = self.radial_many(th)
-        u = np.column_stack([np.cos(th), np.sin(th)])
-        boundary = u * rad[:, None]
+        u = _units(th)
+        boundary = u * self._radii(th, u)[:, None]
         n = (boundary - self.centers[idx]) / self.radii[idx][:, None]
         pair = np.einsum("ij,ij->i", n, boundary)
         return n / pair[:, None]
@@ -862,7 +884,7 @@ class EllipseMaxNorm(NormModel):
             return np.empty(0)
         if self._kinks is None:
             grid = phase_grid(8192)
-            units = np.column_stack([np.cos(grid), np.sin(grid)])
+            units = _units(grid)
             q1, q2 = self._forms(units)
             d = q1 - q2
             # one bisection lane per crossing, signed so that it rises through 0
@@ -870,7 +892,7 @@ class EllipseMaxNorm(NormModel):
             sign = np.where(d[j] < 0, 1.0, -1.0)
 
             def f(ts):
-                a, b = self._forms(np.column_stack([np.cos(ts), np.sin(ts)]))
+                a, b = self._forms(_units(ts))
                 return (a - b) * sign
 
             kinks = bisect_batch(f, grid[j], grid[j] + 2.0 * np.pi / 8192)
@@ -1023,7 +1045,7 @@ class DualNorm(NormModel):
         from scipy.interpolate import CubicSpline
 
         thetas = np.arange(DUAL_TABLE_N + 1) * (2.0 * np.pi / DUAL_TABLE_N)
-        units = np.column_stack([np.cos(thetas[:-1]), np.sin(thetas[:-1])])
+        units = _units(thetas[:-1])
         vals = geometry.dual_gauge_many(base, units)
         rho = 1.0 / vals
         self._spline = CubicSpline(
@@ -1032,6 +1054,7 @@ class DualNorm(NormModel):
         self.is_c2 = base.is_c2
 
     def _gauge_raw(self, pts):
+        pts = _canonical(pts)
         r = np.hypot(pts[:, 0], pts[:, 1])
         th = np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * np.pi)
         out = np.zeros_like(r)

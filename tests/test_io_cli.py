@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from normplane import classify, cli, gallery, modelspec, models
+from normplane import classify, cli, gallery, geometry, modelspec, models
 from normplane.errors import BadParameter
 
 
@@ -205,3 +205,32 @@ def test_cli_dual_check_disagreement_exits_1(tmp_path, monkeypatch, capsys):
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("normplane: error: dual ST verdict no")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["classify", "{model}", "--pilgrim-grid", "-5"],
+        ["moduli", "{model}", "--eps-grid", "abc"],
+        ["moduli", "{model}", "--eps-grid", "0.5,,1"],
+        ["curvature", "{model}", "--n", "0", "--out", "{dir}"],
+        ["curvature", "{model}", "--n", "-3", "--out", "{dir}"],
+    ],
+)
+def test_cli_bad_numeric_arguments_exit_2(tmp_path, capsys, args):
+    path = tmp_path / "hexagon.model"
+    modelspec.write_model_file(gallery.get("hexagon"), path)
+    argv = [a.format(model=path, dir=tmp_path) for a in args]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("normplane: error: ")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_pilgrim_probe_needs_a_grid(euclid):
+    sp = geometry.sphere_point(euclid, 0.4)
+    for grid in (0, -1):
+        with pytest.raises(BadParameter):
+            classify.pilgrim_probe(euclid, sp, grid=grid)

@@ -270,6 +270,82 @@ def test_canonical_flips_like_a_copy():
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def _gallery_and_duals(all_gallery):
+    for name, model in all_gallery.items():
+        yield name, model
+        yield name + "*", models.dual_model(model)
+
+
+def _even_test_rows() -> np.ndarray:
+    """4096 seeded rows at scales 1, 1e+-170 and 1e+-300, then the signed
+    zeros, (0, -y) rows and NaN rows."""
+    base = np.random.default_rng(47).normal(size=(4096, 2))
+    special = np.array(
+        [
+            [0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [0.0, -2.0], [-0.0, -2.0],
+            [np.nan, 1.0], [1.0, np.nan], [-1.0, np.nan], [np.nan, np.nan], [np.nan, -0.0],
+        ]
+    )
+    scales = (1.0, 1e170, 1e-170, 1e300, 1e-300)
+    return np.vstack([base * s for s in scales] + [special])
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _even_bitwise(model, pts) -> bool:
+    """gauge(-v) == gauge(v) bit for bit, NaN rows aside: those are NaN on
+    both sides, and a NaN keeps the sign its input gave it."""
+    with np.errstate(invalid="ignore"):
+        a, b = model.gauge_many(pts), model.gauge_many(-pts)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and _same_bits(a[~nan], b[~nan])
+
+
+def test_every_gauge_is_exactly_even(all_gallery):
+    pts = _even_test_rows()
+    for name, model in _gallery_and_duals(all_gallery):
+        assert _even_bitwise(model, pts), name
+
+
+def test_even_families_evaluate_rows_as_given(all_gallery):
+    # these formulas are exactly even as written, so skipping the sign flip
+    # gives the canonical rows' values bit for bit
+    even = (
+        models.LpNorm, models.QuadrantMixNorm, models.HybridL2L1Norm,
+        models.EllipseMaxNorm, models.BlendNorm,
+    )
+    pts = _even_test_rows()
+    seen = set()
+    for name, model in _gallery_and_duals(all_gallery):
+        if isinstance(model, even):
+            seen.add(type(model))
+            with np.errstate(invalid="ignore"):
+                got = model.gauge_many(pts)
+                want = model._gauge_raw(models._canonical(pts))
+            assert _same_bits(got, want), name
+    assert seen == set(even)
+
+
+def test_polygon_with_inexact_antipodes_is_exactly_even():
+    v = [(1.0, 0.0), (0.5, 1.0), (-0.5, 1.0), (-1.0, 0.0), (-0.5, -1.0), (0.5 + 1e-12, -1.0)]
+    poly = models.make_polygon(v)
+    assert poly.normals[2].tolist() != (-poly.normals[5]).tolist()
+    assert _even_bitwise(poly, _even_test_rows())
+
+
+def test_sphere_points_are_units_times_radii(all_gallery):
+    # one trig pass: the sphere points are the same unit rows the radii are
+    # computed from, scaled by them
+    th = np.random.default_rng(48).uniform(-4.0 * np.pi, 6.0 * np.pi, size=4096)
+    th[:4] = (0.0, -0.0, -np.pi, 2.0 * np.pi)
+    units = np.column_stack([np.cos(th), np.sin(th)])
+    for name, model in _gallery_and_duals(all_gallery):
+        want = units * model.radial_many(th)[:, None]
+        assert _same_bits(model.sphere_points_at(th), want), name
+
+
 def test_midpoint_convexity(all_gallery):
     rng = np.random.default_rng(5)
     u = rng.normal(size=(10_000, 2))
