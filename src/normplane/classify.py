@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, models as _models, moduli, semigroup, tangency
-from .curvature import INF
 from .errors import BadParameter, SelfCheckFailed
 from .geometry import SpherePoint
 from .numerics import golden_min, phase_grid
@@ -87,33 +86,21 @@ class TangencySweep:
     outer_ok: np.ndarray
 
 
-def _coarse_disc_radii(model, thetas, points, supports):
-    """Unrefined inner/outer radii: the extremes of psi on the fine cache."""
-    fine = model.fine_points()
-    fine_thetas = phase_grid(len(fine))
-    r_in = np.empty(len(thetas))
-    r_out = np.empty(len(thetas))
-    chunk = 128
-    for lo in range(0, len(thetas), chunk):
-        sl = slice(lo, lo + chunk)
-        psi = tangency.psi_table(points[sl], supports[sl], thetas[sl], fine, fine_thetas)
-        r_in[sl] = np.nanmin(psi, axis=1)
-        r_out[sl] = np.nanmax(psi, axis=1)
-    return r_in, r_out
-
-
 def tangency_sweep(model) -> TangencySweep:
     """Sweep of disc radii over the cache grid plus the model's feature
     angles and the refined curvature extrema.
 
     Existence decisions only need the coarse psi profile together with exact
     one-sided curvatures, so features are evaluated in one batch; the fully
-    refined per-point path stays behind inner_disc / outer_disc.
+    refined per-point path stays behind inner_disc / outer_disc. Both apply
+    the same rule (tangency.disc_bounds, tangency.disc_exists).
     """
     if model._sweep is not None:
         return model._sweep
     cache = model.sphere_cache()
-    thetas = cache["thetas"]
+    thetas, points, supports = cache["thetas"], cache["points"], cache["supports"]
+    k_lo = k_hi = cache["kappas"]
+    kink = cache["kink"]
     extra = np.unique(
         np.round(
             np.concatenate([model.feature_thetas(), kappa_extrema_thetas(model)])
@@ -121,35 +108,17 @@ def tangency_sweep(model) -> TangencySweep:
             12,
         )
     )
-    r_in, r_out = _coarse_disc_radii(model, thetas, cache["points"], cache["supports"])
-    k_lo = cache["kappas"].copy()
-    k_hi = cache["kappas"].copy()
-    is_kink = cache["kink"]
     if len(extra):
         feat = geometry.sphere_data(model, extra)
-        ri, ro = _coarse_disc_radii(model, extra, feat["points"], feat["supports"])
         sided = np.array([model.curvature_sided(float(th)) for th in extra])
         thetas = np.concatenate([thetas, extra])
-        r_in = np.concatenate([r_in, ri])
-        r_out = np.concatenate([r_out, ro])
+        points = np.concatenate([points, feat["points"]])
+        supports = np.concatenate([supports, feat["supports"]])
         k_lo = np.concatenate([k_lo, sided[:, 0]])
         k_hi = np.concatenate([k_hi, sided[:, 1]])
-        is_kink = np.concatenate([is_kink, feat["kink"]])
-    r_in = np.minimum(r_in, np.where(k_hi <= 0, np.inf, 1.0 / np.maximum(k_hi, 1e-300)))
-    # corners carry no local outer constraint; smooth zero-curvature points do
-    osc_out = np.where(
-        is_kink | (k_lo == INF),
-        0.0,
-        np.where(k_lo <= 0, np.inf, 1.0 / np.maximum(k_lo, 1e-300)),
-    )
-    r_out = np.maximum(r_out, osc_out)
-    inner_ok = np.isfinite(r_in) & (r_in >= MIN_DISC_RADIUS) & (k_hi < INF)
-    outer_ok = (
-        np.isfinite(r_out)
-        & (r_out <= OUTER_DISC_CAP)
-        & ((k_lo >= 1e-9) | is_kink)
-    )
-    model._sweep = TangencySweep(thetas, r_in, r_out, inner_ok, outer_ok)
+        kink = np.concatenate([kink, feat["kink"]])
+    r_in, r_out = tangency.sweep_radii(model, thetas, points, supports, k_lo, k_hi, kink)
+    model._sweep = TangencySweep(thetas, r_in, r_out, *tangency.disc_exists(r_in, r_out))
     return model._sweep
 
 

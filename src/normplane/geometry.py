@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Singular
+from .errors import BadParameter, Singular
 from .numerics import angle_dist, circle_max, phase_grid
 
 #: support functionals differing by more than this (in sup norm) mark a kink
@@ -220,9 +220,11 @@ def sphere_point(model, theta: float) -> SpherePoint:
     """The unit-sphere point at Euclidean polar parameter theta.
 
     Non-smooth points are flagged rather than raised: ``support`` is then the
-    average of the one-sided limits.
+    average of the one-sided limits. A non-finite theta raises BadParameter.
     """
     theta = float(theta)
+    if not math.isfinite(theta):
+        raise BadParameter(f"theta must be finite, got {theta!r}")
     data = sphere_data(model, np.array([theta]))
     pt, support, tangent = (data[key][0] for key in ("points", "supports", "tangents"))
     return SpherePoint(

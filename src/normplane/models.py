@@ -91,6 +91,19 @@ def _units(thetas: np.ndarray) -> np.ndarray:
     return units
 
 
+def _infinite_at_kinks(kappas: np.ndarray, thetas: np.ndarray, kinks: np.ndarray) -> np.ndarray:
+    """kappas, set to INF in place wherever thetas lie within 1e-12 of a kink."""
+    if kinks.size:
+        kappas[angle_dist(thetas[:, None], kinks[None, :]).min(axis=1) <= 1e-12] = INF
+    return kappas
+
+
+def _polyhedral_sided(kinks: np.ndarray, theta: float) -> tuple[float, float]:
+    """One-sided curvatures (min, max) of a polygonal sphere: (0, INF) within
+    1e-9 of a corner, (0, 0) on a face."""
+    return (0.0, INF) if angle_dist(kinks, theta).min() <= 1e-9 else (0.0, 0.0)
+
+
 class NormModel:
     """Base class; subclasses implement ``_gauge_raw``.
 
@@ -292,21 +305,14 @@ class LpNorm(NormModel):
         if self.p == 2.0:
             return np.ones_like(thetas)
         if self.polyhedral:
-            out = np.zeros_like(thetas)
-            d = angle_dist(thetas[:, None], self.kink_thetas()[None, :])
-            out[np.min(d, axis=1) <= 1e-12] = INF
-            return out
+            return _infinite_at_kinks(np.zeros_like(thetas), thetas, self.kink_thetas())
         pts = self.sphere_points_at(thetas)
         return _lp_sphere_kappa(np.abs(pts), self.p)
 
     def curvature_sided(self, theta):
         if self.polyhedral:
-            d = angle_dist(self.kink_thetas(), theta)
-            if d.min() <= 1e-9:
-                return 0.0, INF
-            return 0.0, 0.0
-        k = float(self.curvature_theta_many(np.array([theta]))[0])
-        return k, k
+            return _polyhedral_sided(self.kink_thetas(), theta)
+        return super().curvature_sided(theta)
 
     def hess_gauge_many(self, pts):
         """Analytic Hessian of the gauge (1 < p < inf); used by blends."""
@@ -582,16 +588,10 @@ class PolygonNorm(NormModel):
 
     def curvature_theta_many(self, thetas):
         thetas = np.asarray(thetas, dtype=float)
-        out = np.zeros_like(thetas)
-        d = angle_dist(thetas[:, None], self.kink_thetas()[None, :])
-        out[np.min(d, axis=1) <= 1e-12] = INF
-        return out
+        return _infinite_at_kinks(np.zeros_like(thetas), thetas, self.kink_thetas())
 
     def curvature_sided(self, theta):
-        d = angle_dist(self.kink_thetas(), theta)
-        if d.min() <= 1e-9:
-            return 0.0, INF
-        return 0.0, 0.0
+        return _polyhedral_sided(self.kink_thetas(), theta)
 
 
 def make_polygon(vertices) -> PolygonNorm:
@@ -665,8 +665,6 @@ class ArcChainNorm(NormModel):
         self.arcs = arcs
         self.centers = np.array([[a.center.x1, a.center.x2] for a in arcs])
         self.radii = np.array([a.radius for a in arcs])
-        self.a0 = np.array([a.start_angle for a in arcs])
-        self.a1 = np.array([a.end_angle for a in arcs])
         p0 = arcs[0].start_point()
         self.phi_start = math.atan2(p0[1], p0[0])
         phis = [self.phi_start]
@@ -690,18 +688,10 @@ class ArcChainNorm(NormModel):
         c = self.centers[idx]
         r = self.radii[idx]
         b = np.einsum("ij,ij->i", u, c)
-        disc = np.sqrt(np.maximum(b * b - np.einsum("ij,ij->i", c, c) + r * r, 0.0))
-        t_far = b + disc
-        t_near = b - disc
-        # pick the root whose center angle lies on the arc (wrap-tolerant at
-        # the arc endpoints, where float noise can land just below a0)
-        alpha_far = np.arctan2(
-            t_far * u[:, 1] - c[:, 1], t_far * u[:, 0] - c[:, 0]
-        )
-        rel = (alpha_far - self.a0[idx]) % (2.0 * np.pi)
-        span = self.a1[idx] - self.a0[idx]
-        ok_far = (rel <= span + 1e-9) | (rel >= 2.0 * np.pi - 1e-9)
-        return np.where(ok_far & (t_far > 0), t_far, t_near)
+        # the far root t = b + sqrt(...): each arc bulges away from its center
+        # and the origin is inside the ball, so <p - c, p> > 0 at the sphere
+        # point p = t u, that is t > b
+        return b + np.sqrt(np.maximum(b * b - np.einsum("ij,ij->i", c, c) + r * r, 0.0))
 
     def _gauge_raw(self, pts):
         pts = _canonical(pts)
@@ -923,11 +913,7 @@ class EllipseMaxNorm(NormModel):
                     + grads[:, 0] ** 2 * 2 * m[1, 1]
                 )
                 out[mask] = num / (grads[:, 0] ** 2 + grads[:, 1] ** 2) ** 1.5
-        ks = self.kink_thetas()
-        if ks.size:
-            d = angle_dist(thetas[:, None], ks[None, :])
-            out[np.min(d, axis=1) <= 1e-12] = INF
-        return out
+        return _infinite_at_kinks(out, thetas, self.kink_thetas())
 
 
 def make_ellipse_pair(m1, m2) -> EllipseMaxNorm:

@@ -6,7 +6,10 @@ for a tangent disc D(x - r n, r) and a sphere point z, membership of z is
 governed by psi(z) = |z - x|^2 |f| / (2 (1 - <f, z>)), so the largest inner
 radius is the infimum of psi over the sphere and the smallest outer radius
 its supremum (the limit of psi at z -> x is the osculating radius, supplied
-analytically). Certification happens on the fine cache plus golden
+analytically). One rule, ``disc_bounds`` then ``disc_exists``, decides the
+discs for the classification sweep (``sweep_radii``, psi's extremes on the
+fine cache) and the per-point path (``disc_radii``, refined at the worst
+angles), whose discs are then certified on the fine cache plus golden
 refinement at the worst angles.
 """
 
@@ -132,8 +135,54 @@ def psi_table(x, f, thetas, z, z_thetas) -> np.ndarray:
     return psi
 
 
+def disc_bounds(r_in, r_out, k_lo, k_hi, kink):
+    """Combine psi's extremes with the one-sided osculating radii at the
+    base points.
+
+    1/k_hi caps the inner radius (0 at infinite curvature, no cap where
+    k_hi <= 0). 1/k_lo floors the outer radius, except at a corner (a kink,
+    or k_lo = inf), which carries no local outer constraint; a smooth point
+    with k_lo <= 0 floors it at inf. Works lane-wise on arrays.
+    """
+    r_in = np.minimum(r_in, np.where(k_hi <= 0, INF, 1.0 / np.maximum(k_hi, 1e-300)))
+    osc_out = np.where(
+        kink | (k_lo == INF),
+        0.0,
+        np.where(k_lo <= 0, INF, 1.0 / np.maximum(k_lo, 1e-300)),
+    )
+    return r_in, np.maximum(r_out, osc_out)
+
+
+def disc_exists(r_in, r_out):
+    """(inner, outer) disc existence from the radii alone: a radius counts
+    when it lies in [MIN_DISC_RADIUS, OUTER_DISC_CAP], which inf and NaN
+    never do.
+
+    No curvature test is needed on top: k_hi = inf gives r_in = 0, and
+    k_lo < 1e-9 at a smooth point gives r_out > 1e9.
+    """
+    return tuple((r >= MIN_DISC_RADIUS) & (r <= OUTER_DISC_CAP) for r in (r_in, r_out))
+
+
+def sweep_radii(model, thetas, points, supports, k_lo, k_hi, kink):
+    """disc_bounds of psi's extremes on the fine cache, unrefined, for many
+    base points at once (the classification sweep)."""
+    fine = model.fine_points()
+    fine_thetas = phase_grid(len(fine))
+    r_in = np.empty(len(thetas))
+    r_out = np.empty(len(thetas))
+    chunk = 128
+    for lo in range(0, len(thetas), chunk):
+        sl = slice(lo, lo + chunk)
+        psi = psi_table(points[sl], supports[sl], thetas[sl], fine, fine_thetas)
+        r_in[sl] = np.nanmin(psi, axis=1)
+        r_out[sl] = np.nanmax(psi, axis=1)
+    return disc_bounds(r_in, r_out, k_lo, k_hi, kink)
+
+
 def disc_radii(model, x: SpherePoint) -> tuple[float, float]:
-    """(largest inner radius, smallest outer radius) for tangent discs at x.
+    """(largest inner radius, smallest outer radius) for tangent discs at x:
+    disc_bounds of psi's extremes, refined at the worst angles.
 
     Either value may be 0 / inf when the corresponding disc does not exist;
     the curvature limit at x enters through the model's one-sided curvatures.
@@ -141,8 +190,6 @@ def disc_radii(model, x: SpherePoint) -> tuple[float, float]:
     xa = x.point.as_array()[None, :]
     f = x.support.as_array()[None, :]
     theta = np.array([x.theta])
-    k_lo, k_hi = model.curvature_sided(x.theta)
-
     fine = model.fine_points()
 
     def psi_at(th):
@@ -151,20 +198,13 @@ def disc_radii(model, x: SpherePoint) -> tuple[float, float]:
     psi = psi_table(xa, f, theta, fine, phase_grid(len(fine)))[0]
     # the infimum of psi, as minus the sup of -psi
     r_in = -_refined_max(lambda th: -psi_at(th), -np.where(np.isnan(psi), INF, psi))
-    r_in = min(r_in, INF if k_hi <= 0 else 1.0 / k_hi)
-
-    r_out = _refined_max(psi_at, np.where(np.isnan(psi) | np.isinf(psi), -INF, psi))
-    at_kink = model.kink_at(x.theta) is not None
-    if k_lo == INF or at_kink:
-        osc_out = 0.0  # corner or infinite curvature at x: no local constraint
-    elif k_lo <= 0:
-        osc_out = INF  # locally flat at a smooth x: no outer disc at all
-    else:
-        osc_out = 1.0 / k_lo
     if np.any(np.isinf(psi)):
-        osc_out = INF  # another sphere point on the support line: flat face
-    r_out = max(r_out, osc_out)
-    return r_in, r_out
+        r_out = INF  # another sphere point on the support line: flat face
+    else:
+        r_out = _refined_max(psi_at, np.where(np.isnan(psi), -INF, psi))
+    k_lo, k_hi = model.curvature_sided(x.theta)
+    r_in, r_out = disc_bounds(r_in, r_out, k_lo, k_hi, model.kink_at(x.theta) is not None)
+    return float(r_in), float(r_out)
 
 
 #: certify-adjust slacks tried in order when the raw radius misses by noise
@@ -178,42 +218,39 @@ def _tangent_disc(x: SpherePoint, r: float) -> Disc:
     return Disc(Vec2(float(c[0]), float(c[1])), float(r))
 
 
+def _certified_disc(model, x: SpherePoint, which: str) -> Disc | None:
+    """The ``which`` ("inner" or "outer") tangent disc at x, at the first
+    _ADJUST_STEPS slack that verify_disc certifies (shrinking an inner
+    radius, growing an outer one), or None when disc_exists rejects it."""
+    side = 0 if which == "inner" else 1
+    radii = disc_radii(model, x)
+    if not disc_exists(*radii)[side]:
+        return None
+    sign = -1.0 if side == 0 else 1.0
+    for slack in _ADJUST_STEPS:
+        disc = _tangent_disc(x, radii[side] * (1.0 + sign * slack))
+        if verify_disc(model, disc, which):
+            return disc
+    return None
+
+
 def inner_disc(model, x: SpherePoint) -> Disc | None:
     """Largest disc through x inside the ball, or None.
 
-    None when the curvature flag at x is infinite or no radius >= 1e-6
-    passes containment. The returned disc is certified on the fine grid.
+    None when no radius >= 1e-6 passes containment (an infinite curvature
+    at x among them). The returned disc is certified on the fine grid.
     """
-    if x.curvature == INF:
-        return None
-    r_in, _ = disc_radii(model, x)
-    if not np.isfinite(r_in) or r_in < MIN_DISC_RADIUS:
-        return None
-    for slack in _ADJUST_STEPS:
-        disc = _tangent_disc(x, r_in * (1.0 - slack))
-        if verify_disc(model, disc, "inner"):
-            return disc
-    return None
+    return _certified_disc(model, x, "inner")
 
 
 def outer_disc(model, x: SpherePoint) -> Disc | None:
     """Smallest disc containing the ball and tangent at x, or None.
 
-    The search is capped: radii above 1e6 count as nonexistent. The returned
-    disc is certified on the fine grid. The zero-curvature shortcut applies
-    only at smooth points; corners are handled by the radius functional.
+    The search is capped: radii above 1e6 count as nonexistent, so a smooth
+    point of curvature below 1e-9 has none. The returned disc is certified
+    on the fine grid.
     """
-    k_lo, _ = model.curvature_sided(x.theta)
-    if k_lo < 1e-9 and model.kink_at(x.theta) is None:
-        return None
-    _, r_out = disc_radii(model, x)
-    if not np.isfinite(r_out) or r_out > OUTER_DISC_CAP:
-        return None
-    for slack in _ADJUST_STEPS:
-        disc = _tangent_disc(x, r_out * (1.0 + slack))
-        if verify_disc(model, disc, "outer"):
-            return disc
-    return None
+    return _certified_disc(model, x, "outer")
 
 
 def verify_disc(model, disc: Disc, which: str, tol: float = CONTAIN_TOL) -> bool:
@@ -270,8 +307,6 @@ def inner_ellipse(model, x: SpherePoint) -> Ellipse | None:
     """Inner ellipse at a smooth point, by the vertical-tangent construction
     in a rotated and rescaled frame, escalating curvature until contained."""
     if not x.smooth:
-        return None
-    if x.curvature == INF:
         return None
     disc = inner_disc(model, x)
     if disc is None:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -228,6 +229,32 @@ def test_cli_bad_numeric_arguments_exit_2(tmp_path, capsys, args):
     assert len(lines) == 1 and lines[0].startswith("normplane: error: ")
     assert not list(tmp_path.glob("*.csv"))
 
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["orbit", "{model}", "--from", "nan", "--to", "1.0"],
+        ["orbit", "{model}", "--from", "inf", "--to", "1.0"],
+        ["orbit", "{model}", "--from", "1.0", "--to=-inf"],
+        ["render", "{model}", "--overlay", "discs", "--theta", "nan", "--out", "{svg}"],
+        ["render", "{model}", "--overlay", "ellipses", "--theta", "inf", "--out", "{svg}"],
+    ],
+)
+def test_cli_non_finite_angle_exits_2(tmp_path, capsys, args):
+    path = tmp_path / "ellipse.model"
+    modelspec.write_model_file(gallery.get("ellipse_2_1"), path)
+    svg = tmp_path / "out.svg"
+    argv = [a.format(model=path, svg=svg) for a in args]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("normplane: error: theta must be finite")
+    assert not svg.exists()
 
 def test_pilgrim_probe_needs_a_grid(euclid):
     sp = geometry.sphere_point(euclid, 0.4)

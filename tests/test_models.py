@@ -364,6 +364,45 @@ def test_arc_chain_junction_continuity(spliced):
         assert abs(lo - hi) < 1e-9
 
 
+
+def test_arc_chain_sphere_points_are_far_roots(all_gallery):
+    """Every sphere point lies on its arc's circle, on the side facing away
+    from the arc's center, <p - c, p> > 0: the far root of the ray."""
+    thetas = np.random.default_rng(5).uniform(0.0, 2 * np.pi, 4096)
+    c, s = math.cos(0.37), math.sin(0.37)
+    chains = [m for m in all_gallery.values() if m.family == "arc_chain"]
+    assert len(chains) == 2
+    for chain in chains:
+        turned = models.make_arc_chain(
+            [
+                Arc(Vec2(c * a.center.x1 - s * a.center.x2, s * a.center.x1 + c * a.center.x2),
+                    a.radius, a.start_angle + 0.37, a.end_angle + 0.37)
+                for a in chain.arcs
+            ]
+        )
+        for model in (chain, turned):
+            p = model.sphere_points_at(thetas)
+            idx = model.arc_index(thetas)
+            d = p - model.centers[idx]
+            assert np.all(np.einsum("ij,ij->i", d, p) > 0)
+            assert np.max(np.abs(np.hypot(d[:, 0], d[:, 1]) - model.radii[idx])) <= 1e-12
+
+
+def test_polyhedral_curvature_hooks(l1, linf, hexagon):
+    """inf at and within 1e-12 of a corner, 0 elsewhere; one-sided
+    (0, inf) within 1e-9 of a corner, (0, 0) elsewhere."""
+    for model in (l1, linf, hexagon):
+        ks = model.kink_thetas()
+        mids = ks + 0.5 * np.diff(np.append(ks, ks[0] + 2 * np.pi))
+        at_corner = np.concatenate([ks, ks + 0.9e-12, ks - 0.9e-12])
+        assert np.all(model.curvature_theta_many(at_corner) == math.inf)
+        on_face = np.concatenate([mids, ks + 2e-12, ks - 2e-12, ks + 0.9e-9])
+        assert np.all(model.curvature_theta_many(on_face) == 0.0)
+        for th in np.concatenate([at_corner, ks + 0.9e-9, ks - 0.9e-9]):
+            assert model.curvature_sided(float(th)) == (0.0, math.inf)
+        for th in np.concatenate([mids, ks + 2e-9, ks - 2e-9]):
+            assert model.curvature_sided(float(th)) == (0.0, 0.0)
+
 def test_dual_models(l1, l4, mix, euclid):
     assert models.dual_model(l1).p == math.inf
     assert models.dual_model(l4).p == pytest.approx(4 / 3)

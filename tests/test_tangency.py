@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from normplane import geometry, models, semigroup, tangency
+from normplane import classify, geometry, models, semigroup, tangency
 from normplane.errors import BadParameter, NotPositiveDefinite
 from normplane.tangency import Ellipse
 
@@ -81,6 +81,49 @@ def test_outer_disc_nobst(nobst_model):
     disc = tangency.outer_disc(nobst_model, sp)
     assert disc is not None
     assert disc.radius <= 5.0 / 3.0 + 1e-6
+
+
+# (psi min, psi max, k_lo, k_hi, kink) -> (r_in, r_out, inner exists, outer exists)
+_DISC_RULE_ROWS = [
+    ((0.5, 2.0, 0.25, 4.0, False), (0.25, 4.0, True, True)),  # both osculating radii bind
+    ((0.5, 2.0, 1.0, math.inf, False), (0.0, 2.0, False, True)),  # k_hi = inf
+    ((0.5, 2.0, 0.0, 0.0, True), (0.5, 2.0, True, True)),  # k_hi <= 0: no inner cap
+    ((0.5, 2.0, 0.1, 4.0, True), (0.25, 2.0, True, True)),  # kink: no outer floor
+    ((0.5, 2.0, math.inf, math.inf, False), (0.0, 2.0, False, True)),  # k_lo = inf
+    ((0.5, 2.0, 0.0, 1.0, False), (0.5, math.inf, True, False)),  # k_lo <= 0, smooth
+    ((0.5, 2.0, 1e-10, 1.0, False), (0.5, 1e10, True, False)),  # 0 < k_lo < 1e-9
+    ((0.5, math.inf, 1.0, 1.0, False), (0.5, math.inf, True, False)),  # an inf psi
+]
+
+
+def test_disc_rule_branches():
+    columns = [np.array(col) for col in zip(*(row for row, _ in _DISC_RULE_ROWS))]
+    r_in, r_out = tangency.disc_bounds(*columns)
+    inner, outer = tangency.disc_exists(r_in, r_out)
+    got = list(zip(r_in.tolist(), r_out.tolist(), inner.tolist(), outer.tolist()))
+    assert got == [want for _, want in _DISC_RULE_ROWS]
+    # the scalar form (the per-point path) gives the same row by row
+    for row, want in _DISC_RULE_ROWS:
+        r = tangency.disc_bounds(*row)
+        assert (float(r[0]), float(r[1]), *map(bool, tangency.disc_exists(*r))) == want
+
+
+def test_per_point_discs_follow_the_sweep(all_gallery):
+    """At sweep rows whose radii sit at least 10 % away from the floor and
+    the cap, the refined per-point discs exist exactly where the sweep says."""
+    lo, hi = tangency.MIN_DISC_RADIUS, tangency.OUTER_DISC_CAP
+
+    def clear(r):
+        return ~((r >= 0.9 * lo) & (r <= 1.1 * lo)) & ~((r >= 0.9 * hi) & (r <= 1.1 * hi))
+
+    rng = np.random.default_rng(9)
+    for name, model in all_gallery.items():
+        sweep = classify.tangency_sweep(model)
+        rows = np.where(clear(sweep.r_inner) & clear(sweep.r_outer))[0]
+        for j in rng.choice(rows, 6, replace=False):
+            sp = geometry.sphere_point(model, float(sweep.thetas[j]))
+            assert (tangency.inner_disc(model, sp) is not None) == sweep.inner_ok[j], (name, j)
+            assert (tangency.outer_disc(model, sp) is not None) == sweep.outer_ok[j], (name, j)
 
 
 def test_build_inner_ellipse():
