@@ -28,9 +28,9 @@ FD_STEP = 1e-5
 #: declared invertibility threshold for 2x2 maps
 DET_TOL = 1e-12
 
-#: coarse grid sizes
+#: coarse grid sizes (operator_norm and certificates search the model's
+#: 4096-point fine cache)
 DUAL_GAUGE_GRID = 2048
-OPNORM_GRID = 4096
 OPNORM_BATCH_GRID = 512
 
 
@@ -269,13 +269,12 @@ def _map_images(mats: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _operator_norms(model, mats: np.ndarray, grid: int, iters: int):
+def _operator_norms(model, mats: np.ndarray, pts: np.ndarray, iters: int):
     """sup of gauge(T z) over the gauge-unit sphere for each T in mats (shape
-    (k, 2, 2)): the phase-offset grid of ``grid`` angles, then one lane-wise
-    golden search of ``iters`` steps around each map's best grid angle.
-    Returns (values, witness angles)."""
-    k = mats.shape[0]
-    pts = model.sphere_points_at(phase_grid(grid))
+    (k, 2, 2)): the sphere points ``pts`` of a phase-offset grid, then one
+    lane-wise golden search of ``iters`` steps around each map's best grid
+    angle. Returns (values, witness angles)."""
+    k, grid = mats.shape[0], len(pts)
     vals = model.gauge_many(_map_images(mats[:, None], pts).reshape(k * grid, 2))
 
     def val(rows, ts):
@@ -285,10 +284,10 @@ def _operator_norms(model, mats: np.ndarray, grid: int, iters: int):
 
 
 def operator_norm(model, t) -> OperatorNorm:
-    """sup of gauge(T z) over the gauge-unit sphere: 4096-point grid plus an
-    80-step golden refinement."""
+    """sup of gauge(T z) over the gauge-unit sphere: the 4096 points of the
+    model's fine cache plus an 80-step golden refinement."""
     mat = t.matrix() if isinstance(t, LinearMap2) else np.asarray(t, dtype=float)
-    vals, angles = _operator_norms(model, mat[None], OPNORM_GRID, 80)
+    vals, angles = _operator_norms(model, mat[None], model.fine_points(), 80)
     return OperatorNorm(float(vals[0]), angles[0])
 
 
@@ -297,4 +296,5 @@ def operator_norm_batch(model, mats: np.ndarray) -> np.ndarray:
     OPNORM_BATCH_GRID grid plus a 60-step golden refinement, all maps as
     lanes of one search; used by sweep-style callers where the one-at-a-time
     path would dominate the runtime."""
-    return _operator_norms(model, np.asarray(mats, dtype=float), OPNORM_BATCH_GRID, 60)[0]
+    pts = model.sphere_points_at(phase_grid(OPNORM_BATCH_GRID))
+    return _operator_norms(model, np.asarray(mats, dtype=float), pts, 60)[0]

@@ -57,13 +57,14 @@ CONVEXITY_TOL = 1e-12
 
 
 def _rescaled(gauge, pts: np.ndarray, s: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Keep a gauge 1-homogeneous at every scale: on the rows whose squares
-    (or p-th powers) s leave [1e-300, 1e300], where they under- or overflow,
-    replace ``out`` by gauge(pts) evaluated with the larger component
-    factored out."""
-    if s.size and (s.min() < 1e-300 or s.max() > 1e300):
+    """Keep a gauge 1-homogeneous at every scale: on the finite nonzero rows
+    whose squares (or p-th powers) s leave [1e-300, 1e300], where they under-
+    or overflow, replace ``out`` by gauge(pts) evaluated with the larger
+    component factored out."""
+    # written so that a NaN row (NaN min and max) takes the row-wise path
+    if s.size and not (s.min() >= 1e-300 and s.max() <= 1e300):
         hi = np.abs(pts).max(axis=1)
-        off = ((s < 1e-300) | (s > 1e300)) & (hi > 0)
+        off = ~((s >= 1e-300) & (s <= 1e300)) & (hi > 0) & (hi < INF)
         out[off] = hi[off] * gauge(pts[off] / hi[off, None])
     return out
 
@@ -81,6 +82,14 @@ def _canonical(points: np.ndarray) -> np.ndarray:
     flip = np.where(points[:, 0] != 0, points[:, 0], points[:, 1]) < 0
     # multiplying by +-1 is exact and keeps signed zeros and NaN rows
     return points * np.where(flip, -1.0, 1.0)[:, None]
+
+
+def _radial_gauge(pts: np.ndarray, radius) -> np.ndarray:
+    """r / radius(theta): the gauge of a family known by its sphere radius at
+    each polar angle, read on the canonical rows so that it is exactly even.
+    The origin gauges to 0 and a NaN row to NaN."""
+    pts = _canonical(pts)
+    return np.hypot(pts[:, 0], pts[:, 1]) / radius(np.arctan2(pts[:, 1], pts[:, 0]))
 
 
 def _units(thetas: np.ndarray) -> np.ndarray:
@@ -346,13 +355,23 @@ def _lp_sphere_kappa(ax: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def make_lp(p) -> LpNorm:
-    """lp plane, p in [1, inf]; p may be the string or float 'inf'."""
+def _exponent(p) -> float:
+    """An exponent given as a number or as the string 'inf'."""
     if isinstance(p, str):
         if p != "inf":
             raise BadParameter(f"unrecognized p {p!r}")
-        p = INF
-    return LpNorm(float(p)).validate()
+        return INF
+    return float(p)
+
+
+def _conjugate(p: float) -> float:
+    """The conjugate exponent p / (p - 1), with 1 and inf exchanged."""
+    return INF if p == 1.0 else 1.0 if p == INF else p / (p - 1.0)
+
+
+def make_lp(p) -> LpNorm:
+    """lp plane, p in [1, inf]; p may be the string or float 'inf'."""
+    return LpNorm(_exponent(p)).validate()
 
 
 # -- polar profile ---------------------------------------------------------
@@ -400,10 +419,7 @@ class PolarNorm(NormModel):
         return out
 
     def _gauge_raw(self, pts):
-        pts = _canonical(pts)
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        th = np.arctan2(pts[:, 1], pts[:, 0])
-        return r / self.g_many(th)
+        return _radial_gauge(pts, self.g_many)
 
     def grad_many(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -450,18 +466,24 @@ def make_polar(sin_terms=(), cos_terms=(), constant: float = 1.0) -> PolarNorm:
 
 # -- quadrant mixes ---------------------------------------------------------
 
+_AXES = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
+
 
 class QuadrantMixNorm(NormModel):
-    """lp in quadrants I/III, lq in II/IV (1 < p, q < inf)."""
+    """lp in quadrants I/III, lq in II/IV (1 <= p, q <= inf). Its corners are
+    the sides' own: the axis points when a side is l1, and an linf side's
+    vertices in its quadrants."""
 
     family = "quadrant_mix"
 
-    def __init__(self, p: float, q: float):
-        super().__init__({"p": p, "q": q})
-        self.p = float(p)
-        self.q = float(q)
-        self._lp = LpNorm(self.p)
-        self._lq = LpNorm(self.q)
+    def __init__(self, p, q):
+        super().__init__({"p": "inf" if p == INF else p, "q": "inf" if q == INF else q})
+        self._lp, self._lq = LpNorm(_exponent(p)), LpNorm(_exponent(q))
+        self.p, self.q = self._lp.p, self._lq.p
+        self._axis_kinks = 1.0 in (self.p, self.q)
+        # one-sided curvatures at the axis points, (0, inf) at a corner
+        lo, hi = sorted([self._lp._axis_kappa(), self._lq._axis_kappa()])
+        self._axis_sided = (0.0 if self._axis_kinks else lo, hi)
 
     def _gauge_raw(self, pts):
         return np.where(_odd_quadrants(pts), self._lp._gauge_raw(pts), self._lq._gauge_raw(pts))
@@ -471,85 +493,67 @@ class QuadrantMixNorm(NormModel):
         m = _odd_quadrants(pts)[:, None]
         return np.where(m, self._lp.grad_many(pts), self._lq.grad_many(pts))
 
+    def kink_thetas(self):
+        # linf's vertices lie in quadrants I, II, III, IV in turn
+        ks = [side.kink_thetas()[j::2] for j, side in enumerate((self._lp, self._lq)) if side.p == INF]
+        return np.sort(np.concatenate([_AXES if self._axis_kinks else np.empty(0)] + ks))
+
+    def one_sided_supports(self, theta):
+        c, s = math.cos(theta), math.sin(theta)
+        if min(abs(c), abs(s)) > 0.5:  # a vertex of an linf side
+            return (self._lp if c * s > 0 else self._lq).one_sided_supports(theta)
+        # an axis point: the lower limit from the side before theta, the upper
+        # from the side after it; an l1 side's corner limit, else the gradient
+        axis = np.array([[round(c), round(s)]], dtype=float)
+        sides = (self._lq, self._lp) if abs(c) > abs(s) else (self._lp, self._lq)
+        return tuple(
+            side.one_sided_supports(theta)[j] if side.p == 1.0 else side.grad_many(axis)[0]
+            for j, side in enumerate(sides)
+        )
+
     def feature_thetas(self):
-        return np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
+        return np.union1d(_AXES, self.kink_thetas())
 
     def curvature_theta_many(self, thetas):
         thetas = np.asarray(thetas, dtype=float)
         pts = self.sphere_points_at(thetas)
         ax = np.abs(pts)
-        on_axis = ax.min(axis=1) == 0.0
-        mask = _odd_quadrants(pts)
-        out = np.where(mask, _lp_sphere_kappa(ax, self.p), _lp_sphere_kappa(ax, self.q))
-        if np.any(on_axis):
-            out = out.copy()
-            out[on_axis] = max(self._lp._axis_kappa(), self._lq._axis_kappa())
+        kp, kq = (_side_kappas(side, thetas, ax) for side in (self._lp, self._lq))
+        out = np.where(_odd_quadrants(pts), kp, kq)
+        # an axis corner claims the points within 1e-12 of the axis, a smooth
+        # axis point only itself
+        lo = ax.min(axis=1)
+        out[lo < 1e-12 if self._axis_kinks else lo == 0.0] = self._axis_sided[1]
         return out
 
     def curvature_sided(self, theta):
         pts = self.sphere_points_at(np.array([theta]))[0]
         if min(abs(pts[0]), abs(pts[1])) < 1e-12:
-            ks = sorted([self._lp._axis_kappa(), self._lq._axis_kappa()])
-            return ks[0], ks[1]
+            return self._axis_sided
+        side = self._lp if pts[0] * pts[1] > 0 else self._lq
+        if side.p == INF:  # vertices and faces as in linf
+            return side.curvature_sided(theta)
         k = float(self.curvature_theta_many(np.array([theta]))[0])
         return k, k
 
 
-def make_quadrant_mix(p: float, q: float) -> QuadrantMixNorm:
-    if not (1.0 < p < INF and 1.0 < q < INF):
-        raise BadParameter("quadrant mix needs 1 < p, q < inf; see the l2/l1 hybrid for the polyhedral case")
+def _side_kappas(side: LpNorm, thetas: np.ndarray, ax: np.ndarray) -> np.ndarray:
+    """Curvature of a mix's lp side at thetas, whose sphere points are |ax|
+    wherever that side owns them."""
+    if side.p == 2.0 or side.polyhedral:
+        return side.curvature_theta_many(thetas)  # no gauge evaluation
+    return _lp_sphere_kappa(ax, side.p)
+
+
+def make_quadrant_mix(p, q) -> QuadrantMixNorm:
+    """lp in quadrants I/III, lq in II/IV, p and q in [1, inf]; either may be
+    the string or float 'inf'."""
     return QuadrantMixNorm(p, q).validate()
 
 
-class HybridL2L1Norm(NormModel):
+def make_l2_l1_hybrid() -> QuadrantMixNorm:
     """Euclidean in quadrants I/III, l1 in II/IV; the classic mixed example."""
-
-    family = "l2_l1_hybrid"
-
-    def __init__(self):
-        super().__init__({})
-
-    def _gauge_raw(self, pts):
-        l2 = np.hypot(pts[:, 0], pts[:, 1])
-        l1 = np.abs(pts).sum(axis=1)
-        return np.where(_odd_quadrants(pts), l2, l1)
-
-    def grad_many(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n = np.hypot(pts[:, 0], pts[:, 1])[:, None]
-        g2 = pts / n
-        g1 = np.sign(pts) + (pts == 0.0)
-        return np.where(_odd_quadrants(pts)[:, None], g2, g1)
-
-    def kink_thetas(self):
-        return np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
-
-    def one_sided_supports(self, theta):
-        c, s = math.cos(theta), math.sin(theta)
-        if abs(c) > abs(s):  # (+-1, 0)
-            sg = math.copysign(1.0, c)
-            return np.array([sg, -sg]), np.array([sg, 0.0])
-        sg = math.copysign(1.0, s)
-        return np.array([0.0, sg]), np.array([-sg, sg])
-
-    def curvature_theta_many(self, thetas):
-        thetas = np.asarray(thetas, dtype=float)
-        pts = self.sphere_points_at(thetas)
-        out = np.where(pts[:, 0] * pts[:, 1] > 0.0, 1.0, 0.0)
-        on_axis = np.abs(pts).min(axis=1) < 1e-12
-        out[on_axis] = INF
-        return out
-
-    def curvature_sided(self, theta):
-        pts = self.sphere_points_at(np.array([theta]))[0]
-        if min(abs(pts[0]), abs(pts[1])) < 1e-12:
-            return 0.0, INF
-        k = float(self.curvature_theta_many(np.array([theta]))[0])
-        return k, k
-
-
-def make_l2_l1_hybrid() -> HybridL2L1Norm:
-    return HybridL2L1Norm().validate()
+    return make_quadrant_mix(2.0, 1.0)
 
 
 # -- polygons ---------------------------------------------------------------
@@ -694,13 +698,7 @@ class ArcChainNorm(NormModel):
         return b + np.sqrt(np.maximum(b * b - np.einsum("ij,ij->i", c, c) + r * r, 0.0))
 
     def _gauge_raw(self, pts):
-        pts = _canonical(pts)
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        th = np.arctan2(pts[:, 1], pts[:, 0])
-        out = np.zeros_like(r)
-        nz = r > 0
-        out[nz] = r[nz] / self.radial_many(th[nz])
-        return out
+        return _radial_gauge(pts, self.radial_many)
 
     def grad_many(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -1040,13 +1038,7 @@ class DualNorm(NormModel):
         self.is_c2 = base.is_c2
 
     def _gauge_raw(self, pts):
-        pts = _canonical(pts)
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        th = np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * np.pi)
-        out = np.zeros_like(r)
-        nz = r > 0
-        out[nz] = r[nz] / self._spline(th[nz])
-        return out
+        return _radial_gauge(pts, lambda th: self._spline(th % (2.0 * np.pi)))
 
 
 def dual_model(model: NormModel) -> NormModel:
@@ -1064,13 +1056,9 @@ def dual_model(model: NormModel) -> NormModel:
 
 def _dual_model(model: NormModel) -> NormModel:
     if isinstance(model, LpNorm):
-        if model.p == 1.0:
-            return make_lp(INF)
-        if model.p == INF:
-            return make_lp(1.0)
-        return make_lp(model.p / (model.p - 1.0))
+        return make_lp(_conjugate(model.p))
     if isinstance(model, QuadrantMixNorm):
-        return make_quadrant_mix(model.p / (model.p - 1.0), model.q / (model.q - 1.0))
+        return make_quadrant_mix(_conjugate(model.p), _conjugate(model.q))
     if isinstance(model, PolygonNorm):
         return make_polygon(model.normals)
     if isinstance(model, EllipseMaxNorm) and model.single:

@@ -8,8 +8,8 @@ Every file needs a ``family`` key; the remaining keys depend on it:
     family = polar               constant = 1.0
                                  sin = 4:0.0588   (n:amplitude, comma-separated)
                                  cos = 2:0.01
-    family = quadrant_mix        p = 1.5          q = 4.0
-    family = l2_l1_hybrid        (no parameters)
+    family = quadrant_mix        p = 1.5          q = 4.0   (each in [1, inf])
+    family = l2_l1_hybrid        (no parameters; read as quadrant_mix 2, 1)
     family = polygon             vertices = 1,0; 0,1; -1,0; 0,-1
     family = arc_chain           arc = cx,cy,radius,start_angle,end_angle  (repeated)
     family = spliced             radius = 2.0     junction_angle = -0.7853981633974483
@@ -140,9 +140,7 @@ def _fields_of(fam: str, p: dict) -> list[tuple[str, str]]:
             rows.append(("cos", ", ".join(f"{n}:{a!r}" for n, a in sorted(p["cos"].items()))))
         return rows
     if fam == "quadrant_mix":
-        return [("family", fam), ("p", repr(p["p"])), ("q", repr(p["q"]))]
-    if fam == "l2_l1_hybrid":
-        return [("family", fam)]
+        return [("family", fam)] + [(k, "inf" if p[k] == "inf" else repr(p[k])) for k in ("p", "q")]
     if fam == "polygon":
         verts = "; ".join(f"{v[0]!r},{v[1]!r}" for v in p["vertices"])
         return [("family", fam), ("vertices", verts)]

@@ -1,18 +1,22 @@
 """Every gallery verdict against a committed reference.
 
 ``tests/data/gallery_verdicts.json`` maps each gallery name to its
-``model.family`` and ``reports.verdict_dict(classify.classify(model))``. It
-was generated before the disc-existence rule moved into ``tangency``, with
+``model.family``, ``model.params`` and
+``reports.verdict_dict(classify.classify(model))``. It was generated at the
+commit before the l2/l1 hybrid became the quadrant mix (2, 1), with
 
     PYTHONPATH=src python -c "import json; from normplane import classify, \\
-    gallery, reports; print(json.dumps({n: {'family': m.family, 'verdict': \\
-    reports.verdict_dict(classify.classify(m))} for n, m in \\
-    gallery.all_models().items()}, indent=1, sort_keys=True, allow_nan=False))" \\
-    > tests/data/gallery_verdicts.json
+    gallery, reports; print(json.dumps({n: {'family': m.family, 'params': \\
+    m.params, 'verdict': reports.verdict_dict(classify.classify(m))} for n, m \\
+    in gallery.all_models().items()}, indent=1, sort_keys=True, \\
+    allow_nan=False))" > tests/data/gallery_verdicts.json
+
+and then only the hybrid's entry was edited, to family ``quadrant_mix`` and
+params ``{"p": 2.0, "q": 1.0}``; its verdict did not move.
 
 Regenerate it only together with a CHANGES.md line saying why the verdicts
-moved. Strings, bools, ints and None must match exactly; floats within 1e-12
-relative.
+moved. Strings, bools, ints and None must match exactly, so a parameter given
+as the int 4 must not come back as 4.0; floats within 1e-12 relative.
 """
 
 import json
@@ -47,6 +51,10 @@ def test_gallery_verdicts_match_reference(all_gallery):
     for name, model in all_gallery.items():
         # through JSON, so tuples become lists as in the reference
         got = json.loads(json.dumps(
-            {"family": model.family, "verdict": reports.verdict_dict(classify.classify(model))}
+            {
+                "family": model.family,
+                "params": model.params,
+                "verdict": reports.verdict_dict(classify.classify(model)),
+            }
         ))
         _assert_matches(got, want[name], name)

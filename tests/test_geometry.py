@@ -146,7 +146,8 @@ def test_sphere_point_matches_the_cache_bit_for_bit(all_gallery):
 
 
 def test_sphere_data_at_kinks(l1, hexagon, hybrid):
-    for model in (l1, hexagon, hybrid):
+    mixes = [models.make_quadrant_mix(p, q) for p, q in ((2, "inf"), (1, 4), ("inf", 1.5))]
+    for model in [l1, hexagon, hybrid] + mixes:
         ks = model.kink_thetas()
         data = geometry.sphere_data(model, np.concatenate([ks, ks + 0.1]))
         assert data["kink"].tolist() == [True] * len(ks) + [False] * len(ks)
@@ -222,6 +223,16 @@ def test_operator_norm_precision_contract(name):
     single = np.array([float(geometry.operator_norm(model, mat)) for mat in mats])
     assert np.all(np.abs(single - want) <= tol)
     assert np.all(np.abs(geometry.operator_norm_batch(model, mats) - want) <= tol)
+
+
+def test_operator_norm_grid_is_the_fine_cache(pig_strict):
+    # operator_norm and certificates search the 4096 fine-cache points, the
+    # sphere points of the 4096-point phase grid
+    mats = np.random.default_rng(37).normal(size=(8, 2, 2))
+    grid = pig_strict.sphere_points_at(phase_grid(4096))
+    assert np.array_equal(pig_strict.fine_points(), grid)
+    want = geometry._operator_norms(pig_strict, mats, grid, 80)[0]
+    assert np.array_equal([float(geometry.operator_norm(pig_strict, m)) for m in mats], want)
 
 
 def test_operator_norm_batch_is_lane_wise(pig_strict, ellipse_2_1):

@@ -32,6 +32,7 @@ def test_model_file_roundtrips(tmp_path):
         models.make_lp("inf"),
         models.make_polar(sin_terms={4: 1 / 17}),
         models.make_quadrant_mix(1.5, 4.0),
+        models.make_quadrant_mix("inf", 1.5),
         models.make_l2_l1_hybrid(),
         models.make_polygon([(1, 0), (0, 1), (-1, 0), (0, -1)]),
         models.make_spliced_arcs(2.0, -math.pi / 4),
@@ -41,6 +42,16 @@ def test_model_file_roundtrips(tmp_path):
     ]
     for model in cases:
         _roundtrip(model, tmp_path, probes)
+    # an infinite side is written as inf and read back as the string
+    back = _roundtrip(models.make_quadrant_mix(2, "inf"), tmp_path, probes)
+    assert (tmp_path / "m.model").read_text() == "family = quadrant_mix\np = 2\nq = inf\n"
+    assert back.params == {"p": 2.0, "q": "inf"}
+    # files of the old hybrid family still read, as the mix (2, 1)
+    path = tmp_path / "hybrid.model"
+    path.write_text("family = l2_l1_hybrid\n")
+    hybrid = modelspec.read_model_file(path)
+    assert (hybrid.family, hybrid.params) == ("quadrant_mix", {"p": 2.0, "q": 1.0})
+    _roundtrip(hybrid, tmp_path, probes)
 
 
 def test_model_file_comments_and_errors(tmp_path):

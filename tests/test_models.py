@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from normplane import geometry, models, tangency
+from normplane import gallery, geometry, models, tangency
 from normplane.errors import (
     BadParameter,
     NotClosed,
@@ -80,7 +80,7 @@ def test_quadrant_mix(mix):
     assert mix.gauge((1, 1)) == pytest.approx(2 ** (2 / 3), rel=1e-12)
     assert models.make_quadrant_mix(2, 2).gauge((3, 4)) == pytest.approx(5.0)
     with pytest.raises(BadParameter):
-        models.make_quadrant_mix(1.0, 4.0)
+        models.make_quadrant_mix(0.5, 4)
     sp = geometry.sphere_point(mix, 0.0)
     assert sp.smooth  # gradient is continuous across the axes
     assert sp.curvature == math.inf  # the small-exponent side forces the flag
@@ -153,6 +153,8 @@ NAN = float("nan")
     "build",
     [
         lambda: models.make_lp(NAN),
+        lambda: models.make_quadrant_mix(NAN, 4),
+        lambda: models.make_quadrant_mix(1.5, NAN),
         lambda: models.make_polar(sin_terms={4: NAN}),
         lambda: models.make_polar(cos_terms={2: NAN}),
         lambda: models.make_polar(constant=NAN),
@@ -167,6 +169,28 @@ NAN = float("nan")
 def test_nan_parameters_are_bad_parameters(build):
     with pytest.raises(BadParameter):
         build()
+
+
+SCALE_ROWS = [[3e-170, 7e-170], [3e170, 7e170], [NAN, 1.0]]
+
+
+@pytest.mark.parametrize("name", ["l4", "ellipse_2_1", "two_ellipses", "blend_l4"])
+def test_nan_row_keeps_other_rows_homogeneous(name):
+    # one NaN row in the batch must not switch off the range check
+    model = gallery.get(name)
+    got = model.gauge_many(SCALE_ROWS)
+    alone = np.array([model.gauge_many([row])[0] for row in SCALE_ROWS])
+    assert np.array_equal(got, alone, equal_nan=True)
+    assert got[0] == pytest.approx(1e-170 * model.gauge((3.0, 7.0)), rel=1e-12)
+    assert got[1] == pytest.approx(1e170 * model.gauge((3.0, 7.0)), rel=1e-12)
+    assert np.isnan(got[2])
+
+
+def test_nan_rows_gauge_to_nan(all_gallery):
+    for name, model in _gallery_and_duals(all_gallery):
+        with np.errstate(invalid="ignore"):
+            got = model.gauge_many([[NAN, 1.0], [1.0, NAN]])
+        assert np.all(np.isnan(got)), name
 
 
 def test_blend_keeps_base_corners(l1, linf, hexagon):
@@ -313,8 +337,7 @@ def test_even_families_evaluate_rows_as_given(all_gallery):
     # these formulas are exactly even as written, so skipping the sign flip
     # gives the canonical rows' values bit for bit
     even = (
-        models.LpNorm, models.QuadrantMixNorm, models.HybridL2L1Norm,
-        models.EllipseMaxNorm, models.BlendNorm,
+        models.LpNorm, models.QuadrantMixNorm, models.EllipseMaxNorm, models.BlendNorm,
     )
     pts = _even_test_rows()
     seen = set()
@@ -413,6 +436,38 @@ def test_dual_models(l1, l4, mix, euclid):
     for f in rng.normal(size=(20, 2)):
         assert dmix.gauge(f) == pytest.approx(geometry.dual_gauge(mix, f), abs=1e-7)
     assert models.dual_model(euclid).p == 2.0
+
+
+EXPONENTS = (1, 1.5, 2, 4, "inf")
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+@pytest.mark.parametrize("q", EXPONENTS)
+def test_quadrant_mix_dual_is_exact(p, q):
+    # the dual of the mix is the mix of the conjugate exponents, 1 <-> inf;
+    # checked against the sampled supremum sup <f, y> over the unit sphere
+    mix = models.make_quadrant_mix(p, q)
+    dual = models.dual_model(mix)
+    assert isinstance(dual, models.QuadrantMixNorm)
+    fs = np.random.default_rng(41).normal(size=(64, 2))
+    want = geometry.dual_gauge_many(mix, fs)
+    assert np.all(np.abs(dual.gauge_many(fs) - want) <= 1e-9 * want)
+    back = models.dual_model(dual)
+    assert (back.p, back.q) == pytest.approx((mix.p, mix.q), rel=1e-12)
+
+
+def test_hybrid_is_the_quadrant_mix_2_1(hybrid):
+    assert isinstance(hybrid, models.QuadrantMixNorm)
+    assert (hybrid.family, hybrid.params) == ("quadrant_mix", {"p": 2.0, "q": 1.0})
+    dual = models.dual_model(hybrid)
+    assert dual.params == {"p": 2.0, "q": "inf"}
+    assert models.dual_model(dual).params == {"p": 2.0, "q": 1.0}
+    # the axis supports come from the exact axis vector
+    lo, hi = hybrid.one_sided_supports(np.pi / 2)
+    assert (lo.tolist(), hi.tolist()) == ([0.0, 1.0], [-1.0, 1.0])
+    # params keep the exponents as given, an infinite one as the string
+    assert models.make_quadrant_mix(1.5, 4).params == {"p": 1.5, "q": 4}
+    assert models.make_quadrant_mix(float("inf"), "inf").params == {"p": "inf", "q": "inf"}
 
 
 def test_dual_model_numeric(pig):

@@ -197,8 +197,7 @@ def test_curve_closed_forms(name, reference):
 _SPLINE_OVERSHOOT = pytest.mark.xfail(
     strict=True,
     reason="the sampled DualNorm spline likely overshoots at the dual's corners: "
-    "delta dips below 0 (-6.5e-5 on l2_l1_hybrid's dual, -1.3e-8 on two_ellipses') "
-    "and falls on 28 and 22 grid steps",
+    "delta dips below 0 (-1.3e-8 on two_ellipses' dual) and falls on 22 grid steps",
 )
 
 
@@ -206,7 +205,7 @@ _SPLINE_OVERSHOOT = pytest.mark.xfail(
     "name",
     [
         pytest.param(tag + name, marks=_SPLINE_OVERSHOOT)
-        if tag + name in ("dual:l2_l1_hybrid", "dual:two_ellipses")
+        if tag + name == "dual:two_ellipses"
         else tag + name
         for name in gallery.names()
         for tag in ("", "dual:")
