@@ -110,12 +110,12 @@ def tangency_sweep(model) -> TangencySweep:
     )
     if len(extra):
         feat = geometry.sphere_data(model, extra)
-        sided = np.array([model.curvature_sided(float(th)) for th in extra])
+        extra_lo, extra_hi = model.curvature_sided_many(extra)
         thetas = np.concatenate([thetas, extra])
         points = np.concatenate([points, feat["points"]])
         supports = np.concatenate([supports, feat["supports"]])
-        k_lo = np.concatenate([k_lo, sided[:, 0]])
-        k_hi = np.concatenate([k_hi, sided[:, 1]])
+        k_lo = np.concatenate([k_lo, extra_lo])
+        k_hi = np.concatenate([k_hi, extra_hi])
         kink = np.concatenate([kink, feat["kink"]])
     r_in, r_out = tangency.sweep_radii(model, thetas, points, supports, k_lo, k_hi, kink)
     model._sweep = TangencySweep(thetas, r_in, r_out, *tangency.disc_exists(r_in, r_out))
@@ -163,10 +163,8 @@ def refined_kappa_min(model) -> float:
         k = float(model.curvature_theta_many(np.array([th]))[0])
         if np.isfinite(k):
             sweep_min = min(sweep_min, k)
-    for th in model.feature_thetas():
-        lo, _ = model.curvature_sided(float(th))
-        sweep_min = min(sweep_min, lo)
-    return sweep_min
+    k_lo, _ = model.curvature_sided_many(model.feature_thetas())
+    return float(np.min(k_lo, initial=sweep_min))
 
 
 def classify_st(model, dual_check: bool = False) -> StVerdict:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, Singular
-from .numerics import angle_dist, circle_max, phase_grid
+from .numerics import circle_max, phase_grid
 
 #: support functionals differing by more than this (in sup norm) mark a kink
 SMOOTH_JUMP_TOL = 1e-6
@@ -176,8 +176,9 @@ def sphere_data(model, thetas) -> dict:
     """Sphere points at the polar angles thetas, their supports (analytic or
     finite-difference gradients scaled to pairing 1), gauge-unit
     counterclockwise tangents, and ``kink`` / ``smooth`` flags. Within
-    KINK_TOL of a kink angle the support is the mean of the one-sided limits,
-    scaled to pairing 1, and smooth only when they agree to SMOOTH_JUMP_TOL.
+    KINK_TOL of a kink row of the model's corner table the support is the mean
+    of the row's one-sided limits, scaled to pairing 1, and smooth only when
+    they agree to SMOOTH_JUMP_TOL.
     """
     thetas = np.asarray(thetas, dtype=float)
     pts = model.sphere_points_at(thetas)
@@ -185,18 +186,14 @@ def sphere_data(model, thetas) -> dict:
     if grads is None:
         grads = _fd_grad_many(model, pts)
     supports = grads / np.einsum("ij,ij->i", grads, pts)[:, None]
-    kink = np.zeros(len(thetas), dtype=bool)
-    smooth = np.ones(len(thetas), dtype=bool)
-    ks = model.kink_thetas()
-    if ks.size:
-        d = angle_dist(ks[None, :], thetas[:, None])
-        nearest = np.argmin(d, axis=1)
-        kink = d[np.arange(len(thetas)), nearest] <= KINK_TOL
-        for i in np.flatnonzero(kink):
-            f_lo, f_hi = (np.asarray(f) for f in model.one_sided_supports(float(ks[nearest[i]])))
-            support = 0.5 * (f_lo + f_hi)
-            supports[i] = support / float(support @ pts[i])
-            smooth[i] = np.max(np.abs(f_hi - f_lo)) <= SMOOTH_JUMP_TOL
+    kinks = model.corners().kinks()
+    kink, rows = kinks.lookup(thetas)
+    f_lo, f_hi = kinks.f_minus[rows], kinks.f_plus[rows]
+    support = 0.5 * (f_lo + f_hi)
+    # paired row by row as support @ point, which rounds unlike einsum
+    supports[kink] = support / (support[:, None, :] @ pts[kink][:, :, None])[:, 0]
+    smooth = ~kink
+    smooth[kink] = np.max(np.abs(f_hi - f_lo), axis=1) <= SMOOTH_JUMP_TOL
     tdirs = np.column_stack([-supports[:, 1], supports[:, 0]])
     tangents = tdirs / model.gauge_many(tdirs)[:, None]
     return {"points": pts, "supports": supports, "tangents": tangents, "kink": kink, "smooth": smooth}

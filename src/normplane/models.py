@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,10 +108,46 @@ def _infinite_at_kinks(kappas: np.ndarray, thetas: np.ndarray, kinks: np.ndarray
     return kappas
 
 
-def _polyhedral_sided(kinks: np.ndarray, theta: float) -> tuple[float, float]:
-    """One-sided curvatures (min, max) of a polygonal sphere: (0, INF) within
-    1e-9 of a corner, (0, 0) on a face."""
-    return (0.0, INF) if angle_dist(kinks, theta).min() <= 1e-9 else (0.0, 0.0)
+class Corners(NamedTuple):
+    """A sphere's corners and curvature junctions, one row per polar angle
+    in ``thetas``: the one-sided supports ``f_minus`` / ``f_plus`` (the limits
+    from below / above theta, pairing 1 with the sphere point), the one-sided
+    curvature limits ``k_minus`` / ``k_plus``, and whether the row is a
+    ``kink``. At a smooth junction f_minus == f_plus."""
+
+    thetas: np.ndarray
+    f_minus: np.ndarray
+    f_plus: np.ndarray
+    k_minus: np.ndarray
+    k_plus: np.ndarray
+    kink: np.ndarray
+
+    def take(self, rows) -> "Corners":
+        return Corners(*(column[rows] for column in self))
+
+    def kinks(self) -> "Corners":
+        return self.take(self.kink)
+
+    def lookup(self, thetas: np.ndarray):
+        """(near, rows): which of thetas lie within KINK_TOL of a row, and
+        the nearest row of each of those."""
+        if not self.thetas.size:
+            return np.zeros(len(thetas), dtype=bool), np.empty(0, dtype=int)
+        d = angle_dist(self.thetas[None, :], thetas[:, None])
+        rows = np.argmin(d, axis=1)
+        near = d[np.arange(len(thetas)), rows] <= geometry.KINK_TOL
+        return near, rows[near]
+
+
+def _polygon_corners(thetas: np.ndarray, normals: np.ndarray) -> Corners:
+    """Corners of a polygonal sphere, flat on either side: the vertex at
+    thetas[j] joins the faces with normals normals[j - 1] and normals[j]."""
+    n = len(thetas)
+    zero = np.zeros(n)
+    return Corners(thetas, np.roll(normals, 1, axis=0), normals, zero, zero, np.ones(n, dtype=bool))
+
+
+_NO_CORNERS = _polygon_corners(np.empty(0), np.empty((0, 2)))
 
 
 class NormModel:
@@ -137,6 +174,7 @@ class NormModel:
         self._sweep = None
         self._kappa_extrema = None
         self._delta_curve = None
+        self._corners = None
 
     # -- family hooks --------------------------------------------------------
 
@@ -147,22 +185,14 @@ class NormModel:
         """Analytic gauge gradient, or None to request finite differences."""
         return None
 
-    def kink_thetas(self) -> np.ndarray:
-        """Polar parameters of non-smooth sphere points, sorted, in [0, 2pi)."""
+    def _corner_rows(self) -> Corners | None:
+        """The sphere's corners and curvature junctions, rows in any order;
+        None when it has neither."""
+        return None
+
+    def _sweep_hints(self) -> np.ndarray:
+        """Angles worth adding to classification sweeps that are no corner rows."""
         return np.empty(0)
-
-    def one_sided_supports(self, theta: float):
-        """(f_minus, f_plus) one-sided support functionals at a kink."""
-        raise NotImplementedError
-
-    def feature_thetas(self) -> np.ndarray:
-        """Angles worth adding to classification sweeps (kinks, axes, junctions)."""
-        return self.kink_thetas()
-
-    def curvature_sided(self, theta: float) -> tuple[float, float]:
-        """(min, max) of the one-sided curvatures at theta."""
-        k = float(self.curvature_theta_many(np.array([theta]))[0])
-        return k, k
 
     # -- shared machinery -----------------------------------------------------
 
@@ -187,22 +217,63 @@ class NormModel:
         return units * self._radii(thetas, units)[:, None]
 
     def curvature_theta_many(self, thetas) -> np.ndarray:
-        """Numeric fallback: polar curvature of the radial graph."""
+        """0 on a polyhedral sphere and inf within 1e-12 of its kinks;
+        otherwise the numeric fallback, the polar curvature of the radial
+        graph."""
         thetas = np.asarray(thetas, dtype=float)
+        if self.polyhedral:
+            return _infinite_at_kinks(np.zeros_like(thetas), thetas, self.kink_thetas())
         h = 2e-4
         r = [self.radial_many(thetas + k * h) for k in (-2, -1, 0, 1, 2)]
         return curvature_polar_many(r[2], stencil5_d1(r, h), stencil5_d2(r, h))
 
-    def kink_at(self, theta: float):
-        """One-sided supports of the kink at theta, or None off the kinks."""
-        ks = self.kink_thetas()
-        if ks.size == 0:
-            return None
-        d = angle_dist(ks, theta)
-        j = int(np.argmin(d))
-        if d[j] <= geometry.KINK_TOL:
-            return self.one_sided_supports(float(ks[j]))
-        return None
+    # -- corners, served from the table -----------------------------------------
+
+    def corners(self) -> Corners:
+        """The corner table, sorted by angle; built on first use and kept."""
+        if self._corners is None:
+            rows = self._corner_rows()
+            self._corners = _NO_CORNERS if rows is None else rows.take(np.argsort(rows.thetas))
+        return self._corners
+
+    def kink_thetas(self) -> np.ndarray:
+        """Polar parameters of non-smooth sphere points, sorted, in [0, 2pi)."""
+        return self.corners().kinks().thetas
+
+    def feature_thetas(self) -> np.ndarray:
+        """Angles worth adding to classification sweeps: the corner rows and
+        the family's hints."""
+        return np.union1d(self.corners().thetas, self._sweep_hints())
+
+    def one_sided_supports(self, theta: float):
+        """(f_minus, f_plus), the one-sided supports of the kink within
+        KINK_TOL of theta, or None off the kinks."""
+        kinks = self.corners().kinks()
+        near, rows = kinks.lookup(np.array([float(theta)]))
+        return (kinks.f_minus[rows[0]], kinks.f_plus[rows[0]]) if near[0] else None
+
+    kink_at = one_sided_supports
+
+    def curvature_sided_many(self, thetas) -> tuple[np.ndarray, np.ndarray]:
+        """(min, max) of the one-sided curvatures at each of thetas. Within
+        KINK_TOL of a corner row: (min(k_minus, k_plus), inf) at a kink,
+        (min, max) of k_minus and k_plus at a junction; elsewhere (k, k) with
+        k from curvature_theta_many."""
+        thetas = np.asarray(thetas, dtype=float)
+        c = self.corners()
+        near, rows = c.lookup(thetas)
+        k_lo = np.empty(len(thetas))
+        if not near.all():
+            k_lo[~near] = self.curvature_theta_many(thetas[~near])
+        k_hi = k_lo.copy()
+        k_lo[near] = np.minimum(c.k_minus, c.k_plus)[rows]
+        k_hi[near] = np.where(c.kink, INF, np.maximum(c.k_minus, c.k_plus))[rows]
+        return k_lo, k_hi
+
+    def curvature_sided(self, theta: float) -> tuple[float, float]:
+        """curvature_sided_many at one angle."""
+        k_lo, k_hi = self.curvature_sided_many(np.array([theta]))
+        return float(k_lo[0]), float(k_hi[0])
 
     def sphere_cache(self) -> dict:
         if self._cache is None:
@@ -237,6 +308,8 @@ class NormModel:
 
 
 # -- lp ------------------------------------------------------------------
+
+_AXES = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
 
 
 class LpNorm(NormModel):
@@ -276,33 +349,21 @@ class LpNorm(NormModel):
         n = self._gauge_raw(np.abs(pts))
         return np.sign(pts) * (np.abs(pts) / n[:, None]) ** (self.p - 1.0)
 
-    def kink_thetas(self):
+    def _corner_rows(self):
+        # the face normals after each vertex, counterclockwise
         if self.p == 1.0:
-            return np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
+            normals = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+            return _polygon_corners(_AXES, normals)
         if self.p == INF:
-            return np.array([np.pi / 4, 3 * np.pi / 4, 5 * np.pi / 4, 7 * np.pi / 4])
-        return np.empty(0)
+            return _polygon_corners(
+                np.array([np.pi / 4, 3 * np.pi / 4, 5 * np.pi / 4, 7 * np.pi / 4]),
+                np.array([[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]]),
+            )
+        return None
 
-    def one_sided_supports(self, theta):
-        c, s = math.cos(theta), math.sin(theta)
-        if self.p == 1.0:
-            if abs(c) > abs(s):  # vertex (sgn c, 0)
-                sg = math.copysign(1.0, c)
-                return np.array([sg, -sg]), np.array([sg, sg])
-            sg = math.copysign(1.0, s)
-            return np.array([sg, sg]), np.array([-sg, sg])
-        # linf vertex (sgn c, sgn s): adjacent face normals are the axis vectors
-        sgx, sgy = math.copysign(1.0, c), math.copysign(1.0, s)
-        if sgx * sgy > 0:
-            return np.array([sgx, 0.0]), np.array([0.0, sgy])
-        return np.array([0.0, sgy]), np.array([sgx, 0.0])
-
-    def feature_thetas(self):
-        if self.polyhedral:
-            return self.kink_thetas()
-        if self.p == 2.0:
-            return np.empty(0)
-        return np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])  # axis points
+    def _sweep_hints(self):
+        # the axis points, where the curvature of p != 2 is 0 or inf
+        return np.empty(0) if self.polyhedral or self.p == 2.0 else _AXES
 
     def _axis_kappa(self) -> float:
         if self.p == 2.0:
@@ -314,14 +375,9 @@ class LpNorm(NormModel):
         if self.p == 2.0:
             return np.ones_like(thetas)
         if self.polyhedral:
-            return _infinite_at_kinks(np.zeros_like(thetas), thetas, self.kink_thetas())
+            return super().curvature_theta_many(thetas)
         pts = self.sphere_points_at(thetas)
         return _lp_sphere_kappa(np.abs(pts), self.p)
-
-    def curvature_sided(self, theta):
-        if self.polyhedral:
-            return _polyhedral_sided(self.kink_thetas(), theta)
-        return super().curvature_sided(theta)
 
     def hess_gauge_many(self, pts):
         """Analytic Hessian of the gauge (1 < p < inf); used by blends."""
@@ -466,8 +522,6 @@ def make_polar(sin_terms=(), cos_terms=(), constant: float = 1.0) -> PolarNorm:
 
 # -- quadrant mixes ---------------------------------------------------------
 
-_AXES = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
-
 
 class QuadrantMixNorm(NormModel):
     """lp in quadrants I/III, lq in II/IV (1 <= p, q <= inf). Its corners are
@@ -480,10 +534,6 @@ class QuadrantMixNorm(NormModel):
         super().__init__({"p": "inf" if p == INF else p, "q": "inf" if q == INF else q})
         self._lp, self._lq = LpNorm(_exponent(p)), LpNorm(_exponent(q))
         self.p, self.q = self._lp.p, self._lq.p
-        self._axis_kinks = 1.0 in (self.p, self.q)
-        # one-sided curvatures at the axis points, (0, inf) at a corner
-        lo, hi = sorted([self._lp._axis_kappa(), self._lq._axis_kappa()])
-        self._axis_sided = (0.0 if self._axis_kinks else lo, hi)
 
     def _gauge_raw(self, pts):
         return np.where(_odd_quadrants(pts), self._lp._gauge_raw(pts), self._lq._gauge_raw(pts))
@@ -493,26 +543,26 @@ class QuadrantMixNorm(NormModel):
         m = _odd_quadrants(pts)[:, None]
         return np.where(m, self._lp.grad_many(pts), self._lq.grad_many(pts))
 
-    def kink_thetas(self):
-        # linf's vertices lie in quadrants I, II, III, IV in turn
-        ks = [side.kink_thetas()[j::2] for j, side in enumerate((self._lp, self._lq)) if side.p == INF]
-        return np.sort(np.concatenate([_AXES if self._axis_kinks else np.empty(0)] + ks))
-
-    def one_sided_supports(self, theta):
-        c, s = math.cos(theta), math.sin(theta)
-        if min(abs(c), abs(s)) > 0.5:  # a vertex of an linf side
-            return (self._lp if c * s > 0 else self._lq).one_sided_supports(theta)
-        # an axis point: the lower limit from the side before theta, the upper
-        # from the side after it; an l1 side's corner limit, else the gradient
-        axis = np.array([[round(c), round(s)]], dtype=float)
-        sides = (self._lq, self._lp) if abs(c) > abs(s) else (self._lp, self._lq)
-        return tuple(
-            side.one_sided_supports(theta)[j] if side.p == 1.0 else side.grad_many(axis)[0]
-            for j, side in enumerate(sides)
+    def _corner_rows(self):
+        # an axis point joins the side before it to the side after it: lq to
+        # lp at 0 and pi, lp to lq at pi/2 and 3 pi/2
+        q_first = np.array([True, False, True, False])
+        (fp_lo, fp_hi, kp), (fq_lo, fq_hi, kq) = map(_axis_limits, (self._lp, self._lq))
+        axes = Corners(
+            _AXES,
+            np.where(q_first[:, None], fq_lo, fp_lo),
+            np.where(q_first[:, None], fp_hi, fq_hi),
+            np.where(q_first, kq, kp),
+            np.where(q_first, kp, kq),
+            np.full(4, 1.0 in (self.p, self.q)),
         )
-
-    def feature_thetas(self):
-        return np.union1d(_AXES, self.kink_thetas())
+        # linf's vertices lie in quadrants I, II, III, IV in turn
+        tables = [axes] + [
+            side.corners().take(slice(j, None, 2))
+            for j, side in enumerate((self._lp, self._lq))
+            if side.p == INF
+        ]
+        return Corners(*map(np.concatenate, zip(*tables)))
 
     def curvature_theta_many(self, thetas):
         thetas = np.asarray(thetas, dtype=float)
@@ -523,18 +573,20 @@ class QuadrantMixNorm(NormModel):
         # an axis corner claims the points within 1e-12 of the axis, a smooth
         # axis point only itself
         lo = ax.min(axis=1)
-        out[lo < 1e-12 if self._axis_kinks else lo == 0.0] = self._axis_sided[1]
+        axis_kappa = max(self._lp._axis_kappa(), self._lq._axis_kappa())
+        out[lo < 1e-12 if 1.0 in (self.p, self.q) else lo == 0.0] = axis_kappa
         return out
 
-    def curvature_sided(self, theta):
-        pts = self.sphere_points_at(np.array([theta]))[0]
-        if min(abs(pts[0]), abs(pts[1])) < 1e-12:
-            return self._axis_sided
-        side = self._lp if pts[0] * pts[1] > 0 else self._lq
-        if side.p == INF:  # vertices and faces as in linf
-            return side.curvature_sided(theta)
-        k = float(self.curvature_theta_many(np.array([theta]))[0])
-        return k, k
+
+def _axis_limits(side: LpNorm):
+    """A mix side's one-sided supports (from below, from above) and
+    curvature at the four axis points: an l1 side's face normals and 0,
+    otherwise its gradient at the axis vector and its axis curvature."""
+    if side.p == 1.0:
+        c = side.corners()
+        return c.f_minus, c.f_plus, 0.0
+    grad = side.grad_many(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
+    return grad, grad, side._axis_kappa()
 
 
 def _side_kappas(side: LpNorm, thetas: np.ndarray, ax: np.ndarray) -> np.ndarray:
@@ -580,22 +632,9 @@ class PolygonNorm(NormModel):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return self.normals[np.argmax(pts @ self.normals.T, axis=1)]
 
-    def kink_thetas(self):
+    def _corner_rows(self):
         th = np.arctan2(self.vertices[:, 1], self.vertices[:, 0]) % (2.0 * np.pi)
-        return np.sort(th)
-
-    def one_sided_supports(self, theta):
-        th = np.arctan2(self.vertices[:, 1], self.vertices[:, 0]) % (2.0 * np.pi)
-        j = int(np.argmin(angle_dist(th, theta)))
-        m = len(self.vertices)
-        return self.normals[(j - 1) % m], self.normals[j]
-
-    def curvature_theta_many(self, thetas):
-        thetas = np.asarray(thetas, dtype=float)
-        return _infinite_at_kinks(np.zeros_like(thetas), thetas, self.kink_thetas())
-
-    def curvature_sided(self, theta):
-        return _polyhedral_sided(self.kink_thetas(), theta)
+        return _polygon_corners(th, self.normals)
 
 
 def make_polygon(vertices) -> PolygonNorm:
@@ -714,17 +753,19 @@ class ArcChainNorm(NormModel):
         thetas = np.asarray(thetas, dtype=float)
         return 1.0 / self.radii[self.arc_index(thetas)]
 
-    def curvature_sided(self, theta):
-        eps = 1e-9
-        ks = 1.0 / self.radii[self.arc_index(np.array([theta - eps, theta + eps]))]
-        return float(ks.min()), float(ks.max())
+    def _corner_rows(self):
+        # junction j starts arc j, which shares its support with arc j - 1
+        normals = _units(np.array([a.start_angle for a in self.arcs]))
+        points = self.centers + self.radii[:, None] * normals
+        f = normals / np.einsum("ij,ij->i", normals, points)[:, None]
+        k = 1.0 / self.radii
+        junction = self.phi_bounds[:-1] % (2.0 * np.pi)
+        return Corners(junction, f, f, np.roll(k, 1), k, np.zeros(len(k), dtype=bool))
 
-    def feature_thetas(self):
-        mids = []
-        for a in self.arcs:
-            p = a.point_at(0.5 * (a.start_angle + a.end_angle))
-            mids.append(math.atan2(p[1], p[0]) % (2.0 * np.pi))
-        return np.sort(np.concatenate([self.phi_bounds[:-1] % (2.0 * np.pi), mids]))
+    def _sweep_hints(self):
+        # the arc midpoints
+        mids = [a.point_at(0.5 * (a.start_angle + a.end_angle)) for a in self.arcs]
+        return np.array([math.atan2(p[1], p[0]) % (2.0 * np.pi) for p in mids])
 
     def theta_of_arclength(self, s: float) -> float:
         """Polar parameter of the sphere point at arc length s along the
@@ -846,7 +887,6 @@ class EllipseMaxNorm(NormModel):
         self.m2 = m2
         self.single = np.allclose(m1, m2, rtol=0, atol=1e-14)
         self.is_c2 = self.single
-        self._kinks = None
         # a single ellipse evaluates its one form once
         self._one_form = np.array_equal(m1, m2)
 
@@ -867,34 +907,36 @@ class EllipseMaxNorm(NormModel):
         mv = np.where(pick, pts @ self.m1.T, pts @ self.m2.T)
         return mv / g[:, None]
 
-    def kink_thetas(self):
+    def _corner_rows(self):
         if self.single:
-            return np.empty(0)
-        if self._kinks is None:
-            grid = phase_grid(8192)
-            units = _units(grid)
-            q1, q2 = self._forms(units)
-            d = q1 - q2
-            # one bisection lane per crossing, signed so that it rises through 0
-            j = np.where(d * np.roll(d, -1) < 0)[0]
-            sign = np.where(d[j] < 0, 1.0, -1.0)
+            return None
+        grid = phase_grid(8192)
+        units = _units(grid)
+        q1, q2 = self._forms(units)
+        d = q1 - q2
+        # one bisection lane per crossing, signed so that it rises through 0
+        j = np.where(d * np.roll(d, -1) < 0)[0]
+        sign = np.where(d[j] < 0, 1.0, -1.0)
 
-            def f(ts):
-                a, b = self._forms(_units(ts))
-                return (a - b) * sign
+        def f(ts):
+            a, b = self._forms(_units(ts))
+            return (a - b) * sign
 
-            kinks = bisect_batch(f, grid[j], grid[j] + 2.0 * np.pi / 8192)
-            self._kinks = np.sort(kinks % (2.0 * np.pi))
-        return self._kinks
-
-    def one_sided_supports(self, theta):
-        p = self.sphere_points_at(np.array([theta]))[0]
-        f1 = self.m1 @ p / (p @ self.m1 @ p)
-        f2 = self.m2 @ p / (p @ self.m2 @ p)
-        eps = 1e-7
-        pm = self.sphere_points_at(np.array([theta - eps]))[0]
-        q1, q2 = self._forms(pm[None, :])
-        return (f1, f2) if q1[0] >= q2[0] else (f2, f1)
+        thetas = np.sort(bisect_batch(f, grid[j], grid[j] + 2.0 * np.pi / 8192) % (2.0 * np.pi))
+        pts = self.sphere_points_at(thetas)
+        f1, f2 = (np.array([m @ p / (p @ m @ p) for p in pts]) for m in (self.m1, self.m2))
+        k1, k2 = (_form_kappa(pts, m) for m in (self.m1, self.m2))
+        # the form that is the larger just below the corner is the one before it
+        q1, q2 = self._forms(self.sphere_points_at(thetas - 1e-7))
+        first = q1 >= q2
+        return Corners(
+            thetas,
+            np.where(first[:, None], f1, f2),
+            np.where(first[:, None], f2, f1),
+            np.where(first, k1, k2),
+            np.where(first, k2, k1),
+            np.ones(len(thetas), dtype=bool),
+        )
 
     def curvature_theta_many(self, thetas):
         thetas = np.asarray(thetas, dtype=float)
@@ -903,15 +945,19 @@ class EllipseMaxNorm(NormModel):
         out = np.empty_like(thetas)
         for mask, m in ((q1 >= q2, self.m1), (q1 < q2, self.m2)):
             if np.any(mask):
-                sub = pts[mask]
-                grads = 2.0 * sub @ m.T
-                num = np.abs(
-                    2 * m[0, 0] * grads[:, 1] ** 2
-                    - 2 * 2 * m[0, 1] * grads[:, 0] * grads[:, 1]
-                    + grads[:, 0] ** 2 * 2 * m[1, 1]
-                )
-                out[mask] = num / (grads[:, 0] ** 2 + grads[:, 1] ** 2) ** 1.5
+                out[mask] = _form_kappa(pts[mask], m)
         return _infinite_at_kinks(out, thetas, self.kink_thetas())
+
+
+def _form_kappa(pts: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Curvature of the level curves of the quadratic form m at the rows pts."""
+    grads = 2.0 * pts @ m.T
+    num = np.abs(
+        2 * m[0, 0] * grads[:, 1] ** 2
+        - 2 * 2 * m[0, 1] * grads[:, 0] * grads[:, 1]
+        + grads[:, 0] ** 2 * 2 * m[1, 1]
+    )
+    return num / (grads[:, 0] ** 2 + grads[:, 1] ** 2) ** 1.5
 
 
 def make_ellipse_pair(m1, m2) -> EllipseMaxNorm:
@@ -952,20 +998,30 @@ class BlendNorm(NormModel):
         self.eps = float(eps)
         self.is_c2 = base.is_c2
 
-    def kink_thetas(self):
-        return self.base.kink_thetas()
-
-    def one_sided_supports(self, theta):
-        # the gradient b f + eps x of the blend at its sphere point x
-        x = self.sphere_points_at(np.array([theta]))[0]
-        b = float(self.base.gauge_many(x[None, :])[0])
-        f_lo, f_hi = self.base.one_sided_supports(theta)
-        return b * np.asarray(f_lo) + self.eps * x, b * np.asarray(f_hi) + self.eps * x
-
-    def curvature_sided(self, theta):
-        if self.kink_at(theta) is not None:
-            return 0.0, INF
-        return super().curvature_sided(theta)
+    def _corner_rows(self):
+        base = self.base.corners()
+        if not base.thetas.size:
+            return None
+        # the sphere is the level curve G = 1 of G = b^2 + eps |x|^2: half its
+        # gradient is the support b f + eps x and half its Hessian
+        # f f^T + H + eps I, where H = k |f|^3 y_perp y_perp^T is the base's
+        # one-sided Hessian at y = x / b (a 1-homogeneous gauge, <f, y> = 1)
+        x = self.sphere_points_at(base.thetas)
+        b = self.base.gauge_many(x)
+        y_perp = np.column_stack([-x[:, 1], x[:, 0]]) / b[:, None]
+        yy = y_perp[:, :, None] * y_perp[:, None, :]
+        sides = []
+        for f, k in ((base.f_minus, base.k_minus), (base.f_plus, base.k_plus)):
+            g = b[:, None] * f + self.eps * x
+            h = k * np.hypot(f[:, 0], f[:, 1]) ** 3
+            hess = f[:, :, None] * f[:, None, :] + self.eps * np.eye(2)
+            kappas = [
+                INF if hi == INF else curvature_implicit(gi, m + hi * w)
+                for gi, m, hi, w in zip(g, hess, h, yy)
+            ]
+            sides.append((g, np.array(kappas)))
+        (f_minus, k_minus), (f_plus, k_plus) = sides
+        return Corners(base.thetas, f_minus, f_plus, k_minus, k_plus, base.kink)
 
     def _gauge_raw(self, pts):
         b = self.base.gauge_many(pts)
@@ -1043,7 +1099,7 @@ class DualNorm(NormModel):
 
 def dual_model(model: NormModel) -> NormModel:
     """The dual plane as a first-class model (one instance per base model,
-    kept on it).
+    kept on it, and the base kept on the dual: the bidual is the model).
 
     Exact for lp (conjugate exponent), quadrant mixes (conjugates quadrantwise),
     polygons (dual polygon), and single ellipses (inverse form); numerically
@@ -1051,6 +1107,7 @@ def dual_model(model: NormModel) -> NormModel:
     """
     if model._dual is None:
         model._dual = _dual_model(model)
+        model._dual._dual = model
     return model._dual
 
 
@@ -1064,6 +1121,4 @@ def _dual_model(model: NormModel) -> NormModel:
     if isinstance(model, EllipseMaxNorm) and model.single:
         m = np.linalg.inv(model.m1)
         return make_ellipse_pair(m, m)
-    if isinstance(model, DualNorm):
-        return model.base
     return DualNorm(model).validate()

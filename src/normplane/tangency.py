@@ -180,9 +180,10 @@ def sweep_radii(model, thetas, points, supports, k_lo, k_hi, kink):
     return disc_bounds(r_in, r_out, k_lo, k_hi, kink)
 
 
-def disc_radii(model, x: SpherePoint) -> tuple[float, float]:
+def disc_radii(model, x: SpherePoint, which: str) -> tuple[float, float]:
     """(largest inner radius, smallest outer radius) for tangent discs at x:
-    disc_bounds of psi's extremes, refined at the worst angles.
+    disc_bounds of psi's extremes, refined at the worst angles. Only the
+    ``which`` side ("inner" or "outer") is computed; the other is NaN.
 
     Either value may be 0 / inf when the corresponding disc does not exist;
     the curvature limit at x enters through the model's one-sided curvatures.
@@ -196,9 +197,11 @@ def disc_radii(model, x: SpherePoint) -> tuple[float, float]:
         return psi_table(xa, f, theta, model.sphere_points_at(th), th)[0]
 
     psi = psi_table(xa, f, theta, fine, phase_grid(len(fine)))[0]
-    # the infimum of psi, as minus the sup of -psi
-    r_in = -_refined_max(lambda th: -psi_at(th), -np.where(np.isnan(psi), INF, psi))
-    if np.any(np.isinf(psi)):
+    r_in = r_out = np.nan
+    if which == "inner":
+        # the infimum of psi, as minus the sup of -psi
+        r_in = -_refined_max(lambda th: -psi_at(th), -np.where(np.isnan(psi), INF, psi))
+    elif np.any(np.isinf(psi)):
         r_out = INF  # another sphere point on the support line: flat face
     else:
         r_out = _refined_max(psi_at, np.where(np.isnan(psi), -INF, psi))
@@ -223,7 +226,7 @@ def _certified_disc(model, x: SpherePoint, which: str) -> Disc | None:
     _ADJUST_STEPS slack that verify_disc certifies (shrinking an inner
     radius, growing an outer one), or None when disc_exists rejects it."""
     side = 0 if which == "inner" else 1
-    radii = disc_radii(model, x)
+    radii = disc_radii(model, x, which)
     if not disc_exists(*radii)[side]:
         return None
     sign = -1.0 if side == 0 else 1.0

@@ -1,6 +1,6 @@
 import pytest
 
-from normplane import gallery
+from normplane import gallery, models
 
 
 @pytest.fixture(scope="session")
@@ -76,3 +76,30 @@ def hexagon():
 @pytest.fixture(scope="session")
 def all_gallery():
     return gallery.all_models()
+
+
+@pytest.fixture(scope="session")
+def two_ellipses():
+    return gallery.get("two_ellipses")
+
+
+@pytest.fixture(scope="session")
+def cornered(l1, linf, hexagon, hybrid, two_ellipses, spliced, nobst_model):
+    """Every kind of corner and curvature junction: polygons, quadrant-mix
+    axes and linf vertices, ellipse crossings, arc-chain junctions, and
+    blends of cornered bases."""
+    exponents = ((2, "inf"), (1, 4), ("inf", 1.5))
+    mixes = {f"mix({p}, {q})": models.make_quadrant_mix(p, q) for p, q in exponents}
+    bases = {"l1": l1, "hexagon": hexagon, "two_ellipses": two_ellipses}
+    blends = {f"blend({name})": models.make_blend(m, 1.0) for name, m in bases.items()}
+    return {
+        "l1": l1,
+        "linf": linf,
+        "hexagon": hexagon,
+        "l2_l1_hybrid": hybrid,
+        "two_ellipses": two_ellipses,
+        **mixes,
+        "spliced": spliced,
+        "nobst": nobst_model,
+        **blends,
+    }

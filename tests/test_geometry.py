@@ -145,9 +145,8 @@ def test_sphere_point_matches_the_cache_bit_for_bit(all_gallery):
             assert sp.curvature == cache["kappas"][i]
 
 
-def test_sphere_data_at_kinks(l1, hexagon, hybrid):
-    mixes = [models.make_quadrant_mix(p, q) for p, q in ((2, "inf"), (1, 4), ("inf", 1.5))]
-    for model in [l1, hexagon, hybrid] + mixes:
+def test_sphere_data_at_kinks(cornered):
+    for model in cornered.values():
         ks = model.kink_thetas()
         data = geometry.sphere_data(model, np.concatenate([ks, ks + 0.1]))
         assert data["kink"].tolist() == [True] * len(ks) + [False] * len(ks)

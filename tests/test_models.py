@@ -193,6 +193,13 @@ def test_nan_rows_gauge_to_nan(all_gallery):
         assert np.all(np.isnan(got)), name
 
 
+def _conic_kappa(m: np.ndarray, x: np.ndarray) -> float:
+    """Curvature of the conic z^T m z = x^T m x at x."""
+    g = m @ x
+    t = np.array([-g[1], g[0]])
+    return abs(t @ m @ t) / math.hypot(*g) ** 3
+
+
 def test_blend_keeps_base_corners(l1, linf, hexagon):
     for base in (l1, linf, hexagon):
         blend = models.make_blend(base, 1.0)
@@ -203,7 +210,12 @@ def test_blend_keeps_base_corners(l1, linf, hexagon):
             for f in blend.one_sided_supports(theta):
                 assert f @ x == pytest.approx(1.0, abs=1e-12)  # pairs to 1 ...
                 assert np.max(pts @ f) <= 1.0 + 1e-12  # ... and supports the ball
-            assert blend.curvature_sided(theta) == (0.0, math.inf)
+            # next to a face with normal n the blend's sphere is the ellipse
+            # of the form n n^T + eps I
+            faces = base.one_sided_supports(theta)
+            k_lo = min(_conic_kappa(np.outer(n, n) + np.eye(2), x) for n in faces)
+            got = blend.curvature_sided(theta)
+            assert got[0] == pytest.approx(k_lo, rel=0, abs=1e-12) and got[1] == math.inf
     assert not models.make_blend(linf, 1.0).is_c2
 
 
@@ -426,6 +438,46 @@ def test_polyhedral_curvature_hooks(l1, linf, hexagon):
         for th in np.concatenate([mids, ks + 2e-9, ks - 2e-9]):
             assert model.curvature_sided(float(th)) == (0.0, 0.0)
 
+
+def test_corner_rows_are_limits_of_sphere_data(cornered):
+    """Each corner row holds the one-sided limits of the sphere data: f_minus
+    and f_plus are sphere_data's supports at theta -/+ 1e-8, and the finite
+    k_minus and k_plus are the curvatures at theta -/+ d and -/+ 2 d,
+    extrapolated linearly to theta. A row is a kink exactly when its supports
+    differ. curvature_sided serves the row within KINK_TOL (1e-9) of theta,
+    where sphere_data flags the row's kink, and (k, k) beyond it."""
+    for name, model in cornered.items():
+        c = model.corners()
+        th = c.thetas
+        assert len(th) and np.all(np.diff(th) > 0) and 0 <= th[0] and th[-1] < 2 * np.pi, name
+        jump = np.max(np.abs(c.f_plus - c.f_minus), axis=1)
+        assert c.kink.tolist() == (jump > geometry.SMOOTH_JUMP_TOL).tolist(), name
+        # both steps stay on one side of the row, also between short arcs
+        d = min(1e-3, 0.25 * np.min(np.diff(np.append(th, th[0] + 2 * np.pi))))
+        for sign, f, k in ((-1, c.f_minus, c.k_minus), (1, c.f_plus, c.k_plus)):
+            supports = geometry.sphere_data(model, th + sign * 1e-8)["supports"]
+            # 3e-4: an l1.5 side's support converges like the square root
+            assert np.max(np.abs(supports - f)) <= 3e-4, name
+            k1, k2 = (model.curvature_theta_many(th + sign * j * d) for j in (1, 2))
+            finite = np.isfinite(k)
+            err = np.abs(2.0 * k1 - k2 - k)[finite]
+            assert np.all(err <= 1e-4 * np.maximum(1.0, k[finite])), name
+        row_lo = np.minimum(c.k_minus, c.k_plus)
+        row_hi = np.where(c.kink, math.inf, np.maximum(c.k_minus, c.k_plus))
+        for off in (0.9e-9, -0.9e-9, 2e-9, -2e-9):
+            data = geometry.sphere_data(model, th + off)
+            k_lo, k_hi = model.curvature_sided_many(th + off)
+            assert [model.curvature_sided(t) for t in th + off] == list(zip(k_lo, k_hi)), name
+            if abs(off) < geometry.KINK_TOL:
+                assert data["kink"].tolist() == c.kink.tolist(), name
+                assert data["smooth"].tolist() == (~c.kink).tolist(), name
+                assert k_lo.tolist() == row_lo.tolist() and k_hi.tolist() == row_hi.tolist(), name
+            else:
+                assert not data["kink"].any(), name
+                k = model.curvature_theta_many(th + off)
+                assert k_lo.tolist() == k.tolist() and k_hi.tolist() == k.tolist(), name
+
+
 def test_dual_models(l1, l4, mix, euclid):
     assert models.dual_model(l1).p == math.inf
     assert models.dual_model(l4).p == pytest.approx(4 / 3)
@@ -452,8 +504,7 @@ def test_quadrant_mix_dual_is_exact(p, q):
     fs = np.random.default_rng(41).normal(size=(64, 2))
     want = geometry.dual_gauge_many(mix, fs)
     assert np.all(np.abs(dual.gauge_many(fs) - want) <= 1e-9 * want)
-    back = models.dual_model(dual)
-    assert (back.p, back.q) == pytest.approx((mix.p, mix.q), rel=1e-12)
+    assert models.dual_model(dual) is mix
 
 
 def test_hybrid_is_the_quadrant_mix_2_1(hybrid):
@@ -468,6 +519,11 @@ def test_hybrid_is_the_quadrant_mix_2_1(hybrid):
     # params keep the exponents as given, an infinite one as the string
     assert models.make_quadrant_mix(1.5, 4).params == {"p": 1.5, "q": 4}
     assert models.make_quadrant_mix(float("inf"), "inf").params == {"p": "inf", "q": "inf"}
+
+
+def test_bidual_is_the_model(all_gallery):
+    for name, model in all_gallery.items():
+        assert models.dual_model(models.dual_model(model)) is model, name
 
 
 def test_dual_model_numeric(pig):
