@@ -185,10 +185,9 @@ class NormModel:
         """Analytic gauge gradient, or None to request finite differences."""
         return None
 
-    def _corner_rows(self) -> Corners | None:
-        """The sphere's corners and curvature junctions, rows in any order;
-        None when it has neither."""
-        return None
+    def _corner_rows(self) -> Corners:
+        """The sphere's corners and curvature junctions, rows in any order."""
+        return _NO_CORNERS
 
     def _sweep_hints(self) -> np.ndarray:
         """Angles worth adding to classification sweeps that are no corner rows."""
@@ -233,7 +232,7 @@ class NormModel:
         """The corner table, sorted by angle; built on first use and kept."""
         if self._corners is None:
             rows = self._corner_rows()
-            self._corners = _NO_CORNERS if rows is None else rows.take(np.argsort(rows.thetas))
+            self._corners = rows.take(np.argsort(rows.thetas))
         return self._corners
 
     def kink_thetas(self) -> np.ndarray:
@@ -251,8 +250,6 @@ class NormModel:
         kinks = self.corners().kinks()
         near, rows = kinks.lookup(np.array([float(theta)]))
         return (kinks.f_minus[rows[0]], kinks.f_plus[rows[0]]) if near[0] else None
-
-    kink_at = one_sided_supports
 
     def curvature_sided_many(self, thetas) -> tuple[np.ndarray, np.ndarray]:
         """(min, max) of the one-sided curvatures at each of thetas. Within
@@ -310,6 +307,8 @@ class NormModel:
 # -- lp ------------------------------------------------------------------
 
 _AXES = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
+#: the unit vectors at _AXES
+_AXIS_UNITS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 
 
 class LpNorm(NormModel):
@@ -350,16 +349,13 @@ class LpNorm(NormModel):
         return np.sign(pts) * (np.abs(pts) / n[:, None]) ** (self.p - 1.0)
 
     def _corner_rows(self):
-        # the face normals after each vertex, counterclockwise
+        # the face normal after each vertex, counterclockwise
+        after = np.roll(_AXIS_UNITS, -1, axis=0)
         if self.p == 1.0:
-            normals = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
-            return _polygon_corners(_AXES, normals)
+            return _polygon_corners(_AXES, _AXIS_UNITS + after)
         if self.p == INF:
-            return _polygon_corners(
-                np.array([np.pi / 4, 3 * np.pi / 4, 5 * np.pi / 4, 7 * np.pi / 4]),
-                np.array([[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]]),
-            )
-        return None
+            return _polygon_corners(_AXES + np.pi / 4, after)
+        return _NO_CORNERS
 
     def _sweep_hints(self):
         # the axis points, where the curvature of p != 2 is 0 or inf
@@ -585,7 +581,7 @@ def _axis_limits(side: LpNorm):
     if side.p == 1.0:
         c = side.corners()
         return c.f_minus, c.f_plus, 0.0
-    grad = side.grad_many(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
+    grad = side.grad_many(_AXIS_UNITS)
     return grad, grad, side._axis_kappa()
 
 
@@ -909,13 +905,15 @@ class EllipseMaxNorm(NormModel):
 
     def _corner_rows(self):
         if self.single:
-            return None
+            return _NO_CORNERS
         grid = phase_grid(8192)
         units = _units(grid)
         q1, q2 = self._forms(units)
         d = q1 - q2
         # one bisection lane per crossing, signed so that it rises through 0
         j = np.where(d * np.roll(d, -1) < 0)[0]
+        if not j.size:  # one ball inside the other: the forms never cross
+            return _NO_CORNERS
         sign = np.where(d[j] < 0, 1.0, -1.0)
 
         def f(ts):
@@ -1001,27 +999,31 @@ class BlendNorm(NormModel):
     def _corner_rows(self):
         base = self.base.corners()
         if not base.thetas.size:
-            return None
-        # the sphere is the level curve G = 1 of G = b^2 + eps |x|^2: half its
-        # gradient is the support b f + eps x and half its Hessian
-        # f f^T + H + eps I, where H = k |f|^3 y_perp y_perp^T is the base's
-        # one-sided Hessian at y = x / b (a 1-homogeneous gauge, <f, y> = 1)
+            return base
+        # b times the base's one-sided Hessian at x is its Hessian at y = x / b,
+        # k |f|^3 y_perp y_perp^T (a 1-homogeneous gauge, <f, y> = 1)
         x = self.sphere_points_at(base.thetas)
         b = self.base.gauge_many(x)
         y_perp = np.column_stack([-x[:, 1], x[:, 0]]) / b[:, None]
         yy = y_perp[:, :, None] * y_perp[:, None, :]
         sides = []
         for f, k in ((base.f_minus, base.k_minus), (base.f_plus, base.k_plus)):
-            g = b[:, None] * f + self.eps * x
-            h = k * np.hypot(f[:, 0], f[:, 1]) ** 3
-            hess = f[:, :, None] * f[:, None, :] + self.eps * np.eye(2)
-            kappas = [
-                INF if hi == INF else curvature_implicit(gi, m + hi * w)
-                for gi, m, hi, w in zip(g, hess, h, yy)
-            ]
-            sides.append((g, np.array(kappas)))
+            finite = k < INF
+            h = np.where(finite, k, 0.0) * np.hypot(f[:, 0], f[:, 1]) ** 3
+            kappas = self._kappas(x, b, f, h[:, None, None] * yy)
+            sides.append((b[:, None] * f + self.eps * x, np.where(finite, kappas, INF)))
         (f_minus, k_minus), (f_plus, k_plus) = sides
         return Corners(base.thetas, f_minus, f_plus, k_minus, k_plus, base.kink)
+
+    def _kappas(self, x, b, gb, b_hess) -> np.ndarray:
+        """Curvatures at the sphere points x, on the level curve G = 1 of
+        G = b^2 + eps |x|^2, from the base's gauge b, gradient gb and b times
+        its Hessian there."""
+        grad = 2.0 * b[:, None] * gb + 2.0 * self.eps * x
+        hess = 2.0 * (gb[:, :, None] * gb[:, None, :] + b_hess)
+        hess[:, 0, 0] += 2.0 * self.eps
+        hess[:, 1, 1] += 2.0 * self.eps
+        return np.array([curvature_implicit(g, h) for g, h in zip(grad, hess)])
 
     def _gauge_raw(self, pts):
         b = self.base.gauge_many(pts)
@@ -1044,16 +1046,8 @@ class BlendNorm(NormModel):
         if isinstance(base, LpNorm) and 2.0 <= base.p < INF:
             pts = self.sphere_points_at(thetas)
             n = base.gauge_many(pts)
-            gn = base.grad_many(pts)
-            hn = base.hess_gauge_many(pts)
-            grad = 2.0 * n[:, None] * gn + 2.0 * self.eps * pts
-            outer = gn[:, :, None] * gn[:, None, :]
-            hess = 2.0 * (outer + n[:, None, None] * hn)
-            hess[:, 0, 0] += 2.0 * self.eps
-            hess[:, 1, 1] += 2.0 * self.eps
-            return np.array(
-                [curvature_implicit(grad[i], hess[i]) for i in range(len(thetas))]
-            )
+            hn = n[:, None, None] * base.hess_gauge_many(pts)
+            return self._kappas(pts, n, base.grad_many(pts), hn)
         return super().curvature_theta_many(thetas)
 
 

@@ -180,13 +180,13 @@ def sweep_radii(model, thetas, points, supports, k_lo, k_hi, kink):
     return disc_bounds(r_in, r_out, k_lo, k_hi, kink)
 
 
-def disc_radii(model, x: SpherePoint, which: str) -> tuple[float, float]:
-    """(largest inner radius, smallest outer radius) for tangent discs at x:
-    disc_bounds of psi's extremes, refined at the worst angles. Only the
-    ``which`` side ("inner" or "outer") is computed; the other is NaN.
+def disc_radii(model, x: SpherePoint, which: str) -> float:
+    """The largest inner radius (``which`` = "inner") or the smallest outer
+    radius ("outer") of a tangent disc at x: disc_bounds of psi's extreme,
+    refined at the worst angle.
 
-    Either value may be 0 / inf when the corresponding disc does not exist;
-    the curvature limit at x enters through the model's one-sided curvatures.
+    It may be 0 / inf when that disc does not exist; the curvature limit at
+    x enters through the model's one-sided curvatures.
     """
     xa = x.point.as_array()[None, :]
     f = x.support.as_array()[None, :]
@@ -206,8 +206,8 @@ def disc_radii(model, x: SpherePoint, which: str) -> tuple[float, float]:
     else:
         r_out = _refined_max(psi_at, np.where(np.isnan(psi), -INF, psi))
     k_lo, k_hi = model.curvature_sided(x.theta)
-    r_in, r_out = disc_bounds(r_in, r_out, k_lo, k_hi, model.kink_at(x.theta) is not None)
-    return float(r_in), float(r_out)
+    kink = model.one_sided_supports(x.theta) is not None
+    return float(disc_bounds(r_in, r_out, k_lo, k_hi, kink)[which != "inner"])
 
 
 #: certify-adjust slacks tried in order when the raw radius misses by noise
@@ -225,13 +225,12 @@ def _certified_disc(model, x: SpherePoint, which: str) -> Disc | None:
     """The ``which`` ("inner" or "outer") tangent disc at x, at the first
     _ADJUST_STEPS slack that verify_disc certifies (shrinking an inner
     radius, growing an outer one), or None when disc_exists rejects it."""
-    side = 0 if which == "inner" else 1
-    radii = disc_radii(model, x, which)
-    if not disc_exists(*radii)[side]:
+    r = disc_radii(model, x, which)
+    if not disc_exists(r, r)[0]:  # one rule for either side
         return None
-    sign = -1.0 if side == 0 else 1.0
+    sign = -1.0 if which == "inner" else 1.0
     for slack in _ADJUST_STEPS:
-        disc = _tangent_disc(x, radii[side] * (1.0 + sign * slack))
+        disc = _tangent_disc(x, r * (1.0 + sign * slack))
         if verify_disc(model, disc, which):
             return disc
     return None

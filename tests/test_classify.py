@@ -17,6 +17,13 @@ def test_st_verdicts(euclid, l4, l1_5, spliced, mix):
     assert v.kind == "no" and v.missing_side == "inner"
     assert classify.classify_st(spliced).kind == "yes"
     assert classify.classify_st(mix).kind == "no"
+    # one ellipse ball inside the other: the forms never cross, so the sphere
+    # is the inner ball's circle, with no corners
+    from normplane import models
+
+    nested = models.make_ellipse_pair(np.eye(2), 2.0 * np.eye(2))
+    assert nested.kink_thetas().size == 0
+    assert classify.classify_st(nested).kind == "yes"
 
 
 def test_st_boundary_state():
