@@ -22,7 +22,7 @@ import numpy as np
 from . import geometry, models as _models, moduli, semigroup, tangency
 from .errors import BadParameter, SelfCheckFailed
 from .geometry import SpherePoint
-from .numerics import golden_min, phase_grid
+from .numerics import angle_dist, golden_min, phase_grid
 from .tangency import MIN_DISC_RADIUS, OUTER_DISC_CAP
 
 #: sweep resolution for verdicts
@@ -101,12 +101,12 @@ def tangency_sweep(model) -> TangencySweep:
     thetas, points, supports = cache["thetas"], cache["points"], cache["supports"]
     k_lo = k_hi = cache["kappas"]
     kink = cache["kink"]
+    features = model.feature_thetas()
+    extrema = kappa_extrema_thetas(model)
+    # an extremum that converged onto a feature row is that row
+    near = angle_dist(extrema[:, None], features[None, :]) <= geometry.KINK_TOL
     extra = np.unique(
-        np.round(
-            np.concatenate([model.feature_thetas(), kappa_extrema_thetas(model)])
-            % (2.0 * np.pi),
-            12,
-        )
+        np.round(np.concatenate([features, extrema[~near.any(axis=1)]]) % (2.0 * np.pi), 12)
     )
     if len(extra):
         feat = geometry.sphere_data(model, extra)

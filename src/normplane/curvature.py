@@ -34,12 +34,18 @@ def curvature_implicit(grad, hess) -> float:
     ``grad`` is a pair (f_x, f_y); ``hess`` the symmetric 2x2 second
     derivative matrix, given as ((f_xx, f_xy), (f_xy, f_yy)) or ndarray.
     """
-    fx, fy = float(grad[0]), float(grad[1])
-    h = np.asarray(hess, dtype=float)
-    g2 = fx * fx + fy * fy
-    if np.sqrt(g2) < 1e-12:
+    grads = np.array([grad], dtype=float)
+    return float(curvature_implicit_many(grads, np.asarray(hess, dtype=float))[0])
+
+
+def curvature_implicit_many(grads: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """curvature_implicit at each row (f_x, f_y) of grads, with one Hessian
+    ``hess`` of shape (2, 2) for all rows or one per row, shape (n, 2, 2)."""
+    fx, fy = grads[:, 0], grads[:, 1]
+    g2 = fx**2 + fy**2
+    if np.any(np.sqrt(g2) < 1e-12):
         raise SingularPoint("vanishing gradient")
-    num = abs(h[0, 0] * fy * fy - 2.0 * h[0, 1] * fx * fy + fx * fx * h[1, 1])
+    num = np.abs(hess[..., 0, 0] * fy**2 - 2 * hess[..., 0, 1] * fx * fy + fx**2 * hess[..., 1, 1])
     return num / g2**1.5
 
 
@@ -64,6 +70,14 @@ def curvature_polar_many(g, gp, gpp):
     gp = np.asarray(gp, dtype=float)
     gpp = np.asarray(gpp, dtype=float)
     return np.abs(2.0 * gp * gp + g * g - g * gpp) / (g * g + gp * gp) ** 1.5
+
+
+def stencil_curvature_many(model, thetas) -> np.ndarray:
+    """Polar-graph curvature of the model's radial function, its derivatives
+    from a 5-point stencil of step 2e-4: the sampled dual's curvature rule."""
+    h = 2e-4
+    r = [model.radial_many(thetas + k * h) for k in (-2, -1, 0, 1, 2)]
+    return curvature_polar_many(r[2], stencil5_d1(r, h), stencil5_d2(r, h))
 
 
 @dataclass

@@ -22,9 +22,6 @@ SMOOTH_JUMP_TOL = 1e-6
 #: a polar angle this close to one of the model's kink angles is that kink
 KINK_TOL = 1e-9
 
-#: finite-difference step for support functionals without analytic gradients
-FD_STEP = 1e-5
-
 #: declared invertibility threshold for 2x2 maps
 DET_TOL = 1e-12
 
@@ -160,21 +157,25 @@ def dual_gauge(model, f) -> float:
 
 def dual_gauge_many(model, fs: np.ndarray) -> np.ndarray:
     """Dual gauges of the rows of fs: circle_max of <f, z> over the sphere
-    from a DUAL_GAUGE_GRID grid, one seed per functional, 60 steps."""
+    from a DUAL_GAUGE_GRID grid, one seed per functional, 60 steps. The rows
+    are scored in chunks of 1024, so the score table stays at 16 MiB."""
     fs = np.asarray(fs, dtype=float)
-    vals = fs @ model.sphere_points_at(phase_grid(DUAL_GAUGE_GRID)).T
+    grid = model.sphere_points_at(phase_grid(DUAL_GAUGE_GRID))
+    out = np.empty(len(fs))
+    for start in range(0, len(fs), 1024):
+        chunk = fs[start:start + 1024]
 
-    def val(rows, ts):
-        return np.einsum("ij,ij->i", fs[rows], model.sphere_points_at(ts))
+        def val(rows, ts):
+            return np.einsum("ij,ij->i", chunk[rows], model.sphere_points_at(ts))
 
-    out, _ = circle_max(val, vals, 1, 60)
+        out[start:start + 1024] = circle_max(val, chunk @ grid.T, 1, 60)[0]
     out[np.hypot(fs[:, 0], fs[:, 1]) == 0.0] = 0.0
     return out
 
 
 def sphere_data(model, thetas) -> dict:
-    """Sphere points at the polar angles thetas, their supports (analytic or
-    finite-difference gradients scaled to pairing 1), gauge-unit
+    """Sphere points at the polar angles thetas, their supports (the family's
+    gauge gradients scaled to pairing 1), gauge-unit
     counterclockwise tangents, and ``kink`` / ``smooth`` flags. Within
     KINK_TOL of a kink row of the model's corner table the support is the mean
     of the row's one-sided limits, scaled to pairing 1, and smooth only when
@@ -183,8 +184,6 @@ def sphere_data(model, thetas) -> dict:
     thetas = np.asarray(thetas, dtype=float)
     pts = model.sphere_points_at(thetas)
     grads = model.grad_many(pts)
-    if grads is None:
-        grads = _fd_grad_many(model, pts)
     supports = grads / np.einsum("ij,ij->i", grads, pts)[:, None]
     kinks = model.corners().kinks()
     kink, rows = kinks.lookup(thetas)
@@ -197,20 +196,6 @@ def sphere_data(model, thetas) -> dict:
     tdirs = np.column_stack([-supports[:, 1], supports[:, 0]])
     tangents = tdirs / model.gauge_many(tdirs)[:, None]
     return {"points": pts, "supports": supports, "tangents": tangents, "kink": kink, "smooth": smooth}
-
-
-def _fd_grad_many(model, pts: np.ndarray) -> np.ndarray:
-    """Central differences of step FD_STEP with one Richardson level."""
-    def diff(h: float) -> np.ndarray:
-        e1 = np.array([h, 0.0])
-        e2 = np.array([0.0, h])
-        gx = (model.gauge_many(pts + e1) - model.gauge_many(pts - e1)) / (2 * h)
-        gy = (model.gauge_many(pts + e2) - model.gauge_many(pts - e2)) / (2 * h)
-        return np.column_stack([gx, gy])
-
-    d1 = diff(FD_STEP)
-    d2 = diff(FD_STEP / 2.0)
-    return (4.0 * d2 - d1) / 3.0
 
 
 def sphere_point(model, theta: float) -> SpherePoint:

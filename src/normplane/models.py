@@ -24,7 +24,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry
-from .curvature import CURVATURE_CAP, INF, curvature_implicit, curvature_polar_many
+from .curvature import (
+    CURVATURE_CAP,
+    INF,
+    curvature_implicit_many,
+    curvature_polar_many,
+    stencil_curvature_many,
+)
 from .errors import (
     BadParameter,
     NotClosed,
@@ -40,8 +46,6 @@ from .numerics import (
     phase_grid,
     quad_form,
     rotation,
-    stencil5_d1,
-    stencil5_d2,
 )
 
 SPHERE_CACHE_N = 1024
@@ -181,9 +185,9 @@ class NormModel:
     def _gauge_raw(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def grad_many(self, points: np.ndarray):
-        """Analytic gauge gradient, or None to request finite differences."""
-        return None
+    def grad_many(self, points: np.ndarray) -> np.ndarray:
+        """The gauge gradient, in the family's closed form."""
+        raise NotImplementedError
 
     def _corner_rows(self) -> Corners:
         """The sphere's corners and curvature junctions, rows in any order."""
@@ -216,15 +220,10 @@ class NormModel:
         return units * self._radii(thetas, units)[:, None]
 
     def curvature_theta_many(self, thetas) -> np.ndarray:
-        """0 on a polyhedral sphere and inf within 1e-12 of its kinks;
-        otherwise the numeric fallback, the polar curvature of the radial
-        graph."""
+        """Sphere curvature at the polar angles thetas, in the family's closed
+        form; here the polyhedral rule: 0, and inf within 1e-12 of a kink."""
         thetas = np.asarray(thetas, dtype=float)
-        if self.polyhedral:
-            return _infinite_at_kinks(np.zeros_like(thetas), thetas, self.kink_thetas())
-        h = 2e-4
-        r = [self.radial_many(thetas + k * h) for k in (-2, -1, 0, 1, 2)]
-        return curvature_polar_many(r[2], stencil5_d1(r, h), stencil5_d2(r, h))
+        return _infinite_at_kinks(np.zeros_like(thetas), thetas, self.kink_thetas())
 
     # -- corners, served from the table -----------------------------------------
 
@@ -375,20 +374,6 @@ class LpNorm(NormModel):
         pts = self.sphere_points_at(thetas)
         return _lp_sphere_kappa(np.abs(pts), self.p)
 
-    def hess_gauge_many(self, pts):
-        """Analytic Hessian of the gauge (1 < p < inf); used by blends."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        p = self.p
-        ax = np.abs(pts)
-        phi = ax[:, 0] ** p + ax[:, 1] ** p
-        a = (p - 1.0) * (phi ** (1.0 / p - 1.0))[:, None] * ax ** (p - 2.0)
-        b = (p - 1.0) * (phi ** (1.0 / p - 2.0))[:, None, None]
-        signed = np.sign(pts) * ax ** (p - 1.0)
-        hess = -b * (signed[:, :, None] * signed[:, None, :])
-        hess[:, 0, 0] += a[:, 0]
-        hess[:, 1, 1] += a[:, 1]
-        return hess
-
 
 def _lp_sphere_kappa(ax: np.ndarray, p: float) -> np.ndarray:
     """Curvature of the lp sphere at |points| ax (gauge 1), 1 < p < inf."""
@@ -429,7 +414,26 @@ def make_lp(p) -> LpNorm:
 # -- polar profile ---------------------------------------------------------
 
 
-class PolarNorm(NormModel):
+class RadialNorm(NormModel):
+    """Gauge r / g(theta) of a family known by its sphere radius g at each
+    polar angle; ``g_many(thetas, order)`` gives g and its derivatives."""
+
+    def g_many(self, thetas, order: int = 0) -> np.ndarray:
+        raise NotImplementedError
+
+    def _gauge_raw(self, pts):
+        return _radial_gauge(pts, self.g_many)
+
+    def grad_many(self, pts):
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        th = np.arctan2(pts[:, 1], pts[:, 0])
+        g = self.g_many(th)
+        gp = self.g_many(th, 1)
+        c, s = np.cos(th), np.sin(th)
+        return np.column_stack([(c * g + gp * s), (s * g - gp * c)]) / (g * g)[:, None]
+
+
+class PolarNorm(RadialNorm):
     """Gauge r / g(theta) for a positive pi-periodic trigonometric profile."""
 
     family = "polar"
@@ -469,17 +473,6 @@ class PolarNorm(NormModel):
             else:
                 out -= a * n**order * np.cos(n * thetas)
         return out
-
-    def _gauge_raw(self, pts):
-        return _radial_gauge(pts, self.g_many)
-
-    def grad_many(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        th = np.arctan2(pts[:, 1], pts[:, 0])
-        g = self.g_many(th)
-        gp = self.g_many(th, 1)
-        c, s = np.cos(th), np.sin(th)
-        return np.column_stack([(c * g + gp * s), (s * g - gp * c)]) / (g * g)[:, None]
 
     def curvature_theta_many(self, thetas):
         thetas = np.asarray(thetas, dtype=float)
@@ -656,15 +649,13 @@ def make_polygon(vertices) -> PolygonNorm:
 class Arc:
     """Circle arc, traversed counterclockwise around its own center.
 
-    ``start_angle``/``end_angle`` are angles at the center; ``orientation``
-    must be +1 (counterclockwise) for unit-sphere chains.
+    ``start_angle``/``end_angle`` are angles at the center.
     """
 
     center: Vec2
     radius: float
     start_angle: float
     end_angle: float
-    orientation: int = 1
 
     def point_at(self, alpha: float) -> np.ndarray:
         return np.array(
@@ -786,8 +777,6 @@ def make_arc_chain(arcs) -> ArcChainNorm:
     for a in arcs:
         if a.radius <= 0:
             raise BadParameter("arc radius must be positive")
-        if a.orientation != 1:
-            raise BadParameter("arcs must be oriented counterclockwise")
         if a.end_angle <= a.start_angle:
             raise BadParameter("arc has no angular extent")
     n = len(arcs)
@@ -883,12 +872,11 @@ class EllipseMaxNorm(NormModel):
         self.m2 = m2
         self.single = np.allclose(m1, m2, rtol=0, atol=1e-14)
         self.is_c2 = self.single
-        # a single ellipse evaluates its one form once
-        self._one_form = np.array_equal(m1, m2)
 
     def _forms(self, pts):
+        # a single ellipse evaluates its one form once
         q1 = quad_form(pts, self.m1)
-        return q1, q1 if self._one_form else quad_form(pts, self.m2)
+        return q1, q1 if self.single else quad_form(pts, self.m2)
 
     def _gauge_raw(self, pts):
         with np.errstate(over="ignore", under="ignore"):
@@ -923,7 +911,7 @@ class EllipseMaxNorm(NormModel):
         thetas = np.sort(bisect_batch(f, grid[j], grid[j] + 2.0 * np.pi / 8192) % (2.0 * np.pi))
         pts = self.sphere_points_at(thetas)
         f1, f2 = (np.array([m @ p / (p @ m @ p) for p in pts]) for m in (self.m1, self.m2))
-        k1, k2 = (_form_kappa(pts, m) for m in (self.m1, self.m2))
+        k1, k2 = (curvature_implicit_many(2.0 * pts @ m.T, 2.0 * m) for m in (self.m1, self.m2))
         # the form that is the larger just below the corner is the one before it
         q1, q2 = self._forms(self.sphere_points_at(thetas - 1e-7))
         first = q1 >= q2
@@ -943,19 +931,8 @@ class EllipseMaxNorm(NormModel):
         out = np.empty_like(thetas)
         for mask, m in ((q1 >= q2, self.m1), (q1 < q2, self.m2)):
             if np.any(mask):
-                out[mask] = _form_kappa(pts[mask], m)
+                out[mask] = curvature_implicit_many(2.0 * pts[mask] @ m.T, 2.0 * m)
         return _infinite_at_kinks(out, thetas, self.kink_thetas())
-
-
-def _form_kappa(pts: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Curvature of the level curves of the quadratic form m at the rows pts."""
-    grads = 2.0 * pts @ m.T
-    num = np.abs(
-        2 * m[0, 0] * grads[:, 1] ** 2
-        - 2 * 2 * m[0, 1] * grads[:, 0] * grads[:, 1]
-        + grads[:, 0] ** 2 * 2 * m[1, 1]
-    )
-    return num / (grads[:, 0] ** 2 + grads[:, 1] ** 2) ** 1.5
 
 
 def make_ellipse_pair(m1, m2) -> EllipseMaxNorm:
@@ -1000,30 +977,27 @@ class BlendNorm(NormModel):
         base = self.base.corners()
         if not base.thetas.size:
             return base
-        # b times the base's one-sided Hessian at x is its Hessian at y = x / b,
-        # k |f|^3 y_perp y_perp^T (a 1-homogeneous gauge, <f, y> = 1)
         x = self.sphere_points_at(base.thetas)
-        b = self.base.gauge_many(x)
-        y_perp = np.column_stack([-x[:, 1], x[:, 0]]) / b[:, None]
-        yy = y_perp[:, :, None] * y_perp[:, None, :]
-        sides = []
-        for f, k in ((base.f_minus, base.k_minus), (base.f_plus, base.k_plus)):
-            finite = k < INF
-            h = np.where(finite, k, 0.0) * np.hypot(f[:, 0], f[:, 1]) ** 3
-            kappas = self._kappas(x, b, f, h[:, None, None] * yy)
-            sides.append((b[:, None] * f + self.eps * x, np.where(finite, kappas, INF)))
-        (f_minus, k_minus), (f_plus, k_plus) = sides
+        sides = ((base.f_minus, base.k_minus), (base.f_plus, base.k_plus))
+        (f_minus, k_minus), (f_plus, k_plus) = (self._from_base(x, f, k) for f, k in sides)
         return Corners(base.thetas, f_minus, f_plus, k_minus, k_plus, base.kink)
 
-    def _kappas(self, x, b, gb, b_hess) -> np.ndarray:
-        """Curvatures at the sphere points x, on the level curve G = 1 of
-        G = b^2 + eps |x|^2, from the base's gauge b, gradient gb and b times
-        its Hessian there."""
-        grad = 2.0 * b[:, None] * gb + 2.0 * self.eps * x
-        hess = 2.0 * (gb[:, :, None] * gb[:, None, :] + b_hess)
+    def _from_base(self, x, f, k):
+        """(supports, curvatures) of the blend at its sphere points x, from the
+        base's supports f and curvatures k on the same rays (inf where k is):
+        the level curve G = 1 of G = b^2 + eps |x|^2, b the base gauge."""
+        b = self.base.gauge_many(x)
+        # b times the base's Hessian at x is its Hessian at y = x / b,
+        # k |f|^3 y_perp y_perp^T (a 1-homogeneous gauge, <f, y> = 1)
+        y_perp = np.column_stack([-x[:, 1], x[:, 0]]) / b[:, None]
+        finite = k < INF
+        h = np.where(finite, k, 0.0) * np.hypot(f[:, 0], f[:, 1]) ** 3
+        support = b[:, None] * f + self.eps * x
+        yy = y_perp[:, :, None] * y_perp[:, None, :]
+        hess = 2.0 * (f[:, :, None] * f[:, None, :] + h[:, None, None] * yy)
         hess[:, 0, 0] += 2.0 * self.eps
         hess[:, 1, 1] += 2.0 * self.eps
-        return np.array([curvature_implicit(g, h) for g, h in zip(grad, hess)])
+        return support, np.where(finite, curvature_implicit_many(2.0 * support, hess), INF)
 
     def _gauge_raw(self, pts):
         b = self.base.gauge_many(pts)
@@ -1033,22 +1007,14 @@ class BlendNorm(NormModel):
 
     def grad_many(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        gb = self.base.grad_many(pts)
-        if gb is None:
-            return None
         b = self.base.gauge_many(pts)
         g = np.sqrt(b * b + self.eps * (pts[:, 0] ** 2 + pts[:, 1] ** 2))
-        return (b[:, None] * gb + self.eps * pts) / g[:, None]
+        return (b[:, None] * self.base.grad_many(pts) + self.eps * pts) / g[:, None]
 
     def curvature_theta_many(self, thetas):
         thetas = np.asarray(thetas, dtype=float)
-        base = self.base
-        if isinstance(base, LpNorm) and 2.0 <= base.p < INF:
-            pts = self.sphere_points_at(thetas)
-            n = base.gauge_many(pts)
-            hn = n[:, None, None] * base.hess_gauge_many(pts)
-            return self._kappas(pts, n, base.grad_many(pts), hn)
-        return super().curvature_theta_many(thetas)
+        x = self.sphere_points_at(thetas)
+        return self._from_base(x, self.base.grad_many(x), self.base.curvature_theta_many(thetas))[1]
 
 
 def make_blend(base: NormModel, eps: float) -> BlendNorm:
@@ -1063,12 +1029,14 @@ def make_blend(base: NormModel, eps: float) -> BlendNorm:
 # -- numerically sampled duals ------------------------------------------------
 
 
-class DualNorm(NormModel):
+class DualNorm(RadialNorm):
     """Dual gauge of a base model, sampled once and interpolated.
 
     The radial table is computed with the exact support-maximization routine
     on a dense grid; a periodic cubic spline then serves gauge queries. The
     table resolution keeps interpolation error near 1e-12 for smooth bases.
+    Gradients come from the spline's first derivative; curvatures from a
+    stencil on the radial function, since its second derivative is too rough.
     """
 
     family = "dual"
@@ -1087,8 +1055,11 @@ class DualNorm(NormModel):
         )
         self.is_c2 = base.is_c2
 
-    def _gauge_raw(self, pts):
-        return _radial_gauge(pts, lambda th: self._spline(th % (2.0 * np.pi)))
+    def g_many(self, thetas, order: int = 0):
+        return self._spline(thetas % (2.0 * np.pi), order)
+
+    def curvature_theta_many(self, thetas):
+        return stencil_curvature_many(self, np.asarray(thetas, dtype=float))
 
 
 def dual_model(model: NormModel) -> NormModel:

@@ -81,11 +81,11 @@ def test_profile_spliced(spliced):
 
 
 def test_formula_agreement_on_c2_models(pig, blend_l4, euclid):
-    # analytic family formulas vs the generic polar-graph numeric fallback
+    # analytic family formulas vs the sampled dual's radial stencil rule
     thetas = (np.arange(256) + 0.5) * (2 * np.pi / 256)
     for model in (pig, blend_l4, euclid):
         analytic = model.curvature_theta_many(thetas)
-        numeric = models.NormModel.curvature_theta_many(model, thetas)
+        numeric = curvature.stencil_curvature_many(model, thetas)
         assert np.max(np.abs(analytic - numeric)) < 1e-6
 
 

@@ -10,7 +10,7 @@ from scipy.optimize import minimize_scalar
 
 from normplane import gallery, geometry, models, semigroup
 from normplane.geometry import LinearMap2, Vec2
-from normplane.numerics import phase_grid
+from normplane.numerics import angle_dist, phase_grid
 
 finite_floats = st.floats(
     min_value=-50, max_value=50, allow_nan=False, allow_infinity=False
@@ -118,20 +118,35 @@ def test_sphere_point_ellipse_curvature(ellipse_2_1):
     assert sp.curvature == pytest.approx(a * b / b**3, rel=1e-9)
 
 
-def test_fd_supports_match_analytic(pig):
-    # drop the analytic gradient and check the finite-difference fallback
-    thetas = np.linspace(0.3, 5.9, 17)
-    analytic = geometry.sphere_data(pig, thetas)["supports"]
+def _fd_supports(model, pts):
+    """Oracle: central differences of the gauge of step 1e-5 with one
+    Richardson level, scaled to pairing 1 with pts."""
 
-    class NoGrad:
-        def __getattr__(self, name):
-            return getattr(pig, name)
+    def diff(h):
+        steps = (np.array([h, 0.0]), np.array([0.0, h]))
+        cols = [(model.gauge_many(pts + e) - model.gauge_many(pts - e)) / (2 * h) for e in steps]
+        return np.column_stack(cols)
 
-        def grad_many(self, pts):
-            return None
+    grads = (4.0 * diff(0.5e-5) - diff(1e-5)) / 3.0
+    return grads / np.einsum("ij,ij->i", grads, pts)[:, None]
 
-    fd = geometry.sphere_data(NoGrad(), thetas)["supports"]
-    assert np.max(np.abs(fd - analytic)) < 1e-9
+
+def test_fd_supports_match_analytic(all_gallery):
+    """sphere_data's supports, each family's closed-form gradient (the
+    sampled dual's from its spline), against the oracle at seeded angles
+    more than 1e-3 from a kink."""
+    checked = {}
+    for name, model in all_gallery.items():
+        checked[name] = model
+        checked[f"dual({name})"] = models.dual_model(model)
+    for name in ("l1", "hexagon", "two_ellipses"):
+        checked[f"blend({name})"] = models.make_blend(all_gallery[name], 1.0)
+    thetas = np.random.default_rng(12).uniform(0.0, 2 * np.pi, 64)
+    for name, model in checked.items():
+        kinks = model.kink_thetas()
+        off = np.all(angle_dist(thetas[:, None], kinks[None, :]) > 1e-3, axis=1)
+        data = geometry.sphere_data(model, thetas[off])
+        assert np.max(np.abs(_fd_supports(model, data["points"]) - data["supports"])) < 1e-9, name
 
 
 def test_sphere_point_matches_the_cache_bit_for_bit(all_gallery):

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from normplane import gallery, geometry, models, tangency
+from normplane import curvature, gallery, geometry, models, tangency
 from normplane.errors import (
     BadParameter,
     NotClosed,
@@ -248,10 +248,10 @@ def test_blend(euclid, l4, blend_l4):
 
 
 def test_blend_curvature_formula_agreement(blend_l4):
-    # implicit-formula curvature vs the generic polar-graph fallback
+    # implicit-formula curvature vs the sampled dual's radial stencil rule
     thetas = np.linspace(0.1, 2 * np.pi, 64, endpoint=False)
     analytic = blend_l4.curvature_theta_many(thetas)
-    numeric = models.NormModel.curvature_theta_many(blend_l4, thetas)
+    numeric = curvature.stencil_curvature_many(blend_l4, thetas)
     assert np.max(np.abs(analytic - numeric)) < 1e-6
 
 
@@ -443,7 +443,8 @@ def test_corner_rows_are_limits_of_sphere_data(cornered):
     """Each corner row holds the one-sided limits of the sphere data: f_minus
     and f_plus are sphere_data's supports at theta -/+ 1e-8, and the finite
     k_minus and k_plus are the curvatures at theta -/+ d and -/+ 2 d,
-    extrapolated linearly to theta. A row is a kink exactly when its supports
+    extrapolated linearly to theta, and within 1e-3 of the curvature at
+    theta -/+ 1e-4. A row is a kink exactly when its supports
     differ. curvature_sided serves the row within KINK_TOL (1e-9) of theta,
     where sphere_data flags the row's kink, and (k, k) beyond it."""
     for name, model in cornered.items():
@@ -452,8 +453,9 @@ def test_corner_rows_are_limits_of_sphere_data(cornered):
         assert len(th) and np.all(np.diff(th) > 0) and 0 <= th[0] and th[-1] < 2 * np.pi, name
         jump = np.max(np.abs(c.f_plus - c.f_minus), axis=1)
         assert c.kink.tolist() == (jump > geometry.SMOOTH_JUMP_TOL).tolist(), name
-        # both steps stay on one side of the row, also between short arcs
-        d = min(1e-3, 0.25 * np.min(np.diff(np.append(th, th[0] + 2 * np.pi))))
+        # every step stays on one side of the row, also between short arcs
+        gap = 0.25 * np.min(np.diff(np.append(th, th[0] + 2 * np.pi)))
+        d, near = min(1e-3, gap), min(1e-4, gap)
         for sign, f, k in ((-1, c.f_minus, c.k_minus), (1, c.f_plus, c.k_plus)):
             supports = geometry.sphere_data(model, th + sign * 1e-8)["supports"]
             # 3e-4: an l1.5 side's support converges like the square root
@@ -462,6 +464,9 @@ def test_corner_rows_are_limits_of_sphere_data(cornered):
             finite = np.isfinite(k)
             err = np.abs(2.0 * k1 - k2 - k)[finite]
             assert np.all(err <= 1e-4 * np.maximum(1.0, k[finite])), name
+            # and the curvature right next to the row is already close to it
+            err = np.abs(model.curvature_theta_many(th + sign * near) - k)[finite]
+            assert np.all(err <= 1e-3 * np.maximum(1.0, k[finite])), name
         row_lo = np.minimum(c.k_minus, c.k_plus)
         row_hi = np.where(c.kink, math.inf, np.maximum(c.k_minus, c.k_plus))
         for off in (0.9e-9, -0.9e-9, 2e-9, -2e-9):
