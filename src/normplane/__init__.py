@@ -24,6 +24,7 @@ from .geometry import (
     dual_gauge,
     gauge,
     operator_norm,
+    operator_norms,
     sphere_point,
 )
 from .models import (

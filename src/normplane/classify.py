@@ -137,7 +137,10 @@ def kappa_extrema_thetas(model) -> np.ndarray:
         is_min = (finite <= np.roll(finite, 1)) & (finite <= np.roll(finite, -1))
         is_max = (finite >= np.roll(finite, 1)) & (finite >= np.roll(finite, -1))
     for mask, sign in ((is_min, 1.0), (is_max, -1.0)):
-        idx = np.where(mask)[0]
+        # adjacent grid extrema of one sign are equal (each is <= and >= the
+        # other), so a run of them brackets one extremum of the profile or is
+        # a stretch where it is constant: only the run's first point is refined
+        idx = np.nonzero(mask & ~np.roll(mask, 1))[0] if not mask.all() else np.zeros(1, dtype=int)
         # keep a handful of the strongest extrema only
         if len(idx) > 8:
             order = np.argsort(sign * finite[idx])

@@ -265,11 +265,19 @@ def _operator_norms(model, mats: np.ndarray, pts: np.ndarray, iters: int):
     return circle_max(val, vals.reshape(k, grid), 1, iters)
 
 
+def operator_norms(model, mats) -> tuple[np.ndarray, np.ndarray]:
+    """sup of gauge(T z) over the gauge-unit sphere for each 2x2 map T of
+    mats (shape (k, 2, 2)), at the certificate settings: the 4096 points of
+    the model's fine cache plus an 80-step golden refinement, all maps as
+    lanes of one search, so each value and witness angle is bit for bit the
+    one-map result. Returns (values, witness angles)."""
+    return _operator_norms(model, np.asarray(mats, dtype=float), model.fine_points(), 80)
+
+
 def operator_norm(model, t) -> OperatorNorm:
-    """sup of gauge(T z) over the gauge-unit sphere: the 4096 points of the
-    model's fine cache plus an 80-step golden refinement."""
+    """operator_norms of the one map t (a LinearMap2 or a 2x2 array)."""
     mat = t.matrix() if isinstance(t, LinearMap2) else np.asarray(t, dtype=float)
-    vals, angles = _operator_norms(model, mat[None], model.fine_points(), 80)
+    vals, angles = operator_norms(model, mat[None])
     return OperatorNorm(float(vals[0]), angles[0])
 
 

@@ -4,11 +4,15 @@ and the support-line decomposition inequality.
 The uniform-convexity modulus is computed in its equality form (pairs at
 gauge distance exactly eps), which turns the infimum into a one-parameter
 family of root finds along the sphere: for each base point and branch, the
-smallest partner offset at gauge distance eps. ``delta_uc`` bisects these
-roots for one eps; ``delta_curve`` brackets them for all 64 eps of its grid
-from one table of pair distances and places them with Illinois steps. Both
-sweeps only choose where one lane-wise zoom (``_zoom_min``) starts, and the
-zoom's values come from the bisection.
+smallest partner offset at gauge distance eps. A sweep over the 1024 grid
+points of the sphere cache brackets each root between two grid offsets:
+``delta_curve`` for all 64 eps of its grid from one table of pair
+distances, ``delta_uc`` for its one eps by binary search on the grid.
+Both place the roots with one polish (``_polish_depths``): Illinois steps,
+or bisection where d already equals eps at the bracket's right end and may
+be flat there. The sweeps only choose where one lane-wise zoom
+(``_zoom_min``) starts, and the zoom's values come from a 50-step
+bisection (``_uc_depths``).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ CURVE_EPS_MIN = 0.02
 #: outer sweep resolution for the uniform-convexity modulus
 UC_SWEEP_N = 1024
 
-#: Illinois steps placing each bracketed root of the modulus curve's pair table
+#: Illinois steps placing each bracketed root of the modulus sweeps
 UC_POLISH_STEPS = 8
 
 #: points per batched call of the modulus curve's sweep, bounding its memory
@@ -92,7 +96,7 @@ def delta_uc(model, eps: float) -> float:
     sweep in the base point."""
     if not (0.0 < eps <= 2.0):
         raise BadEps(f"eps {eps!r} outside (0, 2]")
-    vals = _uc_depths(model, eps, phase_grid(UC_SWEEP_N))
+    vals = _sweep_row(model, eps)
     return float(_zoom_min(lambda thetas: _uc_depths(model, eps, thetas), vals[None])[0])
 
 
@@ -138,6 +142,47 @@ def _uc_depths(model, eps, thetas) -> np.ndarray:
     return np.minimum(depth[:n], depth[n:]).reshape(shape)
 
 
+def _pair_rows(base, sign, k):
+    """Rows (a, b) of the grid with d = gauge(x_a - x_b) the distance from
+    base to its partner at offset k on branch sign: (base, base + k) or
+    (base - k, base), so that branch -1 reads the pair table's own
+    differences (the gauge is even, its rounding need not be)."""
+    n = UC_SWEEP_N
+    return np.where(sign > 0, base, base - k) % n, np.where(sign > 0, base + k, base) % n
+
+
+def _sweep_row(model, eps: float) -> np.ndarray:
+    """_sweep_depths' row for the one eps, without the pair table: every
+    (base, branch) lane binary-searches the grid offsets 1 .. n/2 for the
+    first with d >= eps, one gauge_many call on the still open lanes a step
+    (at most 10 for n = 1024), keeping d at both ends of its bracket."""
+    n = UC_SWEEP_N
+    half = n // 2
+    xs = model.sphere_cache()["points"]
+    base = np.tile(np.arange(n), 2)
+    sign = np.repeat([1, -1], n)
+    # d(lo) < eps <= d(hi); offset 0 is the base point itself (d = 0) and
+    # half + 1 stands for a branch that never reaches eps
+    lo, hi = np.zeros(2 * n, dtype=int), np.full(2 * n, half + 1)
+    d_lo, d_hi = np.zeros(2 * n), np.full(2 * n, np.inf)
+    while True:
+        (lanes,) = np.nonzero(hi - lo > 1)
+        if lanes.size == 0:
+            break
+        mid = (lo[lanes] + hi[lanes]) // 2
+        a, b = _pair_rows(base[lanes], sign[lanes], mid)
+        d = model.gauge_many(xs[a] - xs[b])
+        up = d >= eps
+        hi[lanes[up]], d_hi[lanes[up]] = mid[up], d[up]
+        lo[lanes[~up]], d_lo[lanes[~up]] = mid[~up], d[~up]
+    depth = np.full(2 * n, np.inf)
+    found = hi <= half
+    depth[found] = _polish_depths(
+        model, base[found], sign[found], hi[found], d_lo[found], d_hi[found], eps
+    )
+    return np.minimum(depth[:n], depth[n:])
+
+
 def _sweep_depths(model, eps_grid: np.ndarray) -> np.ndarray:
     """_uc_depths on the UC_SWEEP_N-point phase grid for every eps of the
     grid at once, shape (len(eps_grid), UC_SWEEP_N), from one pair table.
@@ -147,15 +192,13 @@ def _sweep_depths(model, eps_grid: np.ndarray) -> np.ndarray:
     even). In a normed plane d never decreases along a branch from x to -x
     (Martini, Swanepoel and Weiss, Expo. Math. 19 (2001)), so the first
     offset with d >= eps brackets the smallest root within one grid step;
-    UC_POLISH_STEPS Illinois steps, on all (base, branch) lanes of
-    UC_BLOCK // (2n) eps at once, then place it. Lanes with no such offset
-    get depth inf, as in _uc_depths.
+    _polish_depths, on all (base, branch) lanes of UC_BLOCK // (2n) eps at
+    once, then places it. Lanes with no such offset get depth inf, as in
+    _uc_depths.
     """
     n = UC_SWEEP_N
     half = n // 2
-    h = 2.0 * np.pi / n
-    thetas = phase_grid(n)
-    xs = model.sphere_points_at(thetas)
+    xs = model.sphere_cache()["points"]
     offsets = np.arange(1, half + 1)
     # column k is offset k, column 0 the base point itself (d = 0)
     table = np.zeros((n, half + 1))
@@ -178,20 +221,57 @@ def _sweep_depths(model, eps_grid: np.ndarray) -> np.ndarray:
         e_idx, r_idx = np.nonzero(block <= half)
         k = block[e_idx, r_idx]
         row = r_idx % n
-        sign = np.where(r_idx < n, 1.0, -1.0)
-        eps = eps_grid[e0 + e_idx]
+        sign = np.where(r_idx < n, 1, -1)
 
         def d_at(c):  # the table's d at offset c on each lane's branch
-            return table[np.where(r_idx < n, row, (row - c) % n), c]
+            return table[_pair_rows(row, sign, c)[0], c]
 
-        def gap(s):
-            return model.gauge_many(xs[row] - model.sphere_points_at(thetas[row] + sign * s)) - eps
-
-        fa, fb = d_at(k - 1) - eps, d_at(k) - eps
-        s = illinois_batch(gap, (k - 1) * h, k * h, fa, fb, UC_POLISH_STEPS)
-        ys = model.sphere_points_at(thetas[row] + sign * s)
-        depth[e0 + e_idx, r_idx] = 1.0 - model.gauge_many(0.5 * (xs[row] + ys))
+        depth[e0 + e_idx, r_idx] = _polish_depths(
+            model, row, sign, k, d_at(k - 1), d_at(k), eps_grid[e0 + e_idx]
+        )
     return np.minimum(depth[:, :n], depth[:, n:])
+
+
+def _polish_depths(model, base, sign, k, d_lo, d_hi, eps) -> np.ndarray:
+    """Midpoint depth at the smallest root of d(s) = eps on each lane, given
+    its bracket: the grid offsets k - 1 and k of branch sign from the grid
+    point base, with the distances d_lo < eps <= d_hi there.
+
+    UC_POLISH_STEPS Illinois steps place the root. A lane with d_hi == eps
+    exactly may sit on a flat of d at the level eps (x and -y on one face at
+    eps = 2), where Illinois would return the bracket's right end instead of
+    the flat's start: such lanes bisect on d >= eps to the start, as
+    _uc_depths does, in 41 steps to its 2.8e-15 width. Lanes bracketed at the
+    antipode (k = n/2) are left to Illinois, as _uc_depths' s_max rule counts
+    any root in that last cell at eps = 2 as the antipode.
+    """
+    n = UC_SWEEP_N
+    h = 2.0 * np.pi / n
+    cache = model.sphere_cache()
+    xs, thetas = cache["points"], cache["thetas"]
+    eps = np.broadcast_to(eps, base.shape)
+
+    def partners(lanes, s):
+        return model.sphere_points_at(thetas[base[lanes]] + sign[lanes] * s)
+
+    def gap(lanes, s):
+        return model.gauge_many(xs[base[lanes]] - partners(lanes, s)) - eps[lanes]
+
+    fa, fb = d_lo - eps, d_hi - eps
+    flat = (fb == 0.0) & (k < n // 2)
+    s = np.empty(base.shape)
+    (smooth,) = np.nonzero(~flat)
+    s[smooth] = illinois_batch(
+        lambda t: gap(smooth, t), (k[smooth] - 1) * h, k[smooth] * h, fa[smooth], fb[smooth],
+        UC_POLISH_STEPS,
+    )
+    (flat,) = np.nonzero(flat)
+    if flat.size:
+        s[flat] = bisect_batch(
+            lambda t: np.where(gap(flat, t) >= 0.0, -1.0, 1.0), k[flat] * h, (k[flat] - 1) * h, iters=41
+        )
+    ys = partners(np.arange(base.size), s)
+    return 1.0 - model.gauge_many(0.5 * (xs[base] + ys))
 
 
 def delta_strong(model, x: SpherePoint, eps: float) -> float:

@@ -88,7 +88,7 @@ def certify(model, t: LinearMap2) -> ContractionCertificate:
         raise Singular(f"determinant {t.det()!r}")
     # T and its inverse are two lanes of one operator-norm search
     mats = np.stack([t.matrix(), t.inverse().matrix()])
-    (op, inv), (witness, _) = geometry._operator_norms(model, mats, model.fine_points(), 80)
+    (op, inv), (witness, _) = geometry.operator_norms(model, mats)
     contractive = float(op) <= 1.0 + CERTIFY_TOL
     return ContractionCertificate(
         T=t,

@@ -249,6 +249,19 @@ def test_operator_norm_grid_is_the_fine_cache(pig_strict):
     assert np.array_equal([float(geometry.operator_norm(pig_strict, m)) for m in mats], want)
 
 
+def test_operator_norms_are_one_map_calls(all_gallery):
+    # operator_norms searches every map as its own lane, at operator_norm's
+    # settings: values and witness angles are the one-map results bit for bit
+    rng = np.random.default_rng(41)
+    mats = rng.normal(size=(6, 2, 2))
+    for name in ("euclidean", "l1", "grandpa_pig_strict", "blend_l4", "nobst", "two_ellipses"):
+        model = all_gallery[name]
+        values, angles = geometry.operator_norms(model, mats)
+        alone = [geometry.operator_norm(model, mat) for mat in mats]
+        assert np.array_equal(values, [float(on) for on in alone])
+        assert np.array_equal(angles, [on.witness_angle for on in alone])
+
+
 def test_operator_norm_batch_is_lane_wise(pig_strict, ellipse_2_1):
     # every map is one lane: batching changes no value in the last bit
     rng = np.random.default_rng(31)

@@ -130,14 +130,16 @@ def test_dual_curve_power2(euclid, l1_5):
     assert moduli.power2_fit(moduli.delta_curve(dual_e)) == pytest.approx(0.125, abs=2e-3)
 
 
-def test_delta_at_two(l1, linf, hexagon, euclid, ellipse_2_1):
+def test_delta_at_two(l1, linf, hexagon, hybrid, euclid, ellipse_2_1):
     """N(x - y) = 2 puts x and -y on one face, so delta(2) is 1 - (longest
-    face, in the gauge) / 2: 0 on l1 and linf, 1/2 on the hexagon, 1 on a
+    face, in the gauge) / 2: 0 on l1 and linf, 1/2 on the hexagon, 1 - 1/sqrt2
+    on the l2/l1 hybrid (its l1 faces have gauge length sqrt2), 1 on a
     strictly convex sphere."""
     for model, want, tol in (
         (l1, 0.0, 1e-3),
         (linf, 0.0, 1e-3),
         (hexagon, 0.5, 1e-3),
+        (hybrid, 1.0 - math.sqrt(2.0) / 2.0, 1e-9),
         (euclid, 1.0, 1e-9),
         (ellipse_2_1, 1.0, 1e-9),
     ):
@@ -152,7 +154,7 @@ def _curve_model(name: str):
     return gallery.get(name)
 
 
-@pytest.mark.parametrize("name", ["hexagon", "nobst", "dual:grandpa_pig_strict"])
+@pytest.mark.parametrize("name", ["hexagon", "nobst", "l2_l1_hybrid", "dual:grandpa_pig_strict"])
 def test_curve_matches_single_eps(name):
     """The curve's pair-table sweep only picks where the zoom starts, so it
     gives the single-eps values."""
@@ -161,6 +163,50 @@ def test_curve_matches_single_eps(name):
     for k in [*range(0, moduli.CURVE_GRID_N, 8), moduli.CURVE_GRID_N - 1]:
         want = moduli.delta_uc(model, float(curve.eps_grid[k]))
         assert curve.values[k] == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, faced",
+    [
+        ("hexagon", True),
+        ("nobst", False),
+        ("l1_5", False),
+        ("spliced", False),
+        ("dual:grandpa_pig_strict", False),
+    ],
+)
+def test_one_eps_sweep_matches_pair_table(name, faced):
+    """delta_uc's one-eps sweep brackets each lane by binary search on the
+    grid and _sweep_depths by the pair table's running max; with d
+    nondecreasing along every branch both find the same bracket, and both
+    polish it with one helper, so the rows agree bit for bit. At eps = 2 on
+    a faced sphere d rounds to 2 on a flat, not monotonically, and the
+    brackets may differ there: the row's minimum and argmin still agree."""
+    model = _curve_model(name)
+    eps_grid = moduli.delta_curve(model).eps_grid
+    table = moduli._sweep_depths(model, eps_grid)
+    for j, eps in enumerate(eps_grid):
+        row = moduli._sweep_row(model, float(eps))
+        if eps == 2.0 and faced:
+            assert row.min() == table[j].min() and row.argmin() == table[j].argmin()
+        else:
+            assert np.array_equal(row, table[j]), float(eps)
+
+
+def test_delta_uc_gauge_points(ellipse_2_1, monkeypatch):
+    """One delta_uc call: <= 10 bracket steps and the polish on the 2048
+    sweep lanes, then the 50-step zoom (227,810 points when every sweep lane
+    bisected for 50 steps)."""
+    points = []
+    gauge_many = ellipse_2_1.gauge_many
+
+    def counting(pts):
+        points.append(len(pts))
+        return gauge_many(pts)
+
+    monkeypatch.setattr(ellipse_2_1, "gauge_many", counting)
+    moduli.delta_uc(ellipse_2_1, 0.5)
+    assert sum(points) <= 80_000
 
 
 def _clarkson(p: float):
