@@ -61,16 +61,18 @@ TANGENT_TOL = 1e-9
 CONVEXITY_TOL = 1e-12
 
 
-def _rescaled(gauge, pts: np.ndarray, s: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Keep a gauge 1-homogeneous at every scale: on the finite nonzero rows
-    whose squares (or p-th powers) s leave [1e-300, 1e300], where they under-
-    or overflow, replace ``out`` by gauge(pts) evaluated with the larger
-    component factored out."""
+def _rescaled(formula, pts: np.ndarray) -> np.ndarray:
+    """formula(pts) -> (s, gauge), kept 1-homogeneous at every scale: on the
+    finite nonzero rows whose squares (or p-th powers) s leave [1e-300,
+    1e300], where they under- or overflow, the gauge is formula's on the row
+    with the larger component factored out, once (factoring again is exact
+    and changes nothing)."""
+    s, out = formula(pts)
     # written so that a NaN row (NaN min and max) takes the row-wise path
     if s.size and not (s.min() >= 1e-300 and s.max() <= 1e300):
         hi = np.abs(pts).max(axis=1)
         off = ~((s >= 1e-300) & (s <= 1e300)) & (hi > 0) & (hi < INF)
-        out[off] = hi[off] * gauge(pts[off] / hi[off, None])
+        out[off] = hi[off] * formula(pts[off] / hi[off, None])[1]
     return out
 
 
@@ -322,16 +324,18 @@ class LpNorm(NormModel):
         self.polyhedral = p == 1.0 or p == INF
 
     def _gauge_raw(self, pts):
-        ax = np.abs(pts)
         if self.p == INF:
-            return ax.max(axis=1)
+            return np.abs(pts).max(axis=1)
         if self.p == 1.0:
-            return ax.sum(axis=1)
+            return np.abs(pts).sum(axis=1)
         if self.p == 2.0:
             return np.hypot(pts[:, 0], pts[:, 1])
+        return _rescaled(self._power_sum, pts)
+
+    def _power_sum(self, pts):
         with np.errstate(over="ignore", under="ignore"):
-            s = ax[:, 0] ** self.p + ax[:, 1] ** self.p
-        return _rescaled(self._gauge_raw, pts, s, s ** (1.0 / self.p))
+            s = np.abs(pts[:, 0]) ** self.p + np.abs(pts[:, 1]) ** self.p
+        return s, s ** (1.0 / self.p)
 
     def grad_many(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -433,6 +437,10 @@ class RadialNorm(NormModel):
         return np.column_stack([(c * g + gp * s), (s * g - gp * c)]) / (g * g)[:, None]
 
 
+#: the k-th derivative of cos(n theta) is n^k sign trig(n theta), by k mod 4
+_COS_DERIVATIVES = ((1.0, np.cos), (-1.0, np.sin), (-1.0, np.cos), (1.0, np.sin))
+
+
 class PolarNorm(RadialNorm):
     """Gauge r / g(theta) for a positive pi-periodic trigonometric profile."""
 
@@ -454,24 +462,11 @@ class PolarNorm(RadialNorm):
     def g_many(self, thetas, order: int = 0) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
         out = np.full_like(thetas, self.constant if order == 0 else 0.0)
-        for n, a in self.cos_terms:
-            if order % 4 == 0:
-                out += a * n**order * np.cos(n * thetas)
-            elif order % 4 == 1:
-                out -= a * n**order * np.sin(n * thetas)
-            elif order % 4 == 2:
-                out -= a * n**order * np.cos(n * thetas)
-            else:
-                out += a * n**order * np.sin(n * thetas)
-        for n, a in self.sin_terms:
-            if order % 4 == 0:
-                out += a * n**order * np.sin(n * thetas)
-            elif order % 4 == 1:
-                out += a * n**order * np.cos(n * thetas)
-            elif order % 4 == 2:
-                out -= a * n**order * np.sin(n * thetas)
-            else:
-                out -= a * n**order * np.cos(n * thetas)
+        # sin(n theta) takes the signs and trig functions of cos(n theta) three orders on
+        for terms, shift in ((self.cos_terms, 0), (self.sin_terms, 3)):
+            sign, trig = _COS_DERIVATIVES[(order + shift) % 4]
+            for n, a in terms:
+                out += sign * a * n**order * trig(n * thetas)
         return out
 
     def curvature_theta_many(self, thetas):
@@ -635,10 +630,19 @@ def make_polygon(vertices) -> PolygonNorm:
         d = np.abs(v + row).sum(axis=1)
         if d.min() > 1e-9:
             raise NotSymmetric(f"vertex {row} has no antipode")
-    e = np.roll(v, -1, axis=0) - v
-    cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
-    if np.any(cross <= 0):
+    def cross(a, b):
+        return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+
+    w = np.roll(v, -1, axis=0)
+    e = w - v
+    if np.any(cross(e, np.roll(e, -1, axis=0)) <= 0):
         raise NotConvex("vertices are not strictly convex counterclockwise")
+    # positive turns alone allow a chain that winds twice, or an edge through
+    # the origin: the origin must be strictly left of every edge, once around
+    left = cross(v, w)
+    windings = np.arctan2(left, np.einsum("ij,ij->i", v, w)).sum() / (2.0 * np.pi)
+    if np.any(left <= 0) or round(windings) != 1:
+        raise NotConvex("vertices do not go once around the origin, strictly inside every edge")
     return PolygonNorm(v).validate()
 
 
@@ -775,6 +779,8 @@ def make_arc_chain(arcs) -> ArcChainNorm:
     if not arcs:
         raise BadParameter("empty arc list")
     for a in arcs:
+        if not np.isfinite([*a.center.as_array(), a.radius, a.start_angle, a.end_angle]).all():
+            raise BadParameter("arc center, radius and angles must be finite")
         if a.radius <= 0:
             raise BadParameter("arc radius must be positive")
         if a.end_angle <= a.start_angle:
@@ -879,9 +885,12 @@ class EllipseMaxNorm(NormModel):
         return q1, q1 if self.single else quad_form(pts, self.m2)
 
     def _gauge_raw(self, pts):
+        return _rescaled(self._max_form, pts)
+
+    def _max_form(self, pts):
         with np.errstate(over="ignore", under="ignore"):
             s = np.maximum(*self._forms(pts))
-        return _rescaled(self._gauge_raw, pts, s, np.sqrt(s))
+        return s, np.sqrt(s)
 
     def grad_many(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -1000,10 +1009,13 @@ class BlendNorm(NormModel):
         return support, np.where(finite, curvature_implicit_many(2.0 * support, hess), INF)
 
     def _gauge_raw(self, pts):
+        return _rescaled(self._square_sum, pts)
+
+    def _square_sum(self, pts):
         b = self.base.gauge_many(pts)
         with np.errstate(over="ignore", under="ignore"):
             s = b * b + self.eps * (pts[:, 0] ** 2 + pts[:, 1] ** 2)
-        return _rescaled(self._gauge_raw, pts, s, np.sqrt(s))
+        return s, np.sqrt(s)
 
     def grad_many(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -1019,8 +1031,8 @@ class BlendNorm(NormModel):
 
 def make_blend(base: NormModel, eps: float) -> BlendNorm:
     """Blend of a validated base model with the Euclidean norm."""
-    if not eps >= 0:
-        raise BadParameter("eps must be nonnegative")
+    if not 0 <= eps < INF:
+        raise BadParameter("eps must be finite and nonnegative")
     if eps == 0.0:
         return base
     return BlendNorm(base, eps).validate()

@@ -4,15 +4,14 @@ and the support-line decomposition inequality.
 The uniform-convexity modulus is computed in its equality form (pairs at
 gauge distance exactly eps), which turns the infimum into a one-parameter
 family of root finds along the sphere: for each base point and branch, the
-smallest partner offset at gauge distance eps. A sweep over the 1024 grid
-points of the sphere cache brackets each root between two grid offsets:
-``delta_curve`` for all 64 eps of its grid from one table of pair
-distances, ``delta_uc`` for its one eps by binary search on the grid.
-Both place the roots with one polish (``_polish_depths``): Illinois steps,
-or bisection where d already equals eps at the bracket's right end and may
-be flat there. The sweeps only choose where one lane-wise zoom
-(``_zoom_min``) starts, and the zoom's values come from a 50-step
-bisection (``_uc_depths``).
+smallest partner offset at gauge distance eps. One sweep over the 1024
+grid points of the sphere cache (``_sweep_depths``) brackets each root
+between two grid offsets, for any number of eps, and places it with one
+polish (``_polish_depths``). ``delta_uc`` gauges the pairs the sweep reads
+and ``delta_curve`` looks them up in one table of pair distances; the two
+read the same d, so the curve is ``delta_uc`` at each of its eps. The sweep
+only chooses where one lane-wise zoom (``_zoom_min``) starts, and the zoom's
+values come from a 50-step bisection (``_uc_depths``).
 """
 
 from __future__ import annotations
@@ -93,11 +92,42 @@ def _zoom_min(f, vals: np.ndarray) -> np.ndarray:
 def delta_uc(model, eps: float) -> float:
     """Modulus of uniform convexity at eps in (0, 2]: worst midpoint depth
     over sphere pairs at gauge distance eps, zoomed in from a 1024-point
-    sweep in the base point."""
+    sweep in the base point that gauges each pair it reads."""
     if not (0.0 < eps <= 2.0):
         raise BadEps(f"eps {eps!r} outside (0, 2]")
-    vals = _sweep_row(model, eps)
-    return float(_zoom_min(lambda thetas: _uc_depths(model, eps, thetas), vals[None])[0])
+    return float(_modulus(model, np.array([eps], dtype=float), _gauge_dist(model))[0])
+
+
+def _modulus(model, eps: np.ndarray, dist) -> np.ndarray:
+    """delta at each eps: the grid sweep, reading d through dist, picks where
+    the zoom over _uc_depths starts."""
+    vals = _sweep_depths(model, eps, dist)
+    return _zoom_min(lambda thetas: _uc_depths(model, eps[:, None], thetas), vals)
+
+
+def _gauge_dist(model):
+    """_sweep_depths' dist by gauging each pair it reads."""
+    n = UC_SWEEP_N
+    xs = model.sphere_cache()["points"]
+    return lambda base, sign, k: model.gauge_many(xs[base] - xs[(base + sign * k) % n])
+
+
+def _table_dist(model):
+    """_sweep_depths' dist read from a table of every pair distance on the
+    grid, gauged UC_BLOCK points a call."""
+    n = UC_SWEEP_N
+    half = n // 2
+    xs = model.sphere_cache()["points"]
+    offsets = np.arange(1, half + 1)
+    # table[i, k] = gauge(x_i - x_(i+k)), column 0 the base point itself;
+    # the gauge is exactly even, so branch -1 of base i at offset k is row i - k
+    table = np.zeros((n, half + 1))
+    step = UC_BLOCK // half
+    for lo in range(0, n, step):
+        base = np.arange(lo, lo + step)[:, None]
+        diffs = xs[base] - xs[(base + offsets) % n]
+        table[lo : lo + step, 1:] = model.gauge_many(diffs.reshape(-1, 2)).reshape(step, half)
+    return lambda base, sign, k: table[(base + np.minimum(sign * k, 0)) % n, k]
 
 
 def _uc_depths(model, eps, thetas) -> np.ndarray:
@@ -142,92 +172,44 @@ def _uc_depths(model, eps, thetas) -> np.ndarray:
     return np.minimum(depth[:n], depth[n:]).reshape(shape)
 
 
-def _pair_rows(base, sign, k):
-    """Rows (a, b) of the grid with d = gauge(x_a - x_b) the distance from
-    base to its partner at offset k on branch sign: (base, base + k) or
-    (base - k, base), so that branch -1 reads the pair table's own
-    differences (the gauge is even, its rounding need not be)."""
-    n = UC_SWEEP_N
-    return np.where(sign > 0, base, base - k) % n, np.where(sign > 0, base + k, base) % n
+def _sweep_depths(model, eps: np.ndarray, dist) -> np.ndarray:
+    """_uc_depths on the UC_SWEEP_N-point phase grid for every eps at once,
+    shape (len(eps), UC_SWEEP_N), where dist(base, sign, k) gives
+    d = gauge(x_base - x_(base + sign k)) for grid points x and offsets k.
 
-
-def _sweep_row(model, eps: float) -> np.ndarray:
-    """_sweep_depths' row for the one eps, without the pair table: every
-    (base, branch) lane binary-searches the grid offsets 1 .. n/2 for the
-    first with d >= eps, one gauge_many call on the still open lanes a step
-    (at most 10 for n = 1024), keeping d at both ends of its bracket."""
-    n = UC_SWEEP_N
-    half = n // 2
-    xs = model.sphere_cache()["points"]
-    base = np.tile(np.arange(n), 2)
-    sign = np.repeat([1, -1], n)
-    # d(lo) < eps <= d(hi); offset 0 is the base point itself (d = 0) and
-    # half + 1 stands for a branch that never reaches eps
-    lo, hi = np.zeros(2 * n, dtype=int), np.full(2 * n, half + 1)
-    d_lo, d_hi = np.zeros(2 * n), np.full(2 * n, np.inf)
-    while True:
-        (lanes,) = np.nonzero(hi - lo > 1)
-        if lanes.size == 0:
-            break
-        mid = (lo[lanes] + hi[lanes]) // 2
-        a, b = _pair_rows(base[lanes], sign[lanes], mid)
-        d = model.gauge_many(xs[a] - xs[b])
-        up = d >= eps
-        hi[lanes[up]], d_hi[lanes[up]] = mid[up], d[up]
-        lo[lanes[~up]], d_lo[lanes[~up]] = mid[~up], d[~up]
-    depth = np.full(2 * n, np.inf)
-    found = hi <= half
-    depth[found] = _polish_depths(
-        model, base[found], sign[found], hi[found], d_lo[found], d_hi[found], eps
-    )
-    return np.minimum(depth[:n], depth[n:])
-
-
-def _sweep_depths(model, eps_grid: np.ndarray) -> np.ndarray:
-    """_uc_depths on the UC_SWEEP_N-point phase grid for every eps of the
-    grid at once, shape (len(eps_grid), UC_SWEEP_N), from one pair table.
-
-    The table holds d = gauge(x_i - x_(i+k)) for the grid points x_i and
-    k = 1 .. n/2; branch -1 of base i at offset k is row i - k (the gauge is
-    even). In a normed plane d never decreases along a branch from x to -x
+    In a normed plane d never decreases along a branch from x to -x
     (Martini, Swanepoel and Weiss, Expo. Math. 19 (2001)), so the first
-    offset with d >= eps brackets the smallest root within one grid step;
-    _polish_depths, on all (base, branch) lanes of UC_BLOCK // (2n) eps at
-    once, then places it. Lanes with no such offset get depth inf, as in
-    _uc_depths.
+    offset with d >= eps brackets the smallest root within one grid step.
+    Every (eps, base, branch) lane of UC_BLOCK // (2n) eps at once
+    binary-searches the offsets 1 .. n/2 for it, one dist call on the still
+    open lanes a step (at most 10 for n = 1024), keeping d at both ends of
+    its bracket; _polish_depths then places the root. Lanes with no such
+    offset get depth inf, as in _uc_depths.
     """
     n = UC_SWEEP_N
     half = n // 2
-    xs = model.sphere_cache()["points"]
-    offsets = np.arange(1, half + 1)
-    # column k is offset k, column 0 the base point itself (d = 0)
-    table = np.zeros((n, half + 1))
-    step = UC_BLOCK // half
-    for lo in range(0, n, step):
-        base = np.arange(lo, lo + step)[:, None]
-        diffs = xs[base] - xs[(base + offsets) % n]
-        table[lo : lo + step, 1:] = model.gauge_many(diffs.reshape(-1, 2)).reshape(step, half)
-    # the first offset with d >= eps is where the running max first reaches
-    # eps; columns n .. 2n-1 are the branches -1
-    first = np.empty((len(eps_grid), 2 * n), dtype=int)
-    for i in range(n):
-        minus = np.concatenate([[0.0], table[(i - offsets) % n, offsets]])
-        first[:, i] = np.searchsorted(np.maximum.accumulate(table[i]), eps_grid)
-        first[:, n + i] = np.searchsorted(np.maximum.accumulate(minus), eps_grid)
-
-    depth = np.full((len(eps_grid), 2 * n), np.inf)
-    for e0 in range(0, len(eps_grid), UC_BLOCK // (2 * n)):
-        block = first[e0 : e0 + UC_BLOCK // (2 * n)]
-        e_idx, r_idx = np.nonzero(block <= half)
-        k = block[e_idx, r_idx]
-        row = r_idx % n
-        sign = np.where(r_idx < n, 1, -1)
-
-        def d_at(c):  # the table's d at offset c on each lane's branch
-            return table[_pair_rows(row, sign, c)[0], c]
-
-        depth[e0 + e_idx, r_idx] = _polish_depths(
-            model, row, sign, k, d_at(k - 1), d_at(k), eps_grid[e0 + e_idx]
+    per = UC_BLOCK // (2 * n)
+    depth = np.full((len(eps), 2 * n), np.inf)
+    for e0 in range(0, len(eps), per):
+        e = np.repeat(eps[e0 : e0 + per], 2 * n)
+        m = e.size
+        base, sign = np.arange(m) % n, np.where(np.arange(m) % (2 * n) < n, 1, -1)
+        # d(lo) < eps <= d(hi); offset 0 is the base point itself (d = 0) and
+        # half + 1 stands for a branch that never reaches eps
+        lo, hi = np.zeros(m, dtype=int), np.full(m, half + 1)
+        d_lo, d_hi = np.zeros(m), np.full(m, np.inf)
+        while True:
+            (lanes,) = np.nonzero(hi - lo > 1)
+            if lanes.size == 0:
+                break
+            mid = (lo[lanes] + hi[lanes]) // 2
+            d = dist(base[lanes], sign[lanes], mid)
+            up = d >= e[lanes]
+            hi[lanes[up]], d_hi[lanes[up]] = mid[up], d[up]
+            lo[lanes[~up]], d_lo[lanes[~up]] = mid[~up], d[~up]
+        found = hi <= half
+        depth[e0 : e0 + per].reshape(-1)[found] = _polish_depths(
+            model, base[found], sign[found], hi[found], d_lo[found], d_hi[found], e[found]
         )
     return np.minimum(depth[:, :n], depth[:, n:])
 
@@ -317,10 +299,7 @@ def delta_curve(model) -> ModulusCurve:
     model after the first call."""
     if model._delta_curve is None:
         eps_grid = np.geomspace(CURVE_EPS_MIN, 2.0, CURVE_GRID_N)
-        values = _zoom_min(
-            lambda thetas: _uc_depths(model, eps_grid[:, None], thetas),
-            _sweep_depths(model, eps_grid),
-        )
+        values = _modulus(model, eps_grid, _table_dist(model))
         curve = ModulusCurve("uniform_convexity", eps_grid, values)
         curve.power2_coeff = power2_fit(curve)
         model._delta_curve = curve

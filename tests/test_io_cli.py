@@ -187,9 +187,21 @@ def test_gallery_names():
         gallery.get("nope")
 
 
-def test_cli_invalid_model_exits_2(tmp_path):
+@pytest.mark.parametrize(
+    "text",
+    [
+        "family = lp\np = 0.5\n",
+        "family = blend\neps = inf\nbase.family = lp\nbase.p = 4\n",
+        "family = arc_chain\narc = 0,0,1,0,nan\n",
+        "family = arc_chain\narc = 0,0,1,0,inf\n",
+        # positive turns, but twice around the origin on an edge through it
+        "family = polygon\nvertices = 1,0; 0,1; -1,0; 0,-1; 1e-20,1e-20; -1e-20,-1e-20\n",
+    ],
+    ids=["lp_p_below_1", "blend_eps_inf", "arc_nan", "arc_inf", "polygon_winds_twice"],
+)
+def test_cli_invalid_model_exits_2(tmp_path, text):
     path = tmp_path / "bad.model"
-    path.write_text("family = lp\np = 0.5\n")
+    path.write_text(text)
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "normplane.cli", "classify", str(path)],

@@ -164,6 +164,8 @@ NAN = float("nan")
         lambda: models.make_ellipse_pair(np.diag([1.0, NAN]), np.eye(2)),
         lambda: models.make_blend(models.make_lp(4), NAN),
         lambda: models.make_polygon([(1, 0), (NAN, 1), (-1, 0), (NAN, -1)]),
+        lambda: models.make_arc_chain([models.Arc(models.Vec2(NAN, 0.0), 1.0, 0.0, 2 * math.pi)]),
+        lambda: models.make_arc_chain([models.Arc(models.Vec2(0.0, 0.0), NAN, 0.0, 2 * math.pi)]),
     ],
 )
 def test_nan_parameters_are_bad_parameters(build):

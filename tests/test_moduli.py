@@ -154,15 +154,17 @@ def _curve_model(name: str):
     return gallery.get(name)
 
 
-@pytest.mark.parametrize("name", ["hexagon", "nobst", "l2_l1_hybrid", "dual:grandpa_pig_strict"])
+_GALLERY_AND_DUALS = [tag + name for name in gallery.names() for tag in ("", "dual:")]
+
+
+@pytest.mark.parametrize("name", _GALLERY_AND_DUALS)
 def test_curve_matches_single_eps(name):
-    """The curve's pair-table sweep only picks where the zoom starts, so it
-    gives the single-eps values."""
+    """The curve and delta_uc run one sweep on the same distances, so the
+    curve is delta_uc at each of its eps, bit for bit."""
     model = _curve_model(name)
     curve = moduli.delta_curve(model)
     for k in [*range(0, moduli.CURVE_GRID_N, 8), moduli.CURVE_GRID_N - 1]:
-        want = moduli.delta_uc(model, float(curve.eps_grid[k]))
-        assert curve.values[k] == pytest.approx(want, abs=1e-12)
+        assert curve.values[k] == moduli.delta_uc(model, float(curve.eps_grid[k])), k
 
 
 @pytest.mark.parametrize(
@@ -176,21 +178,19 @@ def test_curve_matches_single_eps(name):
     ],
 )
 def test_one_eps_sweep_matches_pair_table(name, faced):
-    """delta_uc's one-eps sweep brackets each lane by binary search on the
-    grid and _sweep_depths by the pair table's running max; with d
-    nondecreasing along every branch both find the same bracket, and both
-    polish it with one helper, so the rows agree bit for bit. At eps = 2 on
-    a faced sphere d rounds to 2 on a flat, not monotonically, and the
-    brackets may differ there: the row's minimum and argmin still agree."""
+    """The sweep reads d = gauge(x_i - x_j) from the gauge (delta_uc) or the
+    pair table (delta_curve); the gauge is exactly even, so both give the
+    same d on branch -1, and the rows agree bit for bit at every eps. That
+    includes eps = 2 on a faced sphere, where d is flat at the level eps and
+    the row's depth falls below 1."""
     model = _curve_model(name)
     eps_grid = moduli.delta_curve(model).eps_grid
-    table = moduli._sweep_depths(model, eps_grid)
+    table = moduli._sweep_depths(model, eps_grid, moduli._table_dist(model))
+    assert (table[-1].min() < 0.99) == faced
+    gauge = moduli._gauge_dist(model)
     for j, eps in enumerate(eps_grid):
-        row = moduli._sweep_row(model, float(eps))
-        if eps == 2.0 and faced:
-            assert row.min() == table[j].min() and row.argmin() == table[j].argmin()
-        else:
-            assert np.array_equal(row, table[j]), float(eps)
+        row = moduli._sweep_depths(model, eps_grid[j : j + 1], gauge)[0]
+        assert np.array_equal(row, table[j]), float(eps)
 
 
 def test_delta_uc_gauge_points(ellipse_2_1, monkeypatch):
@@ -250,11 +250,8 @@ _SPLINE_OVERSHOOT = pytest.mark.xfail(
 @pytest.mark.parametrize(
     "name",
     [
-        pytest.param(tag + name, marks=_SPLINE_OVERSHOOT)
-        if tag + name == "dual:two_ellipses"
-        else tag + name
-        for name in gallery.names()
-        for tag in ("", "dual:")
+        pytest.param(name, marks=_SPLINE_OVERSHOOT) if name == "dual:two_ellipses" else name
+        for name in _GALLERY_AND_DUALS
     ],
 )
 def test_curve_within_nordlander_and_monotone(name):
