@@ -40,12 +40,23 @@ def curvature_implicit(grad, hess) -> float:
 
 def curvature_implicit_many(grads: np.ndarray, hess: np.ndarray) -> np.ndarray:
     """curvature_implicit at each row (f_x, f_y) of grads, with one Hessian
-    ``hess`` of shape (2, 2) for all rows or one per row, shape (n, 2, 2)."""
+    ``hess`` of shape (2, 2) for all rows or one per row, shape (n, 2, 2).
+
+    The curvature of a level curve is unchanged under f -> f / lam, so a
+    row whose largest gradient component reaches 2^64 has its gradient and
+    Hessian divided by the power of two lam = 2^(64 j) that brings it below:
+    exact in floating point, so no product overflows at extreme scales.
+    Other rows keep lam = 1 and so their bits, as pow(x, 1.5) is not exactly
+    homogeneous; gradients below 1e-12 are rejected as singular."""
     fx, fy = grads[:, 0], grads[:, 1]
+    exps = np.frexp(np.maximum(np.abs(fx), np.abs(fy)))[1]
+    scale = np.ldexp(1.0, -(np.maximum(exps, 0) // 64 * 64))
+    fx, fy = fx * scale, fy * scale
     g2 = fx**2 + fy**2
-    if np.any(np.sqrt(g2) < 1e-12):
+    if np.any(np.sqrt(g2) < 1e-12 * scale):
         raise SingularPoint("vanishing gradient")
-    num = np.abs(hess[..., 0, 0] * fy**2 - 2 * hess[..., 0, 1] * fx * fy + fx**2 * hess[..., 1, 1])
+    hxx, hxy, hyy = (hess[..., i, j] * scale for i, j in ((0, 0), (0, 1), (1, 1)))
+    num = np.abs(hxx * fy**2 - 2 * hxy * fx * fy + fx**2 * hyy)
     return num / g2**1.5
 
 

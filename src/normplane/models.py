@@ -41,6 +41,7 @@ from .errors import (
 )
 from .geometry import Vec2, as_vec
 from .numerics import (
+    PeriodicSpline,
     angle_dist,
     bisect_batch,
     phase_grid,
@@ -1045,8 +1046,9 @@ class DualNorm(RadialNorm):
     """Dual gauge of a base model, sampled once and interpolated.
 
     The radial table is computed with the exact support-maximization routine
-    on a dense grid; a periodic cubic spline then serves gauge queries. The
-    table resolution keeps interpolation error near 1e-12 for smooth bases.
+    on a dense grid; the package's own periodic cubic spline
+    (``numerics.PeriodicSpline``) then serves gauge queries. The table
+    resolution keeps interpolation error near 1e-12 for smooth bases.
     Gradients come from the spline's first derivative; curvatures from a
     stencil on the radial function, since its second derivative is too rough.
     """
@@ -1056,19 +1058,12 @@ class DualNorm(RadialNorm):
     def __init__(self, base: NormModel):
         super().__init__({"base": dict(base.params), "base_family": base.family})
         self.base = base
-        from scipy.interpolate import CubicSpline
-
-        thetas = np.arange(DUAL_TABLE_N + 1) * (2.0 * np.pi / DUAL_TABLE_N)
-        units = _units(thetas[:-1])
-        vals = geometry.dual_gauge_many(base, units)
-        rho = 1.0 / vals
-        self._spline = CubicSpline(
-            thetas, np.concatenate([rho, rho[:1]]), bc_type="periodic"
-        )
+        units = _units(np.arange(DUAL_TABLE_N) * (2.0 * np.pi / DUAL_TABLE_N))
+        self._spline = PeriodicSpline(1.0 / geometry.dual_gauge_many(base, units))
         self.is_c2 = base.is_c2
 
     def g_many(self, thetas, order: int = 0):
-        return self._spline(thetas % (2.0 * np.pi), order)
+        return self._spline(thetas, order)
 
     def curvature_theta_many(self, thetas):
         return stencil_curvature_many(self, np.asarray(thetas, dtype=float))

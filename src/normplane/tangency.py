@@ -50,6 +50,13 @@ def _refined_max(val, vals) -> float:
     return float(circle_max(lambda _, th: val(th), vals[None], REFINE_WORST, 40)[0][0])
 
 
+def _max_within(val, vals, bound: float) -> bool:
+    """Whether _refined_max(val, vals) <= bound. The refined max is never
+    below the grid's, so a sample above bound rejects without refining; a
+    NaN grid falls through to the refinement."""
+    return not vals.max() > bound and _refined_max(val, vals) <= bound
+
+
 @dataclass(frozen=True)
 class Ellipse:
     """Origin-centered ellipse {z : z^T M z <= 1} as a symmetric PD form."""
@@ -266,8 +273,8 @@ def verify_disc(model, disc: Disc, which: str, tol: float = CONTAIN_TOL) -> bool
         return np.hypot(z[:, 0] - c[0], z[:, 1] - c[1])
 
     if which == "inner":
-        return -_refined_max(lambda th: -dist(th), -d) >= disc.radius - tol
-    return _refined_max(dist, d) <= disc.radius + tol
+        return _max_within(lambda th: -dist(th), -d, tol - disc.radius)
+    return _max_within(dist, d, disc.radius + tol)
 
 
 # -- explicit inner-ellipse construction --------------------------------------
@@ -302,7 +309,7 @@ def ellipse_inside_ball(model, ellipse: Ellipse, tol: float = CONTAIN_TOL) -> bo
     def val(phi):
         return model.gauge_many(np.column_stack([np.cos(phi), np.sin(phi)]) @ inv_half.T)
 
-    return _refined_max(val, vals) <= 1.0 + tol
+    return _max_within(val, vals, 1.0 + tol)
 
 
 def inner_ellipse(model, x: SpherePoint) -> Ellipse | None:
@@ -371,15 +378,15 @@ def outer_ellipse(model, x: SpherePoint) -> Ellipse | None:
     pts = model.fine_points()
     while b >= 1e-6:
         e = outer_family(model, x, b)
-        vals = e.gauge_many(pts)
-        if _sphere_form_max(model, e, vals) <= 1.0 + CONTAIN_TOL:
+        if _max_within(_sphere_form(model, e), e.gauge_many(pts), 1.0 + CONTAIN_TOL):
             return e
         b *= 0.5
     return None
 
 
-def _sphere_form_max(model, ellipse: Ellipse, coarse_vals: np.ndarray) -> float:
-    return _refined_max(lambda th: ellipse.gauge_many(model.sphere_points_at(th)), coarse_vals)
+def _sphere_form(model, ellipse: Ellipse):
+    """The ellipse's gauge on the model's sphere, as a function of angle."""
+    return lambda th: ellipse.gauge_many(model.sphere_points_at(th))
 
 
 # -- minimal-volume enclosing ellipse -----------------------------------------
@@ -418,7 +425,7 @@ def john_ellipse(model) -> Ellipse:
     )
     m = np.array([[res.x[0], res.x[1]], [res.x[1], res.x[2]]])
     e = Ellipse.from_matrix(m)
-    scale = _sphere_form_max(model, e, e.gauge_many(pts))
+    scale = _refined_max(_sphere_form(model, e), e.gauge_many(pts))
     model._john_ellipse = Ellipse.from_matrix(m / (scale * scale))
     return model._john_ellipse
 
@@ -457,7 +464,7 @@ def dual_transfer(report: TangencyReport, model) -> TangencyReport:
         inner_e = None
     if outer_e is not None:
         vals = outer_e.gauge_many(dual.fine_points())
-        if _sphere_form_max(dual, outer_e, vals) > 1.0 + 1e-6:
+        if _refined_max(_sphere_form(dual, outer_e), vals) > 1.0 + 1e-6:
             outer_e = None
     return TangencyReport(
         point=xstar,

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from normplane import curvature, geometry, models
+from normplane import classify, curvature, geometry, models
 from normplane.errors import ScaleLawViolation, SingularPoint
+from normplane.numerics import phase_grid
 
 
 def test_curvature_graph():
@@ -38,6 +39,24 @@ def test_curvature_implicit_tilted_ellipse_construction():
     hess = [[2 * a, c], [c, 2 * b]]
     assert grad == (2.0, 0.0)
     assert curvature.curvature_implicit(grad, hess) == pytest.approx(2.0, rel=1e-15)
+
+
+def test_curvature_at_extreme_scales():
+    # both build under the RuntimeWarning gate: the needle ellipse with
+    # semi-axes (1e-151, 1), and the blend of l4 with eps = 1e301, a disc of
+    # radius eps^(-1/2) to within 1e-301 relative
+    thetas = np.concatenate([phase_grid(256), np.arange(8) * (math.pi / 4)])
+    a, b = 1e-151, 1.0
+    needle = models.make_ellipse(a, b)
+    x, y = needle.sphere_points_at(thetas).T
+    # (a cos t, b sin t) has curvature a b / (a^2 sin^2 t + b^2 cos^2 t)^(3/2)
+    h = np.hypot(a * y / b, b * x / a)
+    want = (a / h) * (b / h) / h
+    assert np.allclose(needle.curvature_theta_many(thetas), want, rtol=1e-12, atol=0.0)
+    blend = models.make_blend(models.make_lp(4), 1e301)
+    disc = math.sqrt(1e301)
+    assert np.allclose(blend.curvature_theta_many(thetas), disc, rtol=1e-12, atol=0.0)
+    assert classify.refined_kappa_min(blend) == pytest.approx(disc, rel=1e-12)
 
 
 def test_curvature_parametric():

@@ -214,6 +214,34 @@ def test_cli_invalid_model_exits_2(tmp_path, text):
     assert proc.stdout == ""
 
 
+_SCIPY_FREE_VERDICTS = """
+import sys
+import normplane.cli
+from normplane import classify, gallery
+from normplane.errors import SelfCheckFailed
+for name in ("nobst", "grandpa_pig_strict"):
+    model = gallery.get(name)
+    classify.classify(model)
+    try:
+        classify.classify_st(model, dual_check=True)
+    except SelfCheckFailed:
+        pass  # nobst's sampled dual sweep disagrees with its primal one
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+def test_verdicts_import_no_scipy():
+    # the sampled duals' spline is the package's own, so no verdict, with or
+    # without the dual check, pays for importing scipy
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_VERDICTS],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cli_dual_check_disagreement_exits_1(tmp_path, monkeypatch, capsys):
     # the primal sweep says yes, the dual sweep no
     kinds = iter(["yes", "no"])

@@ -1,15 +1,16 @@
 """The lane-wise golden-section search and the circle maximum built on it,
-bisection plateaus and Illinois root polishing."""
+bisection plateaus, Illinois root polishing and the periodic cubic spline."""
 
 import math
 
 import numpy as np
 import pytest
 
-from normplane import tangency
+from normplane import gallery, models, tangency
 from normplane.numerics import (
     INVPHI,
     INVPHI2,
+    PeriodicSpline,
     bisect_batch,
     circle_max,
     golden_min,
@@ -107,6 +108,52 @@ def test_refined_max_ignores_nan_lanes():
     assert abs(tangency._refined_max(val, vals) - 1.0) <= 1e-15
     everywhere_nan = lambda th: np.full(np.shape(th), np.nan)  # noqa: E731
     assert tangency._refined_max(everywhere_nan, vals) == vals.max()
+
+
+def test_max_within_rejects_on_the_grid():
+    # the refined max is never below the grid's, so a grid sample above the
+    # bound decides without refining; a NaN grid still refines
+    thetas = phase_grid(256)
+    calls = []
+
+    def val(th):
+        calls.append(th)
+        return np.cos(th)
+
+    vals = np.cos(thetas)
+    assert not tangency._max_within(val, vals, 0.5) and not calls
+    # the grid maximum cos(pi / 256) lies below the refined maximum 1
+    assert not tangency._max_within(val, vals, vals.max()) and calls
+    assert tangency._max_within(val, vals, 1.0 + 1e-12)
+    vals[5] = np.nan
+    calls.clear()
+    assert tangency._max_within(val, vals, 2.0) == (tangency._refined_max(val, vals) <= 2.0)
+    assert calls
+
+
+@pytest.mark.parametrize("name", ["random", "dual:grandpa_pig_strict", "dual:nobst"])
+def test_periodic_spline_matches_scipy(name):
+    from scipy.interpolate import CubicSpline
+
+    if name == "random":
+        y = 1.0 + 0.1 * np.random.default_rng(20).uniform(-1.0, 1.0, 1000)
+    else:
+        y = models.dual_model(gallery.get(name.removeprefix("dual:")))._spline.coeffs[-1]
+    spline = PeriodicSpline(y)
+    knots = spline.knots
+    ref = CubicSpline(knots, np.append(y, y[0]), bc_type="periodic")
+    x = np.random.default_rng(21).uniform(0.0, 2.0 * np.pi, 50_000)
+    g, want = spline(x), ref(x)
+    assert np.all(np.abs(g - want) <= 1e-15 * np.abs(want))
+    d1, want1 = spline(x, 1), ref(x, 1)
+    scale = np.abs(want1).max()
+    assert np.all(np.abs(d1 - want1) <= 1e-13 * scale)
+    # exact at the knots, and periodic: theta and theta + 2 pi agree, on
+    # angles whose shift by 2 pi is exact in floating point
+    assert np.array_equal(spline(knots[:-1]), y)
+    theta = (x + 2.0 * np.pi) - 2.0 * np.pi
+    for order in (0, 1):
+        assert np.array_equal(spline(theta + 2.0 * np.pi, order), spline(theta, order))
 
 
 def _rows_wavy(rows, t):
