@@ -251,11 +251,22 @@ def umst_delta_table(model, eps_values, n_a: int = TABLE_A_POINTS, n_off: int = 
     distance delta such that every swept tangent-shrink map between points
     closer than delta certifies contractive.
 
+    The pairs are the n_a base points of the phase grid, each with n_off
+    offsets. Only the first n_a / 2 base points are swept: the pair at
+    a + pi and b + pi is (-pa, -pb), whose tangent-shrink map is
+    (-D)(-S)^-1 = D S^-1 and whose distance is gauge(-(pa - pb)) =
+    gauge(pa - pb), so it fails exactly when its twin does. The counts are
+    reported doubled, for the whole grid.
+
     Rows are (eps, delta, n_pairs, n_failures).
     """
+    if n_a < 2 or n_a % 2:
+        raise BadParameter(f"table base points must be even and at least 2, got {n_a!r}")
+    if n_off < 1:
+        raise BadParameter(f"table offsets must be at least 1, got {n_off!r}")
     offsets = np.geomspace(1e-3, 0.75, n_off)
-    pair_a = np.repeat(phase_grid(n_a), n_off)
-    pair_b = pair_a + np.tile(offsets, n_a)
+    pair_a = np.repeat(phase_grid(n_a // 2, np.pi), n_off)
+    pair_b = pair_a + np.tile(offsets, n_a // 2)
     a = geometry.sphere_data(model, pair_a)
     b = geometry.sphere_data(model, pair_b)
     pa, ta, pb, tb = a["points"], a["tangents"], b["points"], b["tangents"]
@@ -275,7 +286,7 @@ def umst_delta_table(model, eps_values, n_a: int = TABLE_A_POINTS, n_off: int = 
             delta = float(dists[failing].min())
         else:
             delta = float(dists.max())
-        rows.append((float(eps), delta, int(len(mats)), int(failing.sum())))
+        rows.append((float(eps), delta, 2 * len(mats), 2 * int(failing.sum())))
     return tuple(rows)
 
 

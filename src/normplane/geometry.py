@@ -251,18 +251,18 @@ def _map_images(mats: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _operator_norms(model, mats: np.ndarray, pts: np.ndarray, iters: int):
+def _operator_norms(model, mats: np.ndarray, pts: np.ndarray, iters: int, period: float = 2.0 * np.pi):
     """sup of gauge(T z) over the gauge-unit sphere for each T in mats (shape
-    (k, 2, 2)): the sphere points ``pts`` of a phase-offset grid, then one
-    lane-wise golden search of ``iters`` steps around each map's best grid
-    angle. Returns (values, witness angles)."""
+    (k, 2, 2)): the sphere points ``pts`` of phase_grid(len(pts), period),
+    then one lane-wise golden search of ``iters`` steps around each map's
+    best grid angle. Returns (values, witness angles)."""
     k, grid = mats.shape[0], len(pts)
     vals = model.gauge_many(_map_images(mats[:, None], pts).reshape(k * grid, 2))
 
     def val(rows, ts):
         return model.gauge_many(_map_images(mats[rows], model.sphere_points_at(ts)))
 
-    return circle_max(val, vals.reshape(k, grid), 1, iters)
+    return circle_max(val, vals.reshape(k, grid), 1, iters, period)
 
 
 def operator_norms(model, mats) -> tuple[np.ndarray, np.ndarray]:
@@ -285,6 +285,11 @@ def operator_norm_batch(model, mats: np.ndarray) -> np.ndarray:
     """Operator norms of a batch of 2x2 matrices (shape (k, 2, 2)): the
     OPNORM_BATCH_GRID grid plus a 60-step golden refinement, all maps as
     lanes of one search; used by sweep-style callers where the one-at-a-time
-    path would dominate the runtime."""
-    pts = model.sphere_points_at(phase_grid(OPNORM_BATCH_GRID))
-    return _operator_norms(model, np.asarray(mats, dtype=float), pts, 60)[0]
+    path would dominate the runtime.
+
+    gauge(T(-z)) = gauge(T z), so only the first half of the grid is
+    scanned, as a pi-periodic search (numerics.circle_max): the values are
+    bit for bit those of the full scan of the points (z, -z), z on that
+    half."""
+    pts = model.sphere_points_at(phase_grid(OPNORM_BATCH_GRID // 2, np.pi))
+    return _operator_norms(model, np.asarray(mats, dtype=float), pts, 60, np.pi)[0]

@@ -1046,7 +1046,9 @@ class DualNorm(RadialNorm):
     """Dual gauge of a base model, sampled once and interpolated.
 
     The radial table is computed with the exact support-maximization routine
-    on a dense grid; the package's own periodic cubic spline
+    on a dense grid of DUAL_TABLE_N knots, of which the first half is gauged
+    and the second half, the antipodal functionals, repeats it exactly (the
+    dual gauge is even); the package's own periodic cubic spline
     (``numerics.PeriodicSpline``) then serves gauge queries. The table
     resolution keeps interpolation error near 1e-12 for smooth bases.
     Gradients come from the spline's first derivative; curvatures from a
@@ -1058,8 +1060,8 @@ class DualNorm(RadialNorm):
     def __init__(self, base: NormModel):
         super().__init__({"base": dict(base.params), "base_family": base.family})
         self.base = base
-        units = _units(np.arange(DUAL_TABLE_N) * (2.0 * np.pi / DUAL_TABLE_N))
-        self._spline = PeriodicSpline(1.0 / geometry.dual_gauge_many(base, units))
+        half = _units(np.arange(DUAL_TABLE_N // 2) * (2.0 * np.pi / DUAL_TABLE_N))
+        self._spline = PeriodicSpline(np.tile(1.0 / geometry.dual_gauge_many(base, half), 2))
         self.is_c2 = base.is_c2
 
     def g_many(self, thetas, order: int = 0):

@@ -4,14 +4,17 @@ and the support-line decomposition inequality.
 The uniform-convexity modulus is computed in its equality form (pairs at
 gauge distance exactly eps), which turns the infimum into a one-parameter
 family of root finds along the sphere: for each base point and branch, the
-smallest partner offset at gauge distance eps. One sweep over the 1024
-grid points of the sphere cache (``_sweep_depths``) brackets each root
-between two grid offsets, for any number of eps, and places it with one
-polish (``_polish_depths``). ``delta_uc`` gauges the pairs the sweep reads
-and ``delta_curve`` looks them up in one table of pair distances; the two
-read the same d, so the curve is ``delta_uc`` at each of its eps. The sweep
-only chooses where one lane-wise zoom (``_zoom_min``) starts, and the zoom's
-values come from a 50-step bisection (``_uc_depths``).
+smallest partner offset at gauge distance eps. The pair (-x, -y) has the
+depth and distance of (x, y), so the depth is pi-periodic in the base
+point: one sweep over the first 512 of the sphere cache's 1024 grid points,
+on both branches (``_sweep_depths``), brackets each root between two grid
+offsets, for any number of eps, and places it with one polish
+(``_polish_depths``). ``delta_uc`` gauges the pairs the sweep reads and
+``delta_curve`` looks them up in one table of pair distances; the two read
+the same d, so the curve is ``delta_uc`` at each of its eps. The sweep only
+chooses where one lane-wise zoom (``_zoom_min``, over the half circle)
+starts, and the zoom's values come from a 50-step bisection
+(``_uc_depths``).
 """
 
 from __future__ import annotations
@@ -66,18 +69,19 @@ class ModulusCurve:
         return "\n".join(lines) + "\n"
 
 
-def _zoom_min(f, vals: np.ndarray) -> np.ndarray:
+def _zoom_min(f, vals: np.ndarray, period: float = 2.0 * np.pi) -> np.ndarray:
     """Row minima over the circle of k functions from their samples vals,
-    shape (k, n), on the phase-offset n-grid: two rounds of 33 points around
-    each row's running argmin, the window shrinking 16x a round, where f maps
-    a (k, 33) array of angles (row r for function r) to values. A zoom, not a
-    golden search: each round is one batched call of f. The first round's
-    middle point is the grid argmin itself, so the samples only choose where
-    the zoom starts."""
+    shape (k, n), on phase_grid(n, period) (period pi: the first half of the
+    2n-grid, for pi-periodic functions): two rounds of 33 points around each
+    row's running argmin, the window h = period / n either side shrinking
+    16x a round, where f maps a (k, 33) array of angles (row r for function
+    r) to values. A zoom, not a golden search: each round is one batched
+    call of f. The first round's middle point is the grid argmin itself, so
+    the samples only choose where the zoom starts."""
     k, n = vals.shape
     rows = np.arange(k)
-    h = 2.0 * np.pi / n
-    center = phase_grid(n)[np.argmin(vals, axis=1)]
+    h = period / n
+    center = phase_grid(n, period)[np.argmin(vals, axis=1)]
     best = np.full(k, np.inf)
     for _ in range(2):
         local = center[:, None] + np.linspace(-h, h, 33)
@@ -91,8 +95,8 @@ def _zoom_min(f, vals: np.ndarray) -> np.ndarray:
 
 def delta_uc(model, eps: float) -> float:
     """Modulus of uniform convexity at eps in (0, 2]: worst midpoint depth
-    over sphere pairs at gauge distance eps, zoomed in from a 1024-point
-    sweep in the base point that gauges each pair it reads."""
+    over sphere pairs at gauge distance eps, zoomed in from a sweep over 512
+    base points of the 1024-point grid that gauges each pair it reads."""
     if not (0.0 < eps <= 2.0):
         raise BadEps(f"eps {eps!r} outside (0, 2]")
     return float(_modulus(model, np.array([eps], dtype=float), _gauge_dist(model))[0])
@@ -102,7 +106,7 @@ def _modulus(model, eps: np.ndarray, dist) -> np.ndarray:
     """delta at each eps: the grid sweep, reading d through dist, picks where
     the zoom over _uc_depths starts."""
     vals = _sweep_depths(model, eps, dist)
-    return _zoom_min(lambda thetas: _uc_depths(model, eps[:, None], thetas), vals)
+    return _zoom_min(lambda thetas: _uc_depths(model, eps[:, None], thetas), vals, np.pi)
 
 
 def _gauge_dist(model):
@@ -114,7 +118,8 @@ def _gauge_dist(model):
 
 def _table_dist(model):
     """_sweep_depths' dist read from a table of every pair distance on the
-    grid, gauged UC_BLOCK points a call."""
+    grid, gauged UC_BLOCK points a call. It keeps all n rows: branch -1 of
+    base i reads row i - k, in the second half when i < k."""
     n = UC_SWEEP_N
     half = n // 2
     xs = model.sphere_cache()["points"]
@@ -173,14 +178,16 @@ def _uc_depths(model, eps, thetas) -> np.ndarray:
 
 
 def _sweep_depths(model, eps: np.ndarray, dist) -> np.ndarray:
-    """_uc_depths on the UC_SWEEP_N-point phase grid for every eps at once,
-    shape (len(eps), UC_SWEEP_N), where dist(base, sign, k) gives
-    d = gauge(x_base - x_(base + sign k)) for grid points x and offsets k.
+    """_uc_depths on the first half of the UC_SWEEP_N-point phase grid for
+    every eps at once, shape (len(eps), UC_SWEEP_N // 2), where
+    dist(base, sign, k) gives d = gauge(x_base - x_(base + sign k)) for grid
+    points x and offsets k. The grid's second half is the first one turned
+    by pi, whose pairs (-x, -y) have the depths and distances of (x, y).
 
     In a normed plane d never decreases along a branch from x to -x
     (Martini, Swanepoel and Weiss, Expo. Math. 19 (2001)), so the first
     offset with d >= eps brackets the smallest root within one grid step.
-    Every (eps, base, branch) lane of UC_BLOCK // (2n) eps at once
+    Every (eps, base, branch) lane of UC_BLOCK // n eps at once
     binary-searches the offsets 1 .. n/2 for it, one dist call on the still
     open lanes a step (at most 10 for n = 1024), keeping d at both ends of
     its bracket; _polish_depths then places the root. Lanes with no such
@@ -188,12 +195,13 @@ def _sweep_depths(model, eps: np.ndarray, dist) -> np.ndarray:
     """
     n = UC_SWEEP_N
     half = n // 2
-    per = UC_BLOCK // (2 * n)
-    depth = np.full((len(eps), 2 * n), np.inf)
+    per = UC_BLOCK // n
+    depth = np.full((len(eps), n), np.inf)
     for e0 in range(0, len(eps), per):
-        e = np.repeat(eps[e0 : e0 + per], 2 * n)
+        e = np.repeat(eps[e0 : e0 + per], n)
         m = e.size
-        base, sign = np.arange(m) % n, np.where(np.arange(m) % (2 * n) < n, 1, -1)
+        # lanes: per eps the bases 0 .. half - 1 on branch +1, then on branch -1
+        base, sign = np.arange(m) % half, np.where(np.arange(m) % n < half, 1, -1)
         # d(lo) < eps <= d(hi); offset 0 is the base point itself (d = 0) and
         # half + 1 stands for a branch that never reaches eps
         lo, hi = np.zeros(m, dtype=int), np.full(m, half + 1)
@@ -211,7 +219,7 @@ def _sweep_depths(model, eps: np.ndarray, dist) -> np.ndarray:
         depth[e0 : e0 + per].reshape(-1)[found] = _polish_depths(
             model, base[found], sign[found], hi[found], d_lo[found], d_hi[found], e[found]
         )
-    return np.minimum(depth[:, :n], depth[:, n:])
+    return np.minimum(depth[:, :half], depth[:, half:])
 
 
 def _polish_depths(model, base, sign, k, d_lo, d_hi, eps) -> np.ndarray:

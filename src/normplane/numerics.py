@@ -14,10 +14,17 @@ INVPHI = (np.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0  # 1/phi^2
 
 
-def phase_grid(n: int) -> np.ndarray:
-    """The n angles (k + 1/2) 2 pi / n: the circle grid offset by half a step,
-    so that features at rational multiples of pi never land on samples."""
-    return (np.arange(n) + 0.5) * (2.0 * np.pi / n)
+def phase_grid(n: int, period: float = 2.0 * np.pi) -> np.ndarray:
+    """The n angles (k + 1/2) period / n: the circle grid offset by half a
+    step, so that features at rational multiples of pi never land on samples.
+
+    With period pi it is the first half of the 2n-grid, bit for bit (the
+    steps pi / n and 2 pi / (2n) are one float). The 2n-grid's second half
+    is its first turned by pi, so a function with f(theta + pi) = f(theta),
+    such as anything even on the sphere, is searched on this half at half
+    the cost.
+    """
+    return (np.arange(n) + 0.5) * (period / n)
 
 
 def angle_dist(a, b):
@@ -56,16 +63,21 @@ def golden_min(f, lo, hi, iters: int = 80):
     return np.where(left, c, d), np.where(left, fc, fd)
 
 
-def circle_max(f, vals, seeds: int, iters: int):
+def circle_max(f, vals, seeds: int, iters: int, period: float = 2.0 * np.pi):
     """Maxima over the circle of k functions from their samples vals, shape
-    (k, n), on the phase-offset n-grid: the ``seeds`` largest finite samples
-    of each row are refined over one grid step either side, as lanes of one
-    ``iters``-step golden_min, where f(rows, thetas) evaluates each lane's
-    row function at its angle. NaN refined values are ignored. Returns
-    (maxima, argmax angles); a refined value that only ties the grid keeps
-    the grid angle."""
+    (k, n), on phase_grid(n, period): the ``seeds`` largest finite samples
+    of each row are refined over one grid step h = period / n either side,
+    as lanes of one ``iters``-step golden_min, where f(rows, thetas)
+    evaluates each lane's row function at its angle. NaN refined values are
+    ignored. Returns (maxima, argmax angles); a refined value that only ties
+    the grid keeps the grid angle.
+
+    For pi-periodic functions pass period pi and the samples on the first
+    half of the 2n-grid: with one seed the result is bit for bit that of the
+    full 2n-grid whose second half repeats the first, since argmax picks the
+    first of the twins and the step is the same float."""
     k, n = vals.shape
-    h = 2.0 * np.pi / n
+    h = period / n
     top = np.argmax(vals, axis=1)
     # argmax picks the first maximum; a full argsort of a large table is slow
     idx = top[:, None] if seeds == 1 else np.argsort(-vals, axis=1)[:, :seeds]

@@ -274,6 +274,25 @@ def test_operator_norm_batch_is_lane_wise(pig_strict, ellipse_2_1):
         assert np.array_equal(batch, alone)
 
 
+def test_operator_norm_batch_is_the_antipodal_full_scan(all_gallery):
+    # gauge(T(-z)) = gauge(T z): scanning the first half of the grid gives,
+    # bit for bit, the full scan of the points (z, -z), z on that half, on
+    # seeded UMST-style shrink maps and Gaussian maps
+    n = geometry.OPNORM_BATCH_GRID
+    rng = np.random.default_rng(43)
+    theta = rng.uniform(0.0, 2.0 * np.pi, 16)
+    for name in ("euclidean", "ellipse_2_1", "grandpa_pig_strict", "blend_l4", "nobst", "two_ellipses"):
+        model = all_gallery[name]
+        a = geometry.sphere_data(model, theta)
+        b = geometry.sphere_data(model, theta + np.geomspace(1e-3, 0.75, 16))
+        dst = np.stack([b["points"], 0.9 * b["tangents"]], axis=-1)
+        shrink = dst @ np.linalg.inv(np.stack([a["points"], a["tangents"]], axis=-1))
+        mats = np.concatenate([shrink, rng.normal(size=(16, 2, 2))])
+        half = model.sphere_points_at(phase_grid(n)[: n // 2])
+        want = geometry._operator_norms(model, mats, np.concatenate([half, -half]), 60)[0]
+        assert np.array_equal(geometry.operator_norm_batch(model, mats), want), name
+
+
 def test_map_images_match_matmul(ellipse_2_1):
     rng = np.random.default_rng(32)
     mats = rng.normal(size=(64, 2, 2)) * 10.0 ** rng.integers(-3, 4, size=(64, 1, 1))

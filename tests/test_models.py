@@ -542,6 +542,36 @@ def test_dual_model_numeric(pig):
         assert back == pytest.approx(pig.gauge(v), rel=1e-5)
 
 
+@pytest.mark.parametrize("name", ["grandpa_pig_strict", "two_ellipses", "spliced", "nobst", "blend_l4"])
+def test_sampled_dual_is_exactly_even(name):
+    # N*(-f) = N*(f): the knots' second half repeats the first, and the
+    # dual's gauge is even bit for bit
+    dual = models.dual_model(gallery.get(name))
+    assert isinstance(dual, models.DualNorm)
+    radii = dual._spline.coeffs[3]
+    half = models.DUAL_TABLE_N // 2
+    assert np.array_equal(radii[half:], radii[:half])
+    fs = np.random.default_rng(47).normal(size=(256, 2))
+    assert np.array_equal(dual.gauge_many(-fs), dual.gauge_many(fs))
+
+
+def test_sampled_dual_build_gauge_points(monkeypatch):
+    """Building grandpa_pig_strict's dual gauges the DUAL_TABLE_N // 2 = 4096
+    first functionals only: the 2048-point grid plus 62 golden points each,
+    256,000 base points (509,952 for all 8192 knots)."""
+    base = models.make_polar(sin_terms={4: 1.0 / 34.0})
+    points = []
+    gauge_many = base.gauge_many
+
+    def counting(pts):
+        points.append(len(pts))
+        return gauge_many(pts)
+
+    monkeypatch.setattr(base, "gauge_many", counting)
+    models.dual_model(base)
+    assert sum(points) <= 260_000
+
+
 def test_dual_model_survives_address_reuse():
     # each build is dropped before the next, so a new model can take a dead
     # one's address; the dual must still belong to the live model

@@ -182,6 +182,25 @@ def test_circle_max_ties_keep_the_first_grid_maximum():
     assert angles.tolist() == [phase_grid(16)[3]] * 2
 
 
+def test_phase_grid_of_period_pi_is_the_first_half():
+    for n in (2, 256, 512):
+        assert np.array_equal(phase_grid(n // 2, np.pi), phase_grid(n)[: n // 2])
+
+
+def test_circle_max_on_half_a_period_is_the_full_scan():
+    # a pi-periodic row function sampled on the first half of the grid gives,
+    # bit for bit, the full scan of the samples repeated
+    rows = np.arange(5)
+
+    def f(r, t):
+        return _rows_wavy(r, 2.0 * t)
+
+    half = f(rows[:, None], phase_grid(32, np.pi)[None, :])
+    got = circle_max(f, half, 1, 40, np.pi)
+    want = circle_max(f, np.tile(half, 2), 1, 40)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_circle_max_drops_nan_lanes_and_non_finite_rows():
     n = 256
     vals = np.cos(phase_grid(n))[None, :].repeat(4, axis=0)
