@@ -25,8 +25,8 @@ from .geometry import SpherePoint
 from .numerics import angle_dist, golden_min, phase_grid
 from .tangency import MIN_DISC_RADIUS, OUTER_DISC_CAP
 
-#: sweep resolution for verdicts
-SWEEP_N = 1024
+#: sweep resolution for verdicts: every sweep runs on the sphere cache's grid
+SWEEP_N = _models.SPHERE_CACHE_N
 
 #: disc-ratio thresholds: Yes below, No above, Unknown between
 BST_RATIO_YES = 1e2
@@ -160,12 +160,10 @@ def kappa_extrema_thetas(model) -> np.ndarray:
 
 def refined_kappa_min(model) -> float:
     """Minimum sphere curvature, including the refined extrema."""
-    sweep_min = float(np.nanmin(np.where(np.isfinite(model.sphere_cache()["kappas"]),
-                                         model.sphere_cache()["kappas"], np.nan)))
-    for th in kappa_extrema_thetas(model):
-        k = float(model.curvature_theta_many(np.array([th]))[0])
-        if np.isfinite(k):
-            sweep_min = min(sweep_min, k)
+    kap = np.concatenate(
+        [model.sphere_cache()["kappas"], model.curvature_theta_many(kappa_extrema_thetas(model))]
+    )
+    sweep_min = float(np.nanmin(np.where(np.isfinite(kap), kap, np.nan)))
     k_lo, _ = model.curvature_sided_many(model.feature_thetas())
     return float(np.min(k_lo, initial=sweep_min))
 

@@ -43,7 +43,6 @@ from .geometry import Vec2, as_vec
 from .numerics import (
     PeriodicSpline,
     angle_dist,
-    bisect_batch,
     phase_grid,
     quad_form,
     rotation,
@@ -875,9 +874,14 @@ class EllipseMaxNorm(NormModel):
         m1 = np.asarray(m1, dtype=float)
         m2 = np.asarray(m2, dtype=float)
         super().__init__({"m1": m1.tolist(), "m2": m2.tolist()})
+        # where m1 - m2 is semidefinite one form dominates: the pair is one
+        # ellipse, computed with that form
+        w = np.linalg.eigvalsh(m1 - m2)
+        self.single = bool(w[0] >= 0.0 or w[1] <= 0.0)
+        if self.single:
+            m1 = m2 = m1 if w[0] >= 0.0 else m2
         self.m1 = m1
         self.m2 = m2
-        self.single = np.allclose(m1, m2, rtol=0, atol=1e-14)
         self.is_c2 = self.single
 
     def _forms(self, pts):
@@ -904,27 +908,19 @@ class EllipseMaxNorm(NormModel):
     def _corner_rows(self):
         if self.single:
             return _NO_CORNERS
-        grid = phase_grid(8192)
-        units = _units(grid)
-        q1, q2 = self._forms(units)
-        d = q1 - q2
-        # one bisection lane per crossing, signed so that it rises through 0
-        j = np.where(d * np.roll(d, -1) < 0)[0]
-        if not j.size:  # one ball inside the other: the forms never cross
-            return _NO_CORNERS
-        sign = np.where(d[j] < 0, 1.0, -1.0)
-
-        def f(ts):
-            a, b = self._forms(_units(ts))
-            return (a - b) * sign
-
-        thetas = np.sort(bisect_batch(f, grid[j], grid[j] + 2.0 * np.pi / 8192) % (2.0 * np.pi))
+        # the corners lie on the null lines of the indefinite D = m1 - m2,
+        # V (sqrt(w1), +-sqrt(-w0)) in its eigenbasis, each line met twice
+        d = self.m1 - self.m2
+        w, v = np.linalg.eigh(d)
+        a, b = np.sqrt(w[1]), np.sqrt(-w[0])
+        z = np.array([[a, b], [a, -b], [-a, -b], [-a, b]]) @ v.T
+        thetas = np.arctan2(z[:, 1], z[:, 0]) % (2.0 * np.pi)
         pts = self.sphere_points_at(thetas)
-        f1, f2 = (np.array([m @ p / (p @ m @ p) for p in pts]) for m in (self.m1, self.m2))
+        f1, f2 = (pts @ m / quad_form(pts, m)[:, None] for m in (self.m1, self.m2))
         k1, k2 = (curvature_implicit_many(2.0 * pts @ m.T, 2.0 * m) for m in (self.m1, self.m2))
-        # the form that is the larger just below the corner is the one before it
-        q1, q2 = self._forms(self.sphere_points_at(thetas - 1e-7))
-        first = q1 >= q2
+        # q1 - q2 changes at rate 2 <z_perp, D z> turning through a corner, so
+        # m1 is the larger form just before it where that rate is negative
+        first = np.einsum("ij,ij->i", np.column_stack([-z[:, 1], z[:, 0]]), z @ d) < 0.0
         return Corners(
             thetas,
             np.where(first[:, None], f1, f2),

@@ -60,19 +60,36 @@ def _one(fields: dict, key: str, default=None) -> str:
     return vals[0]
 
 
-def _pairs(text: str) -> dict[int, float]:
-    out = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        n, amp = part.split(":")
-        out[int(n)] = float(amp)
-    return out
+def _number(key: str, text: str, kind=float):
+    """text read as a float (or an int), or BadParameter naming the key."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise BadParameter(f"model spec key {key!r}: {text.strip()!r} is not {what}") from None
 
 
-def _form(text: str) -> np.ndarray:
-    m11, m12, m22 = (float(t) for t in text.split(","))
+def _value(fields: dict, key: str, default=None, kind=float):
+    return _number(key, _one(fields, key, default), kind)
+
+
+def _numbers(key: str, text: str, kinds: tuple, sep: str = ",") -> list:
+    """text's sep-separated fields read as numbers of the given kinds."""
+    parts = text.split(sep)
+    if len(parts) != len(kinds):
+        raise BadParameter(
+            f"model spec key {key!r}: {text.strip()!r} needs {len(kinds)} {sep!r}-separated fields"
+        )
+    return [_number(key, t, kind) for t, kind in zip(parts, kinds)]
+
+
+def _pairs(fields: dict, key: str) -> dict[int, float]:
+    parts = [part for part in _one(fields, key, " ").split(",") if part.strip()]
+    return dict(_numbers(key, part, (int, float), ":") for part in parts)
+
+
+def _form(fields: dict, key: str) -> np.ndarray:
+    m11, m12, m22 = _numbers(key, _one(fields, key), (float,) * 3)
     return np.array([[m11, m12], [m12, m22]])
 
 
@@ -85,48 +102,49 @@ def model_from_fields(fields: dict):
     family = _one(fields, "family")
     if family == "lp":
         p = _one(fields, "p")
-        return models.make_lp("inf" if p == "inf" else float(p))
+        return models.make_lp("inf" if p == "inf" else _number("p", p))
     if family == "polar":
         return models.make_polar(
-            sin_terms=_pairs(_one(fields, "sin", " ")),
-            cos_terms=_pairs(_one(fields, "cos", " ")),
-            constant=float(_one(fields, "constant", "1.0")),
+            sin_terms=_pairs(fields, "sin"),
+            cos_terms=_pairs(fields, "cos"),
+            constant=_value(fields, "constant", "1.0"),
         )
     if family == "quadrant_mix":
-        return models.make_quadrant_mix(float(_one(fields, "p")), float(_one(fields, "q")))
+        return models.make_quadrant_mix(_value(fields, "p"), _value(fields, "q"))
     if family == "l2_l1_hybrid":
         return models.make_l2_l1_hybrid()
     if family == "polygon":
-        verts = []
-        for chunk in _one(fields, "vertices").split(";"):
-            x, y = (float(t) for t in chunk.split(","))
-            verts.append((x, y))
-        return models.make_polygon(verts)
+        chunks = _one(fields, "vertices").split(";")
+        return models.make_polygon([tuple(_numbers("vertices", c, (float,) * 2)) for c in chunks])
     if family == "arc_chain":
         arcs = []
         for spec in fields.get("arc", []):
-            cx, cy, r, a0, a1 = (float(t) for t in spec.split(","))
+            cx, cy, r, a0, a1 = _numbers("arc", spec, (float,) * 5)
             arcs.append(models.Arc(models.Vec2(cx, cy), r, a0, a1))
         return models.make_arc_chain(arcs)
     if family == "spliced":
         return models.make_spliced_arcs(
-            float(_one(fields, "radius", "2.0")),
-            float(_one(fields, "junction_angle", repr(-math.pi / 4))),
+            _value(fields, "radius", "2.0"),
+            _value(fields, "junction_angle", repr(-math.pi / 4)),
         )
     if family == "nobst":
-        return staircase.build_nobst(int(_one(fields, "depth", str(staircase.DEFAULT_DEPTH))))
+        return staircase.build_nobst(_value(fields, "depth", str(staircase.DEFAULT_DEPTH), int))
     if family == "ellipse_intersection":
-        return models.make_ellipse_pair(_form(_one(fields, "m1")), _form(_one(fields, "m2")))
+        return models.make_ellipse_pair(_form(fields, "m1"), _form(fields, "m2"))
     if family == "blend":
         base = model_from_fields(_sub_fields(fields, "base."))
-        return models.make_blend(base, float(_one(fields, "eps")))
+        return models.make_blend(base, _value(fields, "eps"))
     if family == "dual":
         return models.dual_model(model_from_fields(_sub_fields(fields, "base.")))
     raise BadParameter(f"unknown family {family!r}")
 
 
 def read_model_file(path) -> object:
-    return model_from_fields(_parse_lines(Path(path).read_text()))
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BadParameter(f"cannot read model file: {exc}") from None
+    return model_from_fields(_parse_lines(text))
 
 
 def _fields_of(fam: str, p: dict) -> list[tuple[str, str]]:

@@ -6,15 +6,14 @@ gauge distance exactly eps), which turns the infimum into a one-parameter
 family of root finds along the sphere: for each base point and branch, the
 smallest partner offset at gauge distance eps. The pair (-x, -y) has the
 depth and distance of (x, y), so the depth is pi-periodic in the base
-point: one sweep over the first 512 of the sphere cache's 1024 grid points,
-on both branches (``_sweep_depths``), brackets each root between two grid
-offsets, for any number of eps, and places it with one polish
-(``_polish_depths``). ``delta_uc`` gauges the pairs the sweep reads and
-``delta_curve`` looks them up in one table of pair distances; the two read
-the same d, so the curve is ``delta_uc`` at each of its eps. The sweep only
-chooses where one lane-wise zoom (``_zoom_min``, over the half circle)
-starts, and the zoom's values come from a 50-step bisection
-(``_uc_depths``).
+point: one sweep over the first half of the sphere cache's grid, on both
+branches (``_sweep_depths``), brackets each root between two grid offsets,
+for any number of eps, gauging at each bracket step the pairs its open
+lanes read, and places it with one polish (``_polish_depths``).
+``delta_uc`` and ``delta_curve`` run that one sweep, so the curve is
+``delta_uc`` at each of its eps. The sweep only chooses where one lane-wise
+zoom (``_zoom_min``, over the half circle) starts, and the zoom's values
+come from a 50-step bisection (``_uc_depths``).
 """
 
 from __future__ import annotations
@@ -26,14 +25,12 @@ import numpy as np
 from . import geometry
 from .errors import BadEps, NonSmoothPoint
 from .geometry import SpherePoint, Vec2
+from .models import SPHERE_CACHE_N
 from .numerics import bisect_batch, illinois_batch, phase_grid
 
 #: eps grid for cached modulus curves (log-spaced)
 CURVE_GRID_N = 64
 CURVE_EPS_MIN = 0.02
-
-#: outer sweep resolution for the uniform-convexity modulus
-UC_SWEEP_N = 1024
 
 #: Illinois steps placing each bracketed root of the modulus sweeps
 UC_POLISH_STEPS = 8
@@ -56,7 +53,6 @@ class ModulusCurve:
     eps_grid: np.ndarray
     values: np.ndarray
     power2_coeff: float | None = None
-    base_point: SpherePoint | None = None
 
     def interp(self, eps) -> np.ndarray:
         """Piecewise-linear lookup, 0 below the grid, last value above."""
@@ -95,44 +91,18 @@ def _zoom_min(f, vals: np.ndarray, period: float = 2.0 * np.pi) -> np.ndarray:
 
 def delta_uc(model, eps: float) -> float:
     """Modulus of uniform convexity at eps in (0, 2]: worst midpoint depth
-    over sphere pairs at gauge distance eps, zoomed in from a sweep over 512
-    base points of the 1024-point grid that gauges each pair it reads."""
+    over sphere pairs at gauge distance eps, zoomed in from a sweep over the
+    first half of the sphere cache's grid."""
     if not (0.0 < eps <= 2.0):
         raise BadEps(f"eps {eps!r} outside (0, 2]")
-    return float(_modulus(model, np.array([eps], dtype=float), _gauge_dist(model))[0])
+    return float(_modulus(model, np.array([eps], dtype=float))[0])
 
 
-def _modulus(model, eps: np.ndarray, dist) -> np.ndarray:
-    """delta at each eps: the grid sweep, reading d through dist, picks where
-    the zoom over _uc_depths starts."""
-    vals = _sweep_depths(model, eps, dist)
+def _modulus(model, eps: np.ndarray) -> np.ndarray:
+    """delta at each eps: the grid sweep picks where the zoom over _uc_depths
+    starts."""
+    vals = _sweep_depths(model, eps)
     return _zoom_min(lambda thetas: _uc_depths(model, eps[:, None], thetas), vals, np.pi)
-
-
-def _gauge_dist(model):
-    """_sweep_depths' dist by gauging each pair it reads."""
-    n = UC_SWEEP_N
-    xs = model.sphere_cache()["points"]
-    return lambda base, sign, k: model.gauge_many(xs[base] - xs[(base + sign * k) % n])
-
-
-def _table_dist(model):
-    """_sweep_depths' dist read from a table of every pair distance on the
-    grid, gauged UC_BLOCK points a call. It keeps all n rows: branch -1 of
-    base i reads row i - k, in the second half when i < k."""
-    n = UC_SWEEP_N
-    half = n // 2
-    xs = model.sphere_cache()["points"]
-    offsets = np.arange(1, half + 1)
-    # table[i, k] = gauge(x_i - x_(i+k)), column 0 the base point itself;
-    # the gauge is exactly even, so branch -1 of base i at offset k is row i - k
-    table = np.zeros((n, half + 1))
-    step = UC_BLOCK // half
-    for lo in range(0, n, step):
-        base = np.arange(lo, lo + step)[:, None]
-        diffs = xs[base] - xs[(base + offsets) % n]
-        table[lo : lo + step, 1:] = model.gauge_many(diffs.reshape(-1, 2)).reshape(step, half)
-    return lambda base, sign, k: table[(base + np.minimum(sign * k, 0)) % n, k]
 
 
 def _uc_depths(model, eps, thetas) -> np.ndarray:
@@ -156,7 +126,7 @@ def _uc_depths(model, eps, thetas) -> np.ndarray:
     # (~1e-8 rad on a circle, ~1e-4 on l4): a root less than one sweep step
     # short of the antipode counts as the antipode, and a face shorter than
     # that step is below the sweep's resolution.
-    s_max = np.where(eps == 2.0, np.pi - 2.0 * np.pi / UC_SWEEP_N, np.pi)
+    s_max = np.where(eps == 2.0, np.pi - 2.0 * np.pi / SPHERE_CACHE_N, np.pi)
 
     def dist(s):
         return model.gauge_many(xs - model.sphere_points_at(th + sign * s))
@@ -177,25 +147,26 @@ def _uc_depths(model, eps, thetas) -> np.ndarray:
     return np.minimum(depth[:n], depth[n:]).reshape(shape)
 
 
-def _sweep_depths(model, eps: np.ndarray, dist) -> np.ndarray:
-    """_uc_depths on the first half of the UC_SWEEP_N-point phase grid for
-    every eps at once, shape (len(eps), UC_SWEEP_N // 2), where
-    dist(base, sign, k) gives d = gauge(x_base - x_(base + sign k)) for grid
-    points x and offsets k. The grid's second half is the first one turned
-    by pi, whose pairs (-x, -y) have the depths and distances of (x, y).
+def _sweep_depths(model, eps: np.ndarray) -> np.ndarray:
+    """_uc_depths on the first half of the sphere cache's n-point grid for
+    every eps at once, shape (len(eps), n // 2), from the distances
+    d = gauge(x_base - x_(base + sign k)) of grid points x at offsets k. The
+    grid's second half is the first one turned by pi, whose pairs (-x, -y)
+    have the depths and distances of (x, y).
 
     In a normed plane d never decreases along a branch from x to -x
     (Martini, Swanepoel and Weiss, Expo. Math. 19 (2001)), so the first
     offset with d >= eps brackets the smallest root within one grid step.
     Every (eps, base, branch) lane of UC_BLOCK // n eps at once
-    binary-searches the offsets 1 .. n/2 for it, one dist call on the still
-    open lanes a step (at most 10 for n = 1024), keeping d at both ends of
-    its bracket; _polish_depths then places the root. Lanes with no such
+    binary-searches the offsets 1 .. n/2 for it, each step gauging the pairs
+    the still open lanes read (at most 10 steps for n = 1024), keeping d at
+    both ends of its bracket; _polish_depths then places the root. Lanes with no such
     offset get depth inf, as in _uc_depths.
     """
-    n = UC_SWEEP_N
+    n = SPHERE_CACHE_N
     half = n // 2
     per = UC_BLOCK // n
+    xs = model.sphere_cache()["points"]
     depth = np.full((len(eps), n), np.inf)
     for e0 in range(0, len(eps), per):
         e = np.repeat(eps[e0 : e0 + per], n)
@@ -211,7 +182,8 @@ def _sweep_depths(model, eps: np.ndarray, dist) -> np.ndarray:
             if lanes.size == 0:
                 break
             mid = (lo[lanes] + hi[lanes]) // 2
-            d = dist(base[lanes], sign[lanes], mid)
+            b = base[lanes]
+            d = model.gauge_many(xs[b] - xs[(b + sign[lanes] * mid) % n])
             up = d >= e[lanes]
             hi[lanes[up]], d_hi[lanes[up]] = mid[up], d[up]
             lo[lanes[~up]], d_lo[lanes[~up]] = mid[~up], d[~up]
@@ -235,7 +207,7 @@ def _polish_depths(model, base, sign, k, d_lo, d_hi, eps) -> np.ndarray:
     antipode (k = n/2) are left to Illinois, as _uc_depths' s_max rule counts
     any root in that last cell at eps = 2 as the antipode.
     """
-    n = UC_SWEEP_N
+    n = SPHERE_CACHE_N
     h = 2.0 * np.pi / n
     cache = model.sphere_cache()
     xs, thetas = cache["points"], cache["thetas"]
@@ -307,7 +279,7 @@ def delta_curve(model) -> ModulusCurve:
     model after the first call."""
     if model._delta_curve is None:
         eps_grid = np.geomspace(CURVE_EPS_MIN, 2.0, CURVE_GRID_N)
-        values = _modulus(model, eps_grid, _table_dist(model))
+        values = _modulus(model, eps_grid)
         curve = ModulusCurve("uniform_convexity", eps_grid, values)
         curve.power2_coeff = power2_fit(curve)
         model._delta_curve = curve

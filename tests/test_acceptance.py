@@ -90,7 +90,6 @@ def test_criterion_05a_polar_model_validates(pig):
 
 
 @pytest.mark.xfail(
-    strict=True,
     reason="the stated bound is unattainable: amplitude 1/17 = 1/(n^2 + 1) makes"
     " the sphere curvature vanish at 3 pi / 8 + k pi / 2, so the oracle-confirmed"
     " minimum is 0, not > 0.5",

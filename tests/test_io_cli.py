@@ -196,12 +196,28 @@ def test_gallery_names():
         "family = arc_chain\narc = 0,0,1,0,inf\n",
         # positive turns, but twice around the origin on an edge through it
         "family = polygon\nvertices = 1,0; 0,1; -1,0; 0,-1; 1e-20,1e-20; -1e-20,-1e-20\n",
+        # malformed numbers and field counts
+        "family = polygon\nvertices = 1,0; 0\n",
+        "family = lp\np = abc\n",
+        "family = polar\nsin = 4:x\n",
+        "family = polar\nsin = 4\n",
+        "family = ellipse_intersection\nm1 = 1,0\nm2 = 1,0,1\n",
+        "family = arc_chain\narc = 1,2\n",
+        "family = nobst\ndepth = 2.5\n",
+        "family = spliced\nradius = x\n",
+        None,  # no such file
     ],
-    ids=["lp_p_below_1", "blend_eps_inf", "arc_nan", "arc_inf", "polygon_winds_twice"],
+    ids=[
+        "lp_p_below_1", "blend_eps_inf", "arc_nan", "arc_inf", "polygon_winds_twice",
+        "vertex_one_field", "p_not_a_number", "sin_amplitude_not_a_number", "sin_no_amplitude",
+        "form_two_fields", "arc_two_fields", "depth_not_an_integer", "radius_not_a_number",
+        "missing_file",
+    ],
 )
 def test_cli_invalid_model_exits_2(tmp_path, text):
     path = tmp_path / "bad.model"
-    path.write_text(text)
+    if text is not None:
+        path.write_text(text)
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "normplane.cli", "classify", str(path)],

@@ -177,20 +177,40 @@ def test_curve_matches_single_eps(name):
         ("dual:grandpa_pig_strict", False),
     ],
 )
-def test_one_eps_sweep_matches_pair_table(name, faced):
-    """The sweep reads d = gauge(x_i - x_j) from the gauge (delta_uc) or the
-    pair table (delta_curve); the gauge is exactly even, so both give the
-    same d on branch -1, and the rows agree bit for bit at every eps. That
-    includes eps = 2 on a faced sphere, where d is flat at the level eps and
-    the row's depth falls below 1."""
+def test_sweep_rows_match_one_eps_sweeps(name, faced):
+    """The sweep's lanes never mix eps: each row of a sweep over the whole
+    curve grid equals the sweep at that eps alone, bit for bit. That includes
+    eps = 2 on a faced sphere, where d is flat at the level eps and the row's
+    depth falls below 1."""
     model = _curve_model(name)
     eps_grid = moduli.delta_curve(model).eps_grid
-    table = moduli._sweep_depths(model, eps_grid, moduli._table_dist(model))
-    assert (table[-1].min() < 0.99) == faced
-    gauge = moduli._gauge_dist(model)
+    rows = moduli._sweep_depths(model, eps_grid)
+    assert (rows[-1].min() < 0.99) == faced
     for j, eps in enumerate(eps_grid):
-        row = moduli._sweep_depths(model, eps_grid[j : j + 1], gauge)[0]
-        assert np.array_equal(row, table[j]), float(eps)
+        assert np.array_equal(moduli._sweep_depths(model, eps_grid[j : j + 1])[0], rows[j]), float(eps)
+
+
+def _gauge_points(model, monkeypatch, run) -> int:
+    """Points model.gauge_many evaluates during run()."""
+    points = []
+    gauge_many = model.gauge_many
+
+    def counting(pts):
+        points.append(len(pts))
+        return gauge_many(pts)
+
+    monkeypatch.setattr(model, "gauge_many", counting)
+    run()
+    return sum(points)
+
+
+def test_delta_curve_gauge_points(monkeypatch):
+    """One curve: the sweep gauges only the pairs its <= 10 bracket steps read
+    (2,650,072 points on grandpa_pig_strict, its 64-eps polish and zoom
+    included); a 50-step bisection per sweep lane alone would gauge
+    64 * 1024 * 50 = 3,276,800."""
+    model = models.make_polar(sin_terms={4: 1.0 / 34.0})
+    assert _gauge_points(model, monkeypatch, lambda: moduli.delta_curve(model)) <= 2_700_000
 
 
 def test_delta_uc_gauge_points(ellipse_2_1, monkeypatch):
@@ -198,16 +218,7 @@ def test_delta_uc_gauge_points(ellipse_2_1, monkeypatch):
     sweep lanes (512 base points, both branches), then the 50-step zoom
     (69,090 points on all 1024 base points; 227,810 when every sweep lane
     bisected for 50 steps)."""
-    points = []
-    gauge_many = ellipse_2_1.gauge_many
-
-    def counting(pts):
-        points.append(len(pts))
-        return gauge_many(pts)
-
-    monkeypatch.setattr(ellipse_2_1, "gauge_many", counting)
-    moduli.delta_uc(ellipse_2_1, 0.5)
-    assert sum(points) <= 45_000
+    assert _gauge_points(ellipse_2_1, monkeypatch, lambda: moduli.delta_uc(ellipse_2_1, 0.5)) <= 45_000
 
 
 def _clarkson(p: float):
@@ -242,7 +253,6 @@ def test_curve_closed_forms(name, reference):
 
 
 _SPLINE_OVERSHOOT = pytest.mark.xfail(
-    strict=True,
     reason="the sampled DualNorm spline likely overshoots at the dual's corners: "
     "delta dips below 0 (-1.3e-8 on two_ellipses' dual) and falls on 22 grid steps",
 )
