@@ -78,15 +78,14 @@ from .staircase import (
 from .tangency import (
     Ellipse,
     TangencyReport,
-    build_inner_ellipse,
     dual_transfer,
     inner_disc,
     inner_ellipse,
     john_ellipse,
     outer_disc,
     outer_ellipse,
-    outer_family,
     tangency_report,
+    tangent_ellipse,
 )
 
 __version__ = "0.1.0"

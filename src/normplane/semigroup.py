@@ -19,10 +19,15 @@ from .errors import (
     WrongModel,
 )
 from .geometry import LinearMap2, SpherePoint, Vec2
-from .numerics import angle_dist, spd_power
+from .numerics import angle_dist
 
 #: a map is accepted as contractive up to this operator-norm slack
 CERTIFY_TOL = 1e-7
+
+#: a contractive map is flagged ``boundary`` only when its norm exceeds 1 by
+#: more than this: about 1e3 times the rounding of orbit certificates' norms
+#: (|op - 1| up to 1.1e-15 on seeded gallery pairs), 1e5 times below CERTIFY_TOL
+BOUNDARY_TOL = 1e-12
 
 #: consecutive cache points that must be collinear for the flatness probe
 FLAT_WINDOW = 9
@@ -97,7 +102,7 @@ def certify(model, t: LinearMap2) -> ContractionCertificate:
         is_contractive=contractive,
         witness_angle=float(witness),
         tolerance=CERTIFY_TOL,
-        boundary=contractive and float(op) > 1.0,
+        boundary=contractive and float(op) > 1.0 + BOUNDARY_TOL,
     )
 
 
@@ -156,24 +161,22 @@ def flat_transport(model, x: SpherePoint, y: SpherePoint, eps: float = 0.5) -> C
 def orbit_map(model, x: SpherePoint, y: SpherePoint) -> ContractionCertificate | None:
     """A certified contractive automorphism sending x to y, when the
     outer-ellipse-at-x / inner-ellipse-at-y route (or the flat fallback)
-    applies; None otherwise."""
-    f_outer = tangency.outer_ellipse(model, x)
-    e_inner = tangency.inner_ellipse(model, y) if f_outer is not None else None
-    if f_outer is None or e_inner is None:
+    applies; None otherwise. The ellipse route's map is the tangent shrink
+    map L_xy that carries the outer ellipse onto the inner one."""
+    e_outer = tangency.outer_ellipse(model, x)
+    e_inner = tangency.inner_ellipse(model, y) if e_outer is not None else None
+    if e_outer is None or e_inner is None:
         try:
             cert = flat_transport(model, x, y)
         except NotFlat:
             return None
         return cert if cert is not None and cert.is_contractive else None
-    mf = f_outer.matrix()
-    me = e_inner.matrix()
-    u = spd_power(mf, 0.5) @ x.point.as_array()
-    v = spd_power(me, 0.5) @ y.point.as_array()
-    angle = math.atan2(u[0] * v[1] - u[1] * v[0], float(u @ v))
-    q = np.array(
-        [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
-    )
-    t = LinearMap2.from_matrix(spd_power(me, -0.5) @ q @ spd_power(mf, 0.5))
+    # T maps the outer ellipse at x isometrically onto the inner one at y:
+    # it sends x to y, and the tangent at x to s times the tangent at y,
+    # with s equalizing the two tangents' ellipse lengths
+    tx, ty = x.tangent.as_array(), y.tangent.as_array()
+    s = math.sqrt(float(tx @ e_outer.matrix() @ tx) / float(ty @ e_inner.matrix() @ ty))
+    t = make_L_ab(model, x, y, 1.0 - s)
     cert = certify(model, t)
     mapped = t.apply(x.point)
     if model.gauge(mapped - y.point) > 1e-9 or not cert.is_contractive:

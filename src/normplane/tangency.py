@@ -11,6 +11,14 @@ discs for the classification sweep (``sweep_radii``, psi's extremes on the
 fine cache) and the per-point path (``disc_radii``, refined at the worst
 angles), whose discs are then certified on the fine cache plus golden
 refinement at the worst angles.
+
+Ellipses come from one family: every origin-centered ellipse tangent to the
+sphere at x with support f is ``tangent_ellipse(x, t)`` = f f^T + t x_perp
+x_perp^T, of curvature t / |f|^3 at x. The inner ellipse grows t from the
+inner disc's curvature until it fits in the ball (``ellipse_inside_ball``),
+the outer ellipse shrinks t from the John ellipse's form on f_perp until the
+ball fits in it (``ball_inside_ellipse``), and inverting a member gives the
+member at the dual point, which is how ``dual_transfer`` swaps them.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import numpy as np
 
 from . import geometry
 from .curvature import INF
-from .errors import BadParameter, NonSmoothPoint, NotPositiveDefinite
+from .errors import NonSmoothPoint, NotPositiveDefinite
 from .geometry import Disc, SpherePoint, Vec2
 from .numerics import angle_dist, circle_max, phase_grid, quad_form, spd_power
 
@@ -74,11 +82,6 @@ class Ellipse:
     def from_matrix(m) -> "Ellipse":
         m = np.asarray(m, dtype=float)
         return Ellipse(m[0, 0], 0.5 * (m[0, 1] + m[1, 0]), m[1, 1])
-
-    @staticmethod
-    def from_coeffs(a: float, b: float, c: float) -> "Ellipse":
-        """From the Ax^2 + By^2 + Cxy = 1 coefficient view."""
-        return Ellipse(a, c / 2.0, b)
 
     def matrix(self) -> np.ndarray:
         return np.array([[self.m11, self.m12], [self.m12, self.m22]])
@@ -277,28 +280,23 @@ def verify_disc(model, disc: Disc, which: str, tol: float = CONTAIN_TOL) -> bool
     return _max_within(dist, d, disc.radius + tol)
 
 
-# -- explicit inner-ellipse construction --------------------------------------
+# -- tangent ellipses ----------------------------------------------------------
 
 
-def build_inner_ellipse(h: float, kappa_target: float) -> Ellipse:
-    """Origin-centered ellipse through p = (1, h) with vertical tangent at p
-    and curvature ``kappa_target`` there.
+def tangent_ellipse(x: SpherePoint, t: float) -> Ellipse:
+    """The ellipse f f^T + t x_perp x_perp^T, with f the support at x and
+    x_perp = (-x2, x1).
 
-    In the A x^2 + B y^2 + C x y = 1 view the tangency conditions force
-    B = -C / (2h) and A = 1 - C h / 2, and the curvature at p is |C| / (2h),
-    so C = -2 h kappa_target. The form is positive definite exactly when
-    kappa_target > 0 (4AB - C^2 = 4 kappa_target).
+    It passes through x with gradient f there (M x = f), and its curvature at
+    x is t / |f|^3. Every origin-centered ellipse tangent to the sphere at x
+    is one of these, with x and the tangent conjugate directions in it, so
+    the map between two of them is a tangent shrink map. Its inverse is the
+    member at the dual point (point f, support x) with 1 / t. Raises
+    NotPositiveDefinite unless t > 0.
     """
-    if h <= 0:
-        raise BadParameter("h must be positive")
-    c = -2.0 * h * kappa_target
-    b = -c / (2.0 * h)
-    a = 1.0 - 0.5 * c * h
-    if 4.0 * a * b - c * c <= 0 or a <= 0:
-        raise NotPositiveDefinite(
-            f"(A, B, C) = ({a!r}, {b!r}, {c!r}) does not close to an ellipse"
-        )
-    return Ellipse.from_coeffs(a, b, c)
+    f = x.support.as_array()
+    xp = np.array([-x.point.x2, x.point.x1])
+    return Ellipse.from_matrix(np.outer(f, f) + t * np.outer(xp, xp))
 
 
 def ellipse_inside_ball(model, ellipse: Ellipse, tol: float = CONTAIN_TOL) -> bool:
@@ -312,73 +310,49 @@ def ellipse_inside_ball(model, ellipse: Ellipse, tol: float = CONTAIN_TOL) -> bo
     return _max_within(val, vals, 1.0 + tol)
 
 
+def ball_inside_ellipse(model, ellipse: Ellipse, tol: float = CONTAIN_TOL) -> bool:
+    """Certified check that the unit ball is contained in the ellipse."""
+    vals = ellipse.gauge_many(model.fine_points())
+    return _max_within(_sphere_form(model, ellipse), vals, 1.0 + tol)
+
+
 def inner_ellipse(model, x: SpherePoint) -> Ellipse | None:
-    """Inner ellipse at a smooth point, by the vertical-tangent construction
-    in a rotated and rescaled frame, escalating curvature until contained."""
+    """Inner ellipse at a smooth point with an inner disc: the tangent
+    ellipse whose curvature at x is the largest of k_hi, the disc's 1 / r and
+    1e-9 |f|, doubling t until it fits in the ball."""
     if not x.smooth:
         return None
     disc = inner_disc(model, x)
     if disc is None:
         return None
-    f = x.support.as_array()
-    fnorm = float(np.hypot(f[0], f[1]))
-    nhat = f / fnorm
-    rot = np.array([[nhat[0], nhat[1]], [-nhat[1], nhat[0]]])
-    a = 1.0 / fnorm  # <x, nhat>
-    p = rot @ x.point.as_array() / a
-    hcoord = p[1]
+    fnorm = float(np.hypot(x.support.x1, x.support.x2))
     _, k_hi = model.curvature_sided(x.theta)
-    kappa = max(a * (k_hi if np.isfinite(k_hi) else 0.0), a / disc.radius, 1e-9)
+    kappa = max(k_hi if np.isfinite(k_hi) else 0.0, 1.0 / disc.radius, 1e-9 * fnorm)
+    t = fnorm**3 * kappa
     for _ in range(INNER_ELLIPSE_DOUBLINGS):
-        if abs(hcoord) < 1e-12:
-            m_norm = np.diag([1.0, kappa])
-        else:
-            hh = abs(hcoord)
-            e = build_inner_ellipse(hh, kappa)
-            m_norm = e.matrix()
-            if hcoord < 0:
-                flip = np.diag([1.0, -1.0])
-                m_norm = flip @ m_norm @ flip
-        m = rot.T @ m_norm @ rot / (a * a)
-        candidate = Ellipse.from_matrix(m)
+        candidate = tangent_ellipse(x, t)
         if ellipse_inside_ball(model, candidate):
             return candidate
-        kappa *= 2.0
+        t *= 2.0
     return None
 
 
-# -- outer ellipses (the two-parameter family and the halving search) ---------
-
-
-def outer_family(model, x: SpherePoint, b: float) -> Ellipse:
-    """The outer-candidate ellipse splitting z into its component along x and
-    the tangent remainder: form value <x*, z>^2 + b^2 |z - <x*, z> x|^2 with
-    the reference metric from the minimal enclosing ellipse."""
-    if not x.smooth:
-        raise NonSmoothPoint("outer family needs a unique support functional")
-    if b < 1e-6:
-        raise BadParameter("b below the degeneracy floor 1e-6")
-    f = x.support.as_array()
-    xa = x.point.as_array()
-    mj = john_ellipse(model).matrix()
-    proj = np.eye(2) - np.outer(xa, f)
-    m = np.outer(f, f) + b * b * (proj.T @ mj @ proj)
-    return Ellipse.from_matrix(m)
-
-
 def outer_ellipse(model, x: SpherePoint) -> Ellipse | None:
-    """Outer ellipse at x from the b-family, halving b from
-    OUTER_ELLIPSE_B_START until the ball fits."""
+    """Outer ellipse at a smooth point of curvature at least 1e-9: the
+    tangent ellipse with t = b^2 <f_perp, M_J f_perp> (M_J the John
+    ellipse's form), halving b from OUTER_ELLIPSE_B_START while b >= 1e-6
+    until the ball fits."""
     if not x.smooth:
         return None
     k_lo, _ = model.curvature_sided(x.theta)
     if k_lo < 1e-9:
         return None
+    fp = np.array([-x.support.x2, x.support.x1])
+    john_t = float(fp @ john_ellipse(model).matrix() @ fp)
     b = OUTER_ELLIPSE_B_START
-    pts = model.fine_points()
     while b >= 1e-6:
-        e = outer_family(model, x, b)
-        if _max_within(_sphere_form(model, e), e.gauge_many(pts), 1.0 + CONTAIN_TOL):
+        e = tangent_ellipse(x, b * b * john_t)
+        if ball_inside_ellipse(model, e):
             return e
         b *= 0.5
     return None
@@ -462,10 +436,8 @@ def dual_transfer(report: TangencyReport, model) -> TangencyReport:
     outer_e = report.inner_ellipse.inverse() if report.inner_ellipse else None
     if inner_e is not None and not ellipse_inside_ball(dual, inner_e, tol=1e-6):
         inner_e = None
-    if outer_e is not None:
-        vals = outer_e.gauge_many(dual.fine_points())
-        if _refined_max(_sphere_form(dual, outer_e), vals) > 1.0 + 1e-6:
-            outer_e = None
+    if outer_e is not None and not ball_inside_ellipse(dual, outer_e, tol=1e-6):
+        outer_e = None
     return TangencyReport(
         point=xstar,
         inner_disc=None,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from normplane import geometry, semigroup
+from normplane import geometry, semigroup, tangency
 from normplane.errors import Degenerate, NotFlat, Singular, WrongModel
 from normplane.geometry import LinearMap2
 
@@ -180,6 +180,39 @@ def test_orbit_certificates_exact(euclid, pig_strict, spliced):
             assert cert is not None, model.family
             assert model.gauge(cert.T.apply(x.point) - y.point) <= 1e-9
             assert cert.op_norm <= 1 + 1e-7
+
+
+def test_orbit_map_is_the_ellipse_isometry(spliced, nobst_model, pig_strict):
+    """The ellipse route's map is the tangent shrink map L_xy with
+    s = sqrt(tx' M_out tx / ty' M_in ty), and it carries the outer ellipse at
+    x onto the inner ellipse at y: T' M_in T = M_out."""
+    rng = np.random.default_rng(23)
+    for model in (spliced, nobst_model, pig_strict):
+        for a, b in rng.uniform(0.0, 2.0 * math.pi, (4, 2)):
+            x = geometry.sphere_point(model, a)
+            y = geometry.sphere_point(model, b)
+            cert = semigroup.orbit_map(model, x, y)
+            assert cert is not None and not cert.boundary, (model.family, a, b)
+            m_out = tangency.outer_ellipse(model, x).matrix()
+            m_in = tangency.inner_ellipse(model, y).matrix()
+            tx, ty = x.tangent.as_array(), y.tangent.as_array()
+            s = math.sqrt((tx @ m_out @ tx) / (ty @ m_in @ ty))
+            want = semigroup.make_L_ab(model, x, y, 1.0 - s).matrix()
+            t = cert.T.matrix()
+            assert np.max(np.abs(t - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.max(np.abs(t.T @ m_in @ t - m_out)) <= 1e-12 * np.max(np.abs(m_out))
+
+
+def test_boundary_flag(euclid, pig_strict):
+    """A contractive map is flagged boundary only when its norm exceeds 1 by
+    more than BOUNDARY_TOL, not by rounding."""
+    for model in (euclid, pig_strict):
+        over = semigroup.certify(model, LinearMap2.from_matrix((1.0 + 1e-9) * np.eye(2)))
+        assert over.is_contractive and over.boundary
+        assert over.op_norm == pytest.approx(1.0 + 1e-9, abs=1e-14)
+        for scale in (1.0, 1.0 + 1e-13):
+            cert = semigroup.certify(model, LinearMap2.from_matrix(scale * np.eye(2)))
+            assert cert.is_contractive and not cert.boundary
 
 
 def test_flat_transport(l1, linf, euclid):

@@ -1,13 +1,16 @@
-"""Inner/outer discs and ellipses, the explicit construction, the minimal
+"""Inner/outer discs and ellipses, the tangent-ellipse family, the minimal
 enclosing ellipse, and duality transfer."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as hst
 
-from normplane import classify, geometry, models, semigroup, tangency
-from normplane.errors import BadParameter, NotPositiveDefinite
+from normplane import classify, gallery, geometry, models, semigroup, tangency
+from normplane.curvature import curvature_implicit
+from normplane.errors import NotPositiveDefinite
 from normplane.tangency import Ellipse
 
 
@@ -126,29 +129,44 @@ def test_per_point_discs_follow_the_sweep(all_gallery):
             assert (tangency.outer_disc(model, sp) is not None) == sweep.outer_ok[j], (name, j)
 
 
-def test_build_inner_ellipse():
-    e = tangency.build_inner_ellipse(1.0, 2.0)
-    a, b, c = e.coeffs
-    assert (a, b, c) == (3.0, 2.0, -4.0)
-    # passes through (1, 1) with vertical tangent and curvature 2
-    assert a + b + c == pytest.approx(1.0)
-    grad = (2 * a + c, 2 * b + c)
-    assert grad == (2.0, 0.0)
-    from normplane.curvature import curvature_implicit
+_TANGENT_MODELS = ("grandpa_pig_strict", "spliced", "blend_l4")
 
-    k = curvature_implicit(grad, [[2 * a, c], [c, 2 * b]])
-    assert k == pytest.approx(2.0, rel=1e-15)
-    # the curvature identity at the contact point: kappa = |C| / (2 h)
-    for h, kt in ((0.5, 3.0), (2.0, 0.7), (1.0, 0.1)):
-        e = tangency.build_inner_ellipse(h, kt)
-        assert abs(e.coeffs[2]) / (2 * h) == pytest.approx(kt, rel=1e-12)
-        assert 4 * e.coeffs[0] * e.coeffs[1] - e.coeffs[2] ** 2 == pytest.approx(4 * kt)
-    with pytest.raises(NotPositiveDefinite):
-        tangency.build_inner_ellipse(1.0, 0.0)
-    with pytest.raises(NotPositiveDefinite):
-        tangency.build_inner_ellipse(1.0, -2.0)
-    with pytest.raises(BadParameter):
-        tangency.build_inner_ellipse(0.0, 1.0)
+
+def test_tangent_ellipse(euclid):
+    sp = geometry.sphere_point(euclid, 0.4)
+    # on the round sphere t = 1 gives the unit disc
+    e = tangency.tangent_ellipse(sp, 1.0)
+    assert np.max(np.abs(e.matrix() - np.eye(2))) < 1e-9
+    # t = 1/8 (b = 1/sqrt(8) on the John disc) always gives an outer ellipse
+    e = tangency.tangent_ellipse(sp, 1.0 / 8.0)
+    assert np.max(e.gauge_many(euclid.fine_points())) <= 1 + 1e-9
+    assert tangency.ball_inside_ellipse(euclid, e)
+    assert e.gauge_many(sp.point.as_array()[None, :])[0] == pytest.approx(1.0, abs=1e-12)
+    for t in (0.0, -2.0):
+        with pytest.raises(NotPositiveDefinite):
+            tangency.tangent_ellipse(sp, t)
+
+
+@given(
+    name=hst.sampled_from(_TANGENT_MODELS),
+    theta=hst.floats(0.0, 2.0 * math.pi),
+    t=hst.floats(0.1, 10.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_tangent_ellipse_curvature_and_duality(name, theta, t):
+    sp = geometry.sphere_point(gallery.get(name), theta)
+    assume(sp.smooth)
+    e = tangency.tangent_ellipse(sp, t)
+    m = e.matrix()
+    f = sp.support.as_array()
+    # through x with gradient f there, curvature t / |f|^3
+    np.testing.assert_allclose(m @ sp.point.as_array(), f, rtol=1e-12, atol=1e-12)
+    k = curvature_implicit(2.0 * m @ sp.point.as_array(), 2.0 * m)
+    assert k == pytest.approx(t / np.hypot(*f) ** 3, rel=1e-11)
+    # the inverse is the member at the dual point (point f, support x), 1 / t
+    dual_point = dataclasses.replace(sp, point=sp.support, support=sp.point)
+    inv = tangency.tangent_ellipse(dual_point, 1.0 / t).matrix()
+    assert np.max(np.abs(e.inverse().matrix() - inv)) <= 1e-11 * np.max(np.abs(inv))
 
 
 def test_inner_ellipse_construction(euclid, pig_strict, spliced):
@@ -159,20 +177,6 @@ def test_inner_ellipse_construction(euclid, pig_strict, spliced):
             assert e is not None
             assert e.gauge_many(sp.point.as_array()[None, :])[0] == pytest.approx(1.0, abs=1e-9)
             assert tangency.ellipse_inside_ball(model, e)
-
-
-def test_outer_family(euclid):
-    sp = geometry.sphere_point(euclid, 0.4)
-    e = tangency.outer_family(euclid, sp, 1.0)
-    # on the round sphere with b = 1 the family member is the unit disc
-    assert np.max(np.abs(e.matrix() - np.eye(2))) < 1e-9
-    # the power-type-2 constant c = 1/sqrt(8) always gives an outer ellipse
-    c = 1 / math.sqrt(8.0)
-    ec = tangency.outer_family(euclid, sp, c)
-    vals = ec.gauge_many(euclid.fine_points())
-    assert np.max(vals) <= 1 + 1e-9
-    with pytest.raises(BadParameter):
-        tangency.outer_family(euclid, sp, 1e-7)
 
 
 def test_outer_ellipse(euclid, pig_strict):
@@ -253,11 +257,12 @@ def test_unit_disc_self_dual():
 
 
 def test_ellipse_type():
-    e = Ellipse.from_coeffs(3.0, 2.0, -4.0)
+    e = Ellipse(3.0, -2.0, 2.0)
+    assert e.coeffs == (3.0, 2.0, -4.0)
     a, b = e.semi_axes()
     assert a >= b > 0
     with pytest.raises(NotPositiveDefinite):
-        Ellipse.from_coeffs(1.0, 1.0, 3.0)
+        Ellipse(1.0, 1.5, 1.0)
 
 
 def test_orbit_inclusion_properties(euclid, pig_strict, spliced):
