@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as hst
 from normplane import classify, gallery, geometry, models, semigroup, tangency
 from normplane.curvature import curvature_implicit
 from normplane.errors import NotPositiveDefinite
+from normplane.geometry import SpherePoint, Vec2
 from normplane.tangency import Ellipse
 
 
@@ -132,19 +133,75 @@ def test_per_point_discs_follow_the_sweep(all_gallery):
 _TANGENT_MODELS = ("grandpa_pig_strict", "spliced", "blend_l4")
 
 
-def test_tangent_ellipse(euclid):
+def _vertical_contact(h: float) -> SpherePoint:
+    """A hand-made smooth point p = (1, h) with vertical tangent (support (1, 0))."""
+    return SpherePoint(
+        theta=math.atan2(h, 1.0),
+        point=Vec2(1.0, h),
+        support=Vec2(1.0, 0.0),
+        tangent=Vec2(0.0, 1.0),
+        curvature=1.0,
+        smooth=True,
+    )
+
+
+def test_build_inner_ellipse(euclid):
+    # through (1, 1) with vertical tangent; |f| = 1 so t is the curvature
+    e = tangency.tangent_ellipse(_vertical_contact(1.0), 2.0)
+    a, b, c = e.coeffs
+    assert (a, b, c) == (3.0, 2.0, -4.0)
+    # passes through (1, 1) with vertical tangent and curvature 2
+    assert a + b + c == pytest.approx(1.0)
+    grad = (2 * a + c, 2 * b + c)
+    assert grad == (2.0, 0.0)
+    k = curvature_implicit(grad, [[2 * a, c], [c, 2 * b]])
+    assert k == pytest.approx(2.0, rel=1e-15)
+    # the curvature identity at the contact point: kappa = |C| / (2 h)
+    for h, kt in ((0.5, 3.0), (2.0, 0.7), (1.0, 0.1)):
+        e = tangency.tangent_ellipse(_vertical_contact(h), kt)
+        assert abs(e.coeffs[2]) / (2 * h) == pytest.approx(kt, rel=1e-12)
+        assert 4 * e.coeffs[0] * e.coeffs[1] - e.coeffs[2] ** 2 == pytest.approx(4 * kt)
+    # h = 0 is an ordinary contact point now: the axis-aligned x^2 + t y^2
+    assert tangency.tangent_ellipse(_vertical_contact(0.0), 0.5).coeffs == (1.0, 0.5, 0.0)
     sp = geometry.sphere_point(euclid, 0.4)
-    # on the round sphere t = 1 gives the unit disc
+    for t in (0.0, -2.0):
+        with pytest.raises(NotPositiveDefinite):
+            tangency.tangent_ellipse(_vertical_contact(1.0), t)
+        with pytest.raises(NotPositiveDefinite):
+            tangency.tangent_ellipse(sp, t)
+
+
+def test_outer_family(euclid, pig_strict):
+    sp = geometry.sphere_point(euclid, 0.4)
+    # on the round sphere with b = 1 the family member is the unit disc
     e = tangency.tangent_ellipse(sp, 1.0)
     assert np.max(np.abs(e.matrix() - np.eye(2))) < 1e-9
-    # t = 1/8 (b = 1/sqrt(8) on the John disc) always gives an outer ellipse
+    # the power-type-2 constant b = 1/sqrt(8) (t = 1/8 on the John disc)
+    # always gives an outer ellipse
     e = tangency.tangent_ellipse(sp, 1.0 / 8.0)
     assert np.max(e.gauge_many(euclid.fine_points())) <= 1 + 1e-9
     assert tangency.ball_inside_ellipse(euclid, e)
     assert e.gauge_many(sp.point.as_array()[None, :])[0] == pytest.approx(1.0, abs=1e-12)
-    for t in (0.0, -2.0):
-        with pytest.raises(NotPositiveDefinite):
-            tangency.tangent_ellipse(sp, t)
+    # the member at t = b^2 <f_perp, M_J f_perp> is the b-family's form
+    # <x*, z>^2 + b^2 |z - <x*, z> x|^2_J, and outer_ellipse returns one with
+    # b halved from OUTER_ELLIPSE_B_START and not below 1e-6
+    for model in (euclid, pig_strict):
+        sp = geometry.sphere_point(model, 1.3)
+        f, xa = sp.support.as_array(), sp.point.as_array()
+        mj = tangency.john_ellipse(model).matrix()
+        proj = np.eye(2) - np.outer(xa, f)
+        fp = np.array([-f[1], f[0]])
+        for b in (1.0, 0.3, 1e-6):
+            family = np.outer(f, f) + b * b * (proj.T @ mj @ proj)
+            member = tangency.tangent_ellipse(sp, b * b * float(fp @ mj @ fp)).matrix()
+            np.testing.assert_allclose(member, family, rtol=1e-12, atol=1e-12)
+        e = tangency.outer_ellipse(model, sp)
+        assert e is not None
+        # <f_perp, x_perp> = <f, x> = 1, so <f_perp, M f_perp> is the member's t
+        b = math.sqrt(float(fp @ e.matrix() @ fp) / float(fp @ mj @ fp))
+        halvings = math.log2(tangency.OUTER_ELLIPSE_B_START / b)
+        assert halvings == pytest.approx(round(halvings), abs=1e-9)
+        assert b >= 1e-6
 
 
 @given(
