@@ -24,6 +24,7 @@ member at the dual point, which is how ``dual_transfer`` swaps them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -366,38 +367,80 @@ def _sphere_form(model, ellipse: Ellipse):
 # -- minimal-volume enclosing ellipse -----------------------------------------
 
 
+def john_form(pts) -> np.ndarray:
+    """The largest-determinant symmetric form M with p^T M p <= 1 at every
+    row p of pts: the least-area origin-centered ellipse containing them,
+    which two or three of them determine.
+
+    Constraint generation on a working set of at most four points, starting
+    from the farthest point and the point farthest from its line. Each
+    round takes the largest-determinant form feasible on the working set
+    among the candidates through two of its points as conjugate
+    semi-diameters, M = (a a^T + b b^T)^-1, and through three, q_i . v = 1
+    with q = (x^2, 2xy, y^2) and v = (m11, m12, m22); that is the working
+    set's optimum. The set is then cut to the candidate's own points, which
+    cap the next determinant at its own, plus the point it exceeds most,
+    which it can no longer meet. The loop ends when no point exceeds the
+    form, where a point counts as exceeding when q . v - 1 is above 1e-14
+    times |q| . |v|, the scale of that sum's rounding (q . v itself for an
+    axis-aligned form); or when the determinant stops falling, which it
+    does strictly in exact arithmetic, so there the last form is optimal to
+    rounding.
+    """
+    quad = np.column_stack([pts[:, 0] ** 2, 2.0 * pts[:, 0] * pts[:, 1], pts[:, 1] ** 2])
+
+    def excess(q, v):
+        return q @ v - 1.0 - 1e-14 * (np.abs(q) @ np.abs(v))
+
+    far = int(np.argmax(quad[:, 0] + quad[:, 2]))
+    work = [far, int(np.argmax(np.abs(pts @ [-pts[far, 1], pts[far, 0]])))]
+    form, form_det = None, INF
+    while True:
+        pairs, triples = list(combinations(work, 2)), list(combinations(work, 3))
+        bases = pairs + triples
+        s = quad[pairs].sum(axis=1)
+        q = quad[triples].reshape(-1, 3, 3)
+        # Cramer's rule: q^-1 has the columns adj[:, i] / d, with adj[:, i]
+        # the cross product of the other two rows
+        adj = np.cross(q[:, [1, 2, 0]], q[:, [2, 0, 1]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # a singular basis gives inf or NaN, which ok rejects
+            two = np.column_stack([s[:, 2], -0.5 * s[:, 1], s[:, 0]])
+            two /= (s[:, 0] * s[:, 2] - 0.25 * s[:, 1] ** 2)[:, None]
+            d = np.einsum("ij,ij->i", q[:, 0], adj[:, 0])[:, None]
+            three = adj.sum(axis=1) / d
+            # one refinement step, which Cramer's rule needs on the
+            # ill-conditioned triples of nearby points
+            three += np.einsum("ki,kij->kj", 1.0 - np.einsum("kij,kj->ki", q, three), adj) / d
+            v = np.concatenate([two, three])
+            det = v[:, 0] * v[:, 2] - v[:, 1] ** 2
+            # a candidate's own points lie on it by construction
+            own = np.array([[i in b for b in bases] for i in work])
+            ok = (v[:, 0] > 0) & (det > 0) & np.all((excess(quad[work], v.T) <= 0) | own, axis=0)
+        best = int(np.argmax(np.where(ok, det, -INF)))
+        if not (ok[best] and det[best] < form_det):
+            break
+        form, form_det = v[best], det[best]
+        out = excess(quad, form)
+        worst = int(np.argmax(out))
+        if out[worst] <= 0:
+            break
+        work = [*bases[best], worst]
+    m11, m12, m22 = form
+    return np.array([[m11, m12], [m12, m22]])
+
+
 def john_ellipse(model) -> Ellipse:
     """Minimal-volume origin-centered ellipse containing the unit ball.
 
-    Determinant maximization over the form entries (m11, m12, m22) with the
-    fine boundary cache as containment constraints (the constraint gradients
-    are constant, so the solve is cheap), then a rescale so containment is
-    certified on the refined sphere. Kept on the model after the first call.
+    ``john_form`` on the fine boundary cache, solved exactly, then a rescale
+    so containment is certified on the refined sphere. Kept on the model
+    after the first call.
     """
     if model._john_ellipse is not None:
         return model._john_ellipse
-    from scipy.optimize import minimize
-
     pts = model.fine_points()
-    quad = np.column_stack([pts[:, 0] ** 2, 2.0 * pts[:, 0] * pts[:, 1], pts[:, 1] ** 2])
-    r2 = np.einsum("ij,ij->i", pts, pts)
-    x0 = np.array([1.0 / r2.max(), 0.0, 1.0 / r2.max()])
-
-    def objective(v):
-        det = v[0] * v[2] - v[1] * v[1]
-        if det <= 0:
-            return INF, np.zeros(3)
-        return -np.log(det), -np.array([v[2], -2.0 * v[1], v[0]]) / det
-
-    res = minimize(
-        objective,
-        x0,
-        jac=True,
-        method="SLSQP",
-        constraints=[{"type": "ineq", "fun": lambda v: 1.0 - quad @ v, "jac": lambda v: -quad}],
-        options={"maxiter": 200, "ftol": 1e-14},
-    )
-    m = np.array([[res.x[0], res.x[1]], [res.x[1], res.x[2]]])
+    m = john_form(pts)
     e = Ellipse.from_matrix(m)
     scale = _refined_max(_sphere_form(model, e), e.gauge_many(pts))
     model._john_ellipse = Ellipse.from_matrix(m / (scale * scale))

@@ -231,7 +231,6 @@ def test_cli_invalid_model_exits_2(tmp_path, text):
 
 
 _SCIPY_FREE_VERDICTS = """
-import sys
 import normplane.cli
 from normplane import classify, gallery
 from normplane.errors import SelfCheckFailed
@@ -242,20 +241,40 @@ for name in ("nobst", "grandpa_pig_strict"):
         classify.classify_st(model, dual_check=True)
     except SelfCheckFailed:
         pass  # nobst's sampled dual sweep disagrees with its primal one
-print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """
+
+_SCIPY_FREE_ORBITS = """
+from normplane import gallery, geometry, semigroup, tangency
+for name in gallery.names():
+    tangency.john_ellipse(gallery.get(name))
+for name in ("grandpa_pig_strict", "nobst"):
+    model = gallery.get(name)
+    semigroup.orbit_map(model, geometry.sphere_point(model, 0.3), geometry.sphere_point(model, 2.0))
+"""
+
+
+def _scipy_modules_after(script: str) -> str:
+    """The scipy modules loaded once script has run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    report = 'import sys\nprint(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))'
+    proc = subprocess.run(
+        [sys.executable, "-c", script + report],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 def test_verdicts_import_no_scipy():
     # the sampled duals' spline is the package's own, so no verdict, with or
     # without the dual check, pays for importing scipy
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_FREE_VERDICTS],
-        capture_output=True, text=True, env=env, timeout=600,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _scipy_modules_after(_SCIPY_FREE_VERDICTS) == "[]"
+
+
+def test_orbit_path_imports_no_scipy():
+    # the John ellipse that seeds every outer ellipse is fitted in numpy, so
+    # the per-point certificate path does not import scipy either
+    assert _scipy_modules_after(_SCIPY_FREE_ORBITS) == "[]"
 
 
 def test_cli_dual_check_disagreement_exits_1(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as hst
+from hypothesis import assume, example, given, settings, strategies as hst
+from scipy.optimize import minimize, nnls
 
 from normplane import classify, gallery, geometry, models, semigroup, tangency
 from normplane.curvature import curvature_implicit
@@ -271,6 +272,87 @@ def test_john_volume_minimality(linf):
         scale = np.max(np.einsum("ij,jk,ik->i", corners, m, corners))
         m = m / scale  # now contains the corners with equality somewhere
         assert np.linalg.det(m) <= det_john * (1 + 1e-6)
+
+
+def _slsqp_john_form(pts):
+    """Oracle for john_form: SLSQP on -log det over (m11, m12, m22), one
+    linear constraint per point."""
+    quad = np.column_stack([pts[:, 0] ** 2, 2.0 * pts[:, 0] * pts[:, 1], pts[:, 1] ** 2])
+    r2 = np.einsum("ij,ij->i", pts, pts)
+    x0 = np.array([1.0 / r2.max(), 0.0, 1.0 / r2.max()])
+
+    def objective(v):
+        det = v[0] * v[2] - v[1] * v[1]
+        if det <= 0:
+            return math.inf, np.zeros(3)
+        return -np.log(det), -np.array([v[2], -2.0 * v[1], v[0]]) / det
+
+    res = minimize(
+        objective,
+        x0,
+        jac=True,
+        method="SLSQP",
+        constraints=[{"type": "ineq", "fun": lambda v: 1.0 - quad @ v, "jac": lambda v: -quad}],
+        options={"maxiter": 200, "ftol": 1e-14},
+    )
+    return np.array([[res.x[0], res.x[1]], [res.x[1], res.x[2]]])
+
+
+@pytest.mark.parametrize("name", gallery.names())
+def test_john_form_matches_slsqp(name):
+    # each entry within 1e-12 of the form's largest entry: off-diagonals are
+    # often 0 to rounding, where an entry's own size is no scale
+    pts = gallery.get(name).fine_points()
+    m, oracle = tangency.john_form(pts), _slsqp_john_form(pts)
+    assert np.max(np.abs(m - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("name", gallery.names())
+def test_john_form_kkt(name):
+    # John's condition for log det M under p^T M p <= 1: feasible, and M^-1 / 2
+    # a convex combination of p p^T over the points the form touches
+    pts = gallery.get(name).fine_points()
+    m = tangency.john_form(pts)
+    vals = np.einsum("ij,jk,ik->i", pts, m, pts)
+    assert vals.max() <= 1.0 + 1e-14
+    t = pts[vals >= 1.0 - 1e-12]
+    half_inv = np.linalg.inv(m) / 2.0
+    target = half_inv[[0, 0, 1], [0, 1, 1]]
+    weights, resid = nnls(np.stack([t[:, 0] ** 2, t[:, 0] * t[:, 1], t[:, 1] ** 2]), target)
+    assert resid <= 1e-12 * np.max(np.abs(target))
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@given(
+    name=hst.sampled_from(
+        ("euclidean", "nobst", "spliced", "quadrant_mix", "l2_l1_hybrid", "hexagon")
+    ),
+    a=hst.lists(hst.floats(-2.0, 2.0), min_size=4, max_size=4),
+)
+@example(name="nobst", a=[0.6968039617408448, -0.5170688206949898,
+                          -1.7431519993355855, 0.07510493624117975])
+@example(name="spliced", a=[-0.9100993896848446, 0.37890697133784323,
+                            1.7929911222137873, 0.42854187517107967])
+@example(name="quadrant_mix", a=[1.4544569725539906, -1.27326891571964,
+                                 1.4101595385464019, -0.9149761641716716])
+@example(name="grandpa_pig_strict", a=[-0.4406099614784562, 0.9454095513221601,
+                                       -0.20741281860621408, 0.7489873984351512])
+@settings(max_examples=40, deadline=None)
+def test_john_form_equivariance(name, a):
+    # the fit commutes with linear maps, orientation-reversing ones included:
+    # the points P A^T give the form A^-T M A^-1. The examples are maps under
+    # which the fit goes wrong without Cramer's refinement step (nobst,
+    # spliced), when a candidate is tested against its own points, which
+    # rounding can leave above 1 + 1e-14 (quadrant_mix), or, looping for
+    # ever, without the exit on a determinant that stops falling
+    # (grandpa_pig_strict). Every point of the circle's images touches the fit
+    a = np.array(a).reshape(2, 2)
+    assume(abs(np.linalg.det(a)) >= 0.1 and np.linalg.cond(a) <= 50.0)
+    pts = gallery.get(name).fine_points()
+    a_inv = np.linalg.inv(a)
+    expected = a_inv.T @ tangency.john_form(pts) @ a_inv
+    got = tangency.john_form(pts @ a.T)
+    assert np.max(np.abs(got - expected)) <= 1e-9 * np.max(np.abs(expected))
 
 
 def test_tangency_report_invariants(euclid, pig_strict):
