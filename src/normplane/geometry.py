@@ -251,27 +251,27 @@ def _map_images(mats: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _operator_norms(model, mats: np.ndarray, pts: np.ndarray, iters: int, period: float = 2.0 * np.pi):
+def _operator_norms(model, mats, pts, iters: int, period: float = 2.0 * np.pi, centers=None):
     """sup of gauge(T z) over the gauge-unit sphere for each T in mats (shape
     (k, 2, 2)): the sphere points ``pts`` of phase_grid(len(pts), period),
     then one lane-wise golden search of ``iters`` steps around each map's
-    best grid angle. Returns (values, witness angles)."""
+    best grid angle and its ``centers``. Returns (values, witness angles)."""
     k, grid = mats.shape[0], len(pts)
     vals = model.gauge_many(_map_images(mats[:, None], pts).reshape(k * grid, 2))
 
     def val(rows, ts):
         return model.gauge_many(_map_images(mats[rows], model.sphere_points_at(ts)))
 
-    return circle_max(val, vals.reshape(k, grid), 1, iters, period)
+    return circle_max(val, vals.reshape(k, grid), 1, iters, period, centers)
 
 
-def operator_norms(model, mats) -> tuple[np.ndarray, np.ndarray]:
+def operator_norms(model, mats, centers=None) -> tuple[np.ndarray, np.ndarray]:
     """sup of gauge(T z) over the gauge-unit sphere for each 2x2 map T of
     mats (shape (k, 2, 2)), at the certificate settings: the 4096 points of
     the model's fine cache plus an 80-step golden refinement, all maps as
     lanes of one search, so each value and witness angle is bit for bit the
-    one-map result. Returns (values, witness angles)."""
-    return _operator_norms(model, np.asarray(mats, dtype=float), model.fine_points(), 80)
+    one-map result, ``centers`` as in circle_max. Returns (values, angles)."""
+    return _operator_norms(model, np.asarray(mats, dtype=float), model.fine_points(), 80, centers=centers)
 
 
 def operator_norm(model, t) -> OperatorNorm:

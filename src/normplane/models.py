@@ -175,7 +175,6 @@ class NormModel:
         self._fine_points = None
         # lazily derived objects, kept here so they live and die with the model
         self._dual = None
-        self._john_ellipse = None
         self._eccentricity_sq = None
         self._sweep = None
         self._kappa_extrema = None

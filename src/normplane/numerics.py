@@ -63,14 +63,15 @@ def golden_min(f, lo, hi, iters: int = 80):
     return np.where(left, c, d), np.where(left, fc, fd)
 
 
-def circle_max(f, vals, seeds: int, iters: int, period: float = 2.0 * np.pi):
+def circle_max(f, vals, seeds: int, iters: int, period: float = 2.0 * np.pi, centers=None):
     """Maxima over the circle of k functions from their samples vals, shape
     (k, n), on phase_grid(n, period): the ``seeds`` largest finite samples
     of each row are refined over one grid step h = period / n either side,
     as lanes of one ``iters``-step golden_min, where f(rows, thetas)
-    evaluates each lane's row function at its angle. NaN refined values are
-    ignored. Returns (maxima, argmax angles); a refined value that only ties
-    the grid keeps the grid angle.
+    evaluates each lane's row function at its angle; ``centers`` (k, m) adds
+    m such brackets per row, around angles the grid leaves unsampled. NaN
+    refined values are ignored. Returns (maxima, argmax angles); a refined
+    value that only ties the grid keeps the grid angle.
 
     For pi-periodic functions pass period pi and the samples on the first
     half of the 2n-grid: with one seed the result is bit for bit that of the
@@ -82,14 +83,16 @@ def circle_max(f, vals, seeds: int, iters: int, period: float = 2.0 * np.pi):
     # argmax picks the first maximum; a full argsort of a large table is slow
     idx = top[:, None] if seeds == 1 else np.argsort(-vals, axis=1)[:, :seeds]
     keep = np.isfinite(np.take_along_axis(vals, idx, axis=1))
+    th = (idx + 0.5) * h
+    if centers is not None:
+        th, keep = np.hstack([th, centers]), np.hstack([keep, np.isfinite(centers)])
     rows = np.nonzero(keep)[0]
-    th = (idx[keep] + 0.5) * h
-    t = v = th
+    t = v = th = th[keep]
     if rows.size:
         t, v = golden_min(lambda x: -f(rows, x), th - h, th + h, iters)
-    refined = np.full(idx.shape, -np.inf)
+    refined = np.full(keep.shape, -np.inf)
     refined[keep] = np.where(np.isnan(v), -np.inf, -v)
-    angles = np.zeros(idx.shape)
+    angles = np.zeros(keep.shape)
     angles[keep] = t
     lane = np.argmax(refined, axis=1)
     best = refined[np.arange(k), lane]

@@ -87,13 +87,14 @@ def make_L_ab(model, a: SpherePoint, b: SpherePoint, eps: float) -> LinearMap2:
     return LinearMap2.from_matrix(dst @ np.linalg.inv(src))
 
 
-def certify(model, t: LinearMap2) -> ContractionCertificate:
-    """Operator-norm certificate for t; Singular if t is not invertible."""
+def certify(model, t: LinearMap2, centers=None) -> ContractionCertificate:
+    """Operator-norm certificate for t; Singular if t is not invertible.
+    ``centers`` (2, m): angles also refined for t and its inverse."""
     if not t.is_invertible():
         raise Singular(f"determinant {t.det()!r}")
     # T and its inverse are two lanes of one operator-norm search
     mats = np.stack([t.matrix(), t.inverse().matrix()])
-    (op, inv), (witness, _) = geometry.operator_norms(model, mats)
+    (op, inv), (witness, _) = geometry.operator_norms(model, mats, centers)
     contractive = float(op) <= 1.0 + CERTIFY_TOL
     return ContractionCertificate(
         T=t,
@@ -162,26 +163,22 @@ def orbit_map(model, x: SpherePoint, y: SpherePoint) -> ContractionCertificate |
     """A certified contractive automorphism sending x to y, when the
     outer-ellipse-at-x / inner-ellipse-at-y route (or the flat fallback)
     applies; None otherwise. The ellipse route's map is the tangent shrink
-    map L_xy that carries the outer ellipse onto the inner one."""
-    e_outer = tangency.outer_ellipse(model, x)
-    e_inner = tangency.inner_ellipse(model, y) if e_outer is not None else None
-    if e_outer is None or e_inner is None:
-        try:
-            cert = flat_transport(model, x, y)
-        except NotFlat:
-            return None
-        return cert if cert is not None and cert.is_contractive else None
-    # T maps the outer ellipse at x isometrically onto the inner one at y:
-    # it sends x to y, and the tangent at x to s times the tangent at y,
-    # with s equalizing the two tangents' ellipse lengths
-    tx, ty = x.tangent.as_array(), y.tangent.as_array()
-    s = math.sqrt(float(tx @ e_outer.matrix() @ tx) / float(ty @ e_inner.matrix() @ ty))
-    t = make_L_ab(model, x, y, 1.0 - s)
-    cert = certify(model, t)
-    mapped = t.apply(x.point)
-    if model.gauge(mapped - y.point) > 1e-9 or not cert.is_contractive:
+    map L_xy that carries the outer ellipse at x onto the inner one at y (one
+    ``tangency.extremal_ts`` search); ``certify`` alone makes the guarantee."""
+    if x.smooth and y.smooth:
+        t_out, t_in = tangency.extremal_ts(model, [x, y], [True, False])
+        if not (math.isnan(t_out) or math.isnan(t_in)):
+            # T maps the outer ellipse at x onto the inner one at y (equal tangent
+            # lengths, t <p_perp, tangent>^2). It has norm 1 at x, its inverse at y;
+            # so close to an isometry, it comes within 1e-8 of 1 elsewhere too
+            s = math.sqrt(t_out / t_in) * abs(x.point.cross(x.tangent) / y.point.cross(y.tangent))
+            cert = certify(model, make_L_ab(model, x, y, 1.0 - s), [[x.theta], [y.theta]])
+            return cert if cert.is_contractive else None
+    try:
+        cert = flat_transport(model, x, y)
+    except NotFlat:
         return None
-    return cert
+    return cert if cert.is_contractive else None
 
 
 def l1_orbit(model, x: SpherePoint) -> OrbitReport:

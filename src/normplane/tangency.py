@@ -14,11 +14,10 @@ refinement at the worst angles.
 
 Ellipses come from one family: every origin-centered ellipse tangent to the
 sphere at x with support f is ``tangent_ellipse(x, t)`` = f f^T + t x_perp
-x_perp^T, of curvature t / |f|^3 at x. The inner ellipse grows t from the
-inner disc's curvature until it fits in the ball (``ellipse_inside_ball``),
-the outer ellipse shrinks t from the John ellipse's form on f_perp until the
-ball fits in it (``ball_inside_ellipse``), and inverting a member gives the
-member at the dual point, which is how ``dual_transfer`` swaps them.
+x_perp^T, of curvature t / |f|^3 at x. The inner and outer ellipses take t
+at the extremes of ``tangent_ratio`` over the sphere, combined with the
+one-sided curvatures as the disc radii are (``extremal_ts``), and inverting
+a member gives the member at the dual point (``dual_transfer``).
 """
 
 from __future__ import annotations
@@ -45,12 +44,6 @@ CONTAIN_TOL = 1e-9
 
 #: number of worst sample angles refined during certification
 REFINE_WORST = 8
-
-#: curvature doublings the inner-ellipse construction tries
-INNER_ELLIPSE_DOUBLINGS = 40
-
-#: first b of the outer-ellipse family's halving search
-OUTER_ELLIPSE_B_START = 1.0
 
 
 def _refined_max(val, vals) -> float:
@@ -302,13 +295,12 @@ def tangent_ellipse(x: SpherePoint, t: float) -> Ellipse:
 
 def ellipse_inside_ball(model, ellipse: Ellipse, tol: float = CONTAIN_TOL) -> bool:
     """Certified check that the ellipse is contained in the unit ball."""
-    vals = model.gauge_many(ellipse.boundary_points(2048))
     inv_half = spd_power(ellipse.matrix(), -0.5)
 
     def val(phi):
         return model.gauge_many(np.column_stack([np.cos(phi), np.sin(phi)]) @ inv_half.T)
 
-    return _max_within(val, vals, 1.0 + tol)
+    return _max_within(val, val(phase_grid(2048)), 1.0 + tol)
 
 
 def ball_inside_ellipse(model, ellipse: Ellipse, tol: float = CONTAIN_TOL) -> bool:
@@ -317,46 +309,61 @@ def ball_inside_ellipse(model, ellipse: Ellipse, tol: float = CONTAIN_TOL) -> bo
     return _max_within(_sphere_form(model, ellipse), vals, 1.0 + tol)
 
 
+def tangent_ratio(x, f, thetas, z, z_thetas) -> np.ndarray:
+    """g(z) = (1 - <f, z>^2) / <x_perp, z>^2, the t of the tangent ellipse at
+    x (support f, polar angle thetas) through z (polar angle z_thetas); a
+    larger t leaves z outside. Broadcasts; NaN within PSI_EXCLUDE of x and -x
+    (the doubled angles' distance), where it is 0 / 0."""
+    fz = f[..., 0] * z[..., 0] + f[..., 1] * z[..., 1]
+    xz = x[..., 0] * z[..., 1] - x[..., 1] * z[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = (1.0 - fz) * (1.0 + fz) / (xz * xz)
+    return np.where(angle_dist(2.0 * z_thetas, 2.0 * thetas) < 2.0 * PSI_EXCLUDE, np.nan, g)
+
+
+def extremal_ts(model, xs, outer) -> np.ndarray:
+    """t of the extremal tangent ellipses at the sphere points xs, lanes of
+    one search: t_in = max(sup g, k_hi |f|^3) where ``outer`` is False, and
+    t_out = min(inf g, k_lo |f|^3) where it is True, with g tangent_ratio on
+    the fine cache refined by circle_max (REFINE_WORST seeds, 40 steps and a
+    bracket on each rim of the unsampled zone around x). NaN where the member
+    does not exist: at a corner, outer at k_lo < 1e-9, or t not in (0, inf)."""
+    outer = np.asarray(outer, dtype=bool)
+    pts = np.array([x.point.as_array() for x in xs])
+    f = np.array([x.support.as_array() for x in xs])
+    thetas = np.array([x.theta for x in xs])
+    sign = np.where(outer, -1.0, 1.0)
+    fine = model.fine_points()
+    g = tangent_ratio(pts[:, None], f[:, None], thetas[:, None], fine[None], phase_grid(len(fine))[None])
+
+    def lane(rows, th):
+        return sign[rows] * tangent_ratio(pts[rows], f[rows], thetas[rows], model.sphere_points_at(th), th)
+
+    rims = thetas[:, None] + (PSI_EXCLUDE + 2.0 * np.pi / len(fine)) * np.array([-1.0, 1.0])
+    vals = np.where(np.isnan(g), -INF, sign[:, None] * g)
+    best = sign * circle_max(lane, vals, REFINE_WORST, 40, centers=rims)[0]
+    k_lo, k_hi = model.curvature_sided_many(thetas)
+    fcube = np.hypot(f[:, 0], f[:, 1]) ** 3
+    t = np.where(outer, np.minimum(best, k_lo * fcube), np.maximum(best, k_hi * fcube))
+    ok = np.array([x.smooth for x in xs]) & ~(outer & (k_lo < 1e-9)) & (t > 0) & (t < INF)
+    return np.where(ok, t, np.nan)
+
+
+def _extremal_ellipse(model, x: SpherePoint, outer: bool, contains) -> Ellipse | None:
+    """extremal_ts's member at x, once ``contains`` certifies it."""
+    t = float(extremal_ts(model, [x], [outer])[0])
+    e = None if np.isnan(t) else tangent_ellipse(x, t)
+    return e if e is not None and contains(model, e) else None
+
+
 def inner_ellipse(model, x: SpherePoint) -> Ellipse | None:
-    """Inner ellipse at a smooth point with an inner disc: the tangent
-    ellipse whose curvature at x is the largest of k_hi, the disc's 1 / r and
-    1e-9 |f|, doubling t until it fits in the ball."""
-    if not x.smooth:
-        return None
-    disc = inner_disc(model, x)
-    if disc is None:
-        return None
-    fnorm = float(np.hypot(x.support.x1, x.support.x2))
-    _, k_hi = model.curvature_sided(x.theta)
-    kappa = max(k_hi if np.isfinite(k_hi) else 0.0, 1.0 / disc.radius, 1e-9 * fnorm)
-    t = fnorm**3 * kappa
-    for _ in range(INNER_ELLIPSE_DOUBLINGS):
-        candidate = tangent_ellipse(x, t)
-        if ellipse_inside_ball(model, candidate):
-            return candidate
-        t *= 2.0
-    return None
+    """The largest inner ellipse tangent at x (t_in), certified, or None."""
+    return _extremal_ellipse(model, x, False, ellipse_inside_ball)
 
 
 def outer_ellipse(model, x: SpherePoint) -> Ellipse | None:
-    """Outer ellipse at a smooth point of curvature at least 1e-9: the
-    tangent ellipse with t = b^2 <f_perp, M_J f_perp> (M_J the John
-    ellipse's form), halving b from OUTER_ELLIPSE_B_START while b >= 1e-6
-    until the ball fits."""
-    if not x.smooth:
-        return None
-    k_lo, _ = model.curvature_sided(x.theta)
-    if k_lo < 1e-9:
-        return None
-    fp = np.array([-x.support.x2, x.support.x1])
-    john_t = float(fp @ john_ellipse(model).matrix() @ fp)
-    b = OUTER_ELLIPSE_B_START
-    while b >= 1e-6:
-        e = tangent_ellipse(x, b * b * john_t)
-        if ball_inside_ellipse(model, e):
-            return e
-        b *= 0.5
-    return None
+    """The smallest outer ellipse tangent at x (t_out), certified, or None."""
+    return _extremal_ellipse(model, x, True, ball_inside_ellipse)
 
 
 def _sphere_form(model, ellipse: Ellipse):
@@ -431,20 +438,13 @@ def john_form(pts) -> np.ndarray:
 
 
 def john_ellipse(model) -> Ellipse:
-    """Minimal-volume origin-centered ellipse containing the unit ball.
-
+    """Minimal-volume origin-centered ellipse containing the unit ball:
     ``john_form`` on the fine boundary cache, solved exactly, then a rescale
-    so containment is certified on the refined sphere. Kept on the model
-    after the first call.
-    """
-    if model._john_ellipse is not None:
-        return model._john_ellipse
+    so containment is certified on the refined sphere."""
     pts = model.fine_points()
-    m = john_form(pts)
-    e = Ellipse.from_matrix(m)
+    e = Ellipse.from_matrix(john_form(pts))
     scale = _refined_max(_sphere_form(model, e), e.gauge_many(pts))
-    model._john_ellipse = Ellipse.from_matrix(m / (scale * scale))
-    return model._john_ellipse
+    return Ellipse.from_matrix(e.matrix() / (scale * scale))
 
 
 # -- reports and duality -------------------------------------------------------

@@ -1,11 +1,13 @@
 """Contraction certificates, tangent shrink maps, orbits, flat transport."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from normplane import geometry, semigroup, tangency
+from normplane import gallery, geometry, semigroup, tangency
 from normplane.errors import Degenerate, NotFlat, Singular, WrongModel
 from normplane.geometry import LinearMap2
 
@@ -324,3 +326,37 @@ def test_orbit_certificates_on_arc_chains(name, request):
         assert math.hypot(*miss) <= 1e-9
         assert 1.0 - 1e-8 <= cert.op_norm <= 1.0 + semigroup.CERTIFY_TOL + 1e-8
         assert abs(cert.op_norm - _sampled_operator_norm(model, mat)) <= 1e-8
+
+
+def _load_reference():
+    """The benchmark's independent references (perfbench/reference.py), read
+    from the checkout as they are."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    return reference
+
+
+def test_orbit_pairs_never_fail():
+    """The benchmark's orbit_pairs operation on 64 seeded pairs over its
+    four models, and on a nobst pair whose map comes within 1.4e-8 of its
+    norm away from x, where a search refining only the best grid angle
+    reported 0.99999998: orbit_map returns a certificate every time, and
+    each passes the benchmark's own check_orbit."""
+    reference = _load_reference()
+    names = ("ellipse_2_1", "grandpa_pig_strict", "spliced", "nobst")
+    models = {name: gallery.get(name) for name in names}
+    rng = np.random.default_rng(1)
+    pairs = [(name, *rng.uniform(0.0, 2.0 * math.pi, 2)) for _ in range(16) for name in names]
+    for name, a, b in pairs + [("nobst", 1.633236222584984, 1.6194608361334006)]:
+        model = models[name]
+        x = geometry.sphere_point(model, a)
+        y = geometry.sphere_point(model, b)
+        cert = semigroup.orbit_map(model, x, y)
+        assert cert is not None, (name, a, b)
+        errors = reference.check_orbit(
+            name, a, b, x.point.as_array(), y.point.as_array(), cert.T.matrix(),
+            cert.op_norm, cert.inv_norm, gauge=model.gauge_many,
+        )
+        assert errors == [], (name, a, b, errors)
