@@ -31,7 +31,7 @@ DUAL_GAUGE_GRID = 2048
 OPNORM_BATCH_GRID = 512
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vec2:
     """A point of the plane; doubles as a functional via the dot pairing."""
 
@@ -74,7 +74,7 @@ def as_vec(v) -> Vec2:
     return Vec2(float(x1), float(x2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearMap2:
     """A 2x2 linear map acting on Vec2 by columns-times-coordinates."""
 
@@ -118,7 +118,7 @@ class LinearMap2:
         return LinearMap2.from_matrix(self.matrix() @ other.matrix())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Disc:
     """Euclidean disc, used for inner/outer tangency certificates."""
 
@@ -126,7 +126,7 @@ class Disc:
     radius: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpherePoint:
     """A unit-sphere point with its supporting data.
 
@@ -251,27 +251,31 @@ def _map_images(mats: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _operator_norms(model, mats, pts, iters: int, period: float = 2.0 * np.pi, centers=None):
+def _operator_norms(model, mats, pts, iters: int, period: float = 2.0 * np.pi, centers=None, zoom=False):
     """sup of gauge(T z) over the gauge-unit sphere for each T in mats (shape
     (k, 2, 2)): the sphere points ``pts`` of phase_grid(len(pts), period),
-    then one lane-wise golden search of ``iters`` steps around each map's
-    best grid angle and its ``centers``. Returns (values, witness angles)."""
+    then one lane-wise search (circle_max: golden of ``iters`` steps, or
+    with ``zoom`` the zoom of as fine a final step) around each map's best
+    grid angle and its ``centers``. Returns (values, witness angles)."""
     k, grid = mats.shape[0], len(pts)
     vals = model.gauge_many(_map_images(mats[:, None], pts).reshape(k * grid, 2))
 
     def val(rows, ts):
         return model.gauge_many(_map_images(mats[rows], model.sphere_points_at(ts)))
 
-    return circle_max(val, vals.reshape(k, grid), 1, iters, period, centers)
+    return circle_max(val, vals.reshape(k, grid), 1, iters, period, centers, zoom)
 
 
 def operator_norms(model, mats, centers=None) -> tuple[np.ndarray, np.ndarray]:
     """sup of gauge(T z) over the gauge-unit sphere for each 2x2 map T of
     mats (shape (k, 2, 2)), at the certificate settings: the 4096 points of
-    the model's fine cache plus an 80-step golden refinement, all maps as
-    lanes of one search, so each value and witness angle is bit for bit the
-    one-map result, ``centers`` as in circle_max. Returns (values, angles)."""
-    return _operator_norms(model, np.asarray(mats, dtype=float), model.fine_points(), 80, centers=centers)
+    the model's fine cache plus a zoom as fine as an 80-step golden search
+    (14 rounds of 33 points, one gauge call a round for all maps), all maps
+    as lanes of one search, so each value and witness angle is bit for bit
+    the one-map result, ``centers`` as in circle_max. Returns (values,
+    angles)."""
+    mats = np.asarray(mats, dtype=float)
+    return _operator_norms(model, mats, model.fine_points(), 80, centers=centers, zoom=True)
 
 
 def operator_norm(model, t) -> OperatorNorm:
@@ -285,7 +289,8 @@ def operator_norm_batch(model, mats: np.ndarray) -> np.ndarray:
     """Operator norms of a batch of 2x2 matrices (shape (k, 2, 2)): the
     OPNORM_BATCH_GRID grid plus a 60-step golden refinement, all maps as
     lanes of one search; used by sweep-style callers where the one-at-a-time
-    path would dominate the runtime.
+    path would dominate the runtime. It stays golden, not zoomed as
+    operator_norms is, so the classification's output stays as it was.
 
     gauge(T(-z)) = gauge(T z), so only the first half of the grid is
     scanned, as a pi-periodic search (numerics.circle_max): the values are

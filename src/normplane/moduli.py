@@ -13,7 +13,9 @@ lanes read, and places it with one polish (``_polish_depths``).
 ``delta_uc`` and ``delta_curve`` run that one sweep, so the curve is
 ``delta_uc`` at each of its eps. The sweep only chooses where one lane-wise
 zoom (``_zoom_min``, over the half circle) starts, and the zoom's values
-come from a 50-step bisection (``_uc_depths``).
+come from a 50-step bisection (``_uc_depths``); the zoom is
+``numerics.zoom_min``, which the per-point searches of ``geometry`` and
+``tangency`` share.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from . import geometry
 from .errors import BadEps, NonSmoothPoint
 from .geometry import SpherePoint, Vec2
 from .models import SPHERE_CACHE_N
-from .numerics import bisect_batch, illinois_batch, phase_grid
+from .numerics import bisect_batch, illinois_batch, phase_grid, zoom_min
 
 #: eps grid for cached modulus curves (log-spaced)
 CURVE_GRID_N = 64
@@ -68,25 +70,15 @@ class ModulusCurve:
 def _zoom_min(f, vals: np.ndarray, period: float = 2.0 * np.pi) -> np.ndarray:
     """Row minima over the circle of k functions from their samples vals,
     shape (k, n), on phase_grid(n, period) (period pi: the first half of the
-    2n-grid, for pi-periodic functions): two rounds of 33 points around each
-    row's running argmin, the window h = period / n either side shrinking
-    16x a round, where f maps a (k, 33) array of angles (row r for function
+    2n-grid, for pi-periodic functions): two rounds of numerics.zoom_min
+    around each row's grid argmin, over one grid step h = period / n either
+    side, where f maps a (k, ZOOM_POINTS) array of angles (row r for function
     r) to values. A zoom, not a golden search: each round is one batched
     call of f. The first round's middle point is the grid argmin itself, so
     the samples only choose where the zoom starts."""
-    k, n = vals.shape
-    rows = np.arange(k)
-    h = period / n
+    n = vals.shape[1]
     center = phase_grid(n, period)[np.argmin(vals, axis=1)]
-    best = np.full(k, np.inf)
-    for _ in range(2):
-        local = center[:, None] + np.linspace(-h, h, 33)
-        v = f(local)
-        j = np.argmin(v, axis=1)
-        best = np.minimum(best, v[rows, j])
-        center = local[rows, j]
-        h /= 16.0
-    return best
+    return zoom_min(f, center, period / n, 2)[1]
 
 
 def delta_uc(model, eps: float) -> float:

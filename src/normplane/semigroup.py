@@ -36,7 +36,7 @@ FLAT_WINDOW = 9
 FLAT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContractionCertificate:
     """Operator-norm certificate for a candidate contractive automorphism."""
 

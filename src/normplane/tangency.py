@@ -9,8 +9,8 @@ its supremum (the limit of psi at z -> x is the osculating radius, supplied
 analytically). One rule, ``disc_bounds`` then ``disc_exists``, decides the
 discs for the classification sweep (``sweep_radii``, psi's extremes on the
 fine cache) and the per-point path (``disc_radii``, refined at the worst
-angles), whose discs are then certified on the fine cache plus golden
-refinement at the worst angles.
+angles), whose discs are then certified on the fine cache plus a zoom at the
+worst angles (``numerics.circle_max``).
 
 Ellipses come from one family: every origin-centered ellipse tangent to the
 sphere at x with support f is ``tangent_ellipse(x, t)`` = f f^T + t x_perp
@@ -48,8 +48,9 @@ REFINE_WORST = 8
 
 def _refined_max(val, vals) -> float:
     """Max of val over the circle from its samples vals on the phase-offset
-    grid: circle_max with the REFINE_WORST largest samples and 40 steps."""
-    return float(circle_max(lambda _, th: val(th), vals[None], REFINE_WORST, 40)[0][0])
+    grid: circle_max with the REFINE_WORST largest samples, zoomed as finely
+    as 40 golden steps (7 rounds, one call of val each)."""
+    return float(circle_max(lambda _, th: val(th), vals[None], REFINE_WORST, 40, zoom=True)[0][0])
 
 
 def _max_within(val, vals, bound: float) -> bool:
@@ -198,7 +199,11 @@ def disc_radii(model, x: SpherePoint, which: str) -> float:
     fine = model.fine_points()
 
     def psi_at(th):
-        return psi_table(xa, f, theta, model.sphere_points_at(th), th)[0]
+        # the support-line rule reads z = x itself (depth 0) as inf, and a
+        # zone point near it can round to depth 0 too; the refinement's
+        # samples may land there, so the zone stays NaN for it
+        psi = psi_table(xa, f, theta, model.sphere_points_at(th), th)[0]
+        return np.where(angle_dist(th, x.theta) < PSI_EXCLUDE, np.nan, psi)
 
     psi = psi_table(xa, f, theta, fine, phase_grid(len(fine)))[0]
     r_in = r_out = np.nan
@@ -325,9 +330,10 @@ def extremal_ts(model, xs, outer) -> np.ndarray:
     """t of the extremal tangent ellipses at the sphere points xs, lanes of
     one search: t_in = max(sup g, k_hi |f|^3) where ``outer`` is False, and
     t_out = min(inf g, k_lo |f|^3) where it is True, with g tangent_ratio on
-    the fine cache refined by circle_max (REFINE_WORST seeds, 40 steps and a
-    bracket on each rim of the unsampled zone around x). NaN where the member
-    does not exist: at a corner, outer at k_lo < 1e-9, or t not in (0, inf)."""
+    the fine cache refined by circle_max (REFINE_WORST seeds and a window on
+    each rim of the unsampled zone around x, zoomed as finely as 40 golden
+    steps: 7 calls for all lanes). NaN where the member does not exist: at a
+    corner, outer at k_lo < 1e-9, or t not in (0, inf)."""
     outer = np.asarray(outer, dtype=bool)
     pts = np.array([x.point.as_array() for x in xs])
     f = np.array([x.support.as_array() for x in xs])
@@ -341,7 +347,7 @@ def extremal_ts(model, xs, outer) -> np.ndarray:
 
     rims = thetas[:, None] + (PSI_EXCLUDE + 2.0 * np.pi / len(fine)) * np.array([-1.0, 1.0])
     vals = np.where(np.isnan(g), -INF, sign[:, None] * g)
-    best = sign * circle_max(lane, vals, REFINE_WORST, 40, centers=rims)[0]
+    best = sign * circle_max(lane, vals, REFINE_WORST, 40, centers=rims, zoom=True)[0]
     k_lo, k_hi = model.curvature_sided_many(thetas)
     fcube = np.hypot(f[:, 0], f[:, 1]) ** 3
     t = np.where(outer, np.minimum(best, k_lo * fcube), np.maximum(best, k_hi * fcube))

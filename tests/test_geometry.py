@@ -200,8 +200,8 @@ def test_operator_norm_euclid_matches_svd(euclid):
 @pytest.mark.parametrize("name", ["euclidean", "grandpa_pig_strict", "blend_l4", "ellipse_2_1"])
 def test_operator_norm_precision_contract(name):
     """Both operator-norm settings (operator_norm and certificates: 4096
-    points, 80 golden steps; operator_norm_batch, the UMST table: 512 points,
-    60 steps) stay within CERTIFY_TOL / 1000 of a reference that refines a
+    points, a 14-round zoom; operator_norm_batch, the UMST table: 512 points,
+    60 golden steps) stay within CERTIFY_TOL / 1000 of a reference that refines a
     2^14-point grid at its 4 best samples with bounded Brent, on seeded
     UMST-style shrink maps and Gaussian maps over the UMST-eligible models."""
     model = gallery.get(name)
@@ -243,25 +243,42 @@ def test_operator_norm_precision_contract(name):
 
 def test_operator_norm_grid_is_the_fine_cache(pig_strict):
     # operator_norm and certificates search the 4096 fine-cache points, the
-    # sphere points of the 4096-point phase grid
+    # sphere points of the 4096-point phase grid, and refine with the zoom
     mats = np.random.default_rng(37).normal(size=(8, 2, 2))
     grid = pig_strict.sphere_points_at(phase_grid(4096))
     assert np.array_equal(pig_strict.fine_points(), grid)
-    want = geometry._operator_norms(pig_strict, mats, grid, 80)[0]
+    want = geometry._operator_norms(pig_strict, mats, grid, 80, zoom=True)[0]
     assert np.array_equal([float(geometry.operator_norm(pig_strict, m)) for m in mats], want)
 
 
 def test_operator_norms_are_one_map_calls(all_gallery):
     # operator_norms searches every map as its own lane, at operator_norm's
-    # settings: values and witness angles are the one-map results bit for bit
+    # settings: values and witness angles are the one-map results bit for
+    # bit, also with a centre per map, as certify passes them
     rng = np.random.default_rng(41)
-    mats = rng.normal(size=(6, 2, 2))
+    mats = rng.normal(size=(8, 2, 2))
+    centers = rng.uniform(0.0, 2.0 * np.pi, (8, 1))
     for name in ("euclidean", "l1", "grandpa_pig_strict", "blend_l4", "nobst", "two_ellipses"):
         model = all_gallery[name]
         values, angles = geometry.operator_norms(model, mats)
         alone = [geometry.operator_norm(model, mat) for mat in mats]
         assert np.array_equal(values, [float(on) for on in alone])
         assert np.array_equal(angles, [on.witness_angle for on in alone])
+        values, angles = geometry.operator_norms(model, mats, centers)
+        for k in range(8):
+            one, angle = geometry.operator_norms(model, mats[k : k + 1], centers[k : k + 1])
+            assert one[0] == values[k] and angle[0] == angles[k], (name, k)
+
+
+def test_operator_norm_zoom_agrees_with_golden(all_gallery):
+    # the certificates' zoom and an 80-step golden search from the same grid
+    # agree to rounding on every gallery model (within 7.4e-16 relative on
+    # these maps)
+    mats = np.random.default_rng(47).normal(size=(64, 2, 2))
+    for name, model in all_gallery.items():
+        zoom = geometry.operator_norms(model, mats)[0]
+        golden = geometry._operator_norms(model, mats, model.fine_points(), 80)[0]
+        assert np.all(np.abs(zoom - golden) <= 4e-15 * golden), name
 
 
 def test_operator_norm_batch_is_lane_wise(pig_strict, ellipse_2_1):

@@ -1,5 +1,6 @@
-"""The lane-wise golden-section search and the circle maximum built on it,
-bisection plateaus, Illinois root polishing and the periodic cubic spline."""
+"""The lane-wise golden-section search and zoom and the circle maximum built
+on them, bisection plateaus, Illinois root polishing and the periodic cubic
+spline."""
 
 import math
 
@@ -10,12 +11,15 @@ from normplane import gallery, models, tangency
 from normplane.numerics import (
     INVPHI,
     INVPHI2,
+    ZOOM_POINTS,
     PeriodicSpline,
     bisect_batch,
     circle_max,
     golden_min,
     illinois_batch,
     phase_grid,
+    zoom_min,
+    zoom_rounds,
 )
 
 
@@ -89,6 +93,116 @@ def test_nan_and_inf_lanes_leave_the_others_alone():
     assert np.all((xs >= lo) & (xs <= hi))
 
 
+def test_zoom_lanes_match_single_runs_bit_for_bit():
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        centers = rng.uniform(-4.0, 4.0, 8)
+        for h, rounds in ((0.3, 0), (0.3, 1), (1e-3, 7), (0.5, 14)):
+            xs, vs = zoom_min(_wavy, centers, h, rounds)
+            for k in range(8):
+                x1, v1 = zoom_min(_wavy, centers[k : k + 1], h, rounds)
+                assert x1[0] == xs[k] and v1[0] == vs[k]
+
+
+def test_zoom_finds_known_minima():
+    centers = np.linspace(-2.0, 2.0, 8)
+    start = centers + np.linspace(-0.3, 0.3, 8)
+
+    def smooth(x):
+        return -np.cos(x - centers[:, None])
+
+    xs, vs = zoom_min(smooth, start, 0.5, zoom_rounds(80))
+    assert np.max(np.abs(vs + 1.0)) <= 1e-15
+    assert np.max(np.abs(xs - centers)) <= 1e-7
+    assert np.array_equal(smooth(xs[:, None])[:, 0], vs)
+
+    def corner(x):
+        return np.abs(x - centers[:, None]) + 0.5
+
+    xs, vs = zoom_min(corner, start, 0.5, zoom_rounds(80))
+    assert np.max(np.abs(xs - centers)) <= 1e-14
+    assert np.max(np.abs(vs - 0.5)) <= 1e-14
+    # on a flat function the first round takes its first sample, and a
+    # later value that only ties the running best keeps that angle
+    xs, vs = zoom_min(lambda x: 0.0 * x, start, 0.5, 7)
+    assert np.array_equal(xs, start - 0.5) and not vs.any()
+
+
+def test_zoom_rounds_reach_the_golden_bracket():
+    # 14 rounds for the certificates' 80 steps, 7 for the per-point 40; the
+    # last sample step is no wider than golden's last bracket, one round
+    # fewer would be
+    assert (zoom_rounds(80), zoom_rounds(40)) == (14, 7)
+    shrink = 2.0 / (ZOOM_POINTS - 1)
+    for iters in (0, 1, 10, 40, 60, 80):
+        r = zoom_rounds(iters)
+        golden = 2.0 * INVPHI**iters
+        assert shrink**r <= golden * (1.0 + 1e-12)
+        assert r == 0 or shrink ** (r - 1) > golden
+
+
+def test_zoom_passes_over_nan_keeps_inf():
+    # NaN samples never become a lane's centre or its value: lane 1 is NaN
+    # everywhere and keeps its centre, value inf, as lane 4, inf everywhere,
+    # does; one NaN sample on lane 5 changes nothing. Infinite samples are
+    # kept, as golden_min keeps them: lane 2's -inf at its minimum becomes
+    # its value and angle
+    centers = np.linspace(0.0, 3.5, 8)
+    h = 0.2
+    grid = centers[:, None] + np.linspace(-h, h, ZOOM_POINTS)
+    dead = {1: np.nan, 4: np.inf}
+    spike = {2: (int(np.argmin(_wavy(grid[2]))), -np.inf), 5: (3, np.nan)}
+
+    def f(x):
+        v = _wavy(x)
+        for lane, value in dead.items():
+            v[lane] = value
+        for lane, (j, value) in spike.items():
+            v[lane] = np.where(x[lane] == grid[lane, j], value, v[lane])
+        return v
+
+    xs, vs = zoom_min(f, centers, h, 7)
+    ok = np.array([0, 3, 5, 6, 7])
+    xg, vg = zoom_min(_wavy, centers[ok], h, 7)
+    assert np.array_equal(xs[ok], xg) and np.array_equal(vs[ok], vg)
+    assert vs[1] == vs[4] == np.inf and xs[1] == centers[1] and xs[4] == centers[4]
+    assert vs[2] == -np.inf and xs[2] == grid[2, spike[2][0]]
+
+
+def test_zoom_of_two_rounds_is_the_modulus_zoom():
+    # moduli._zoom_min is two rounds from the grid argmin, window one grid
+    # step, shrinking 16x a round
+    from normplane import moduli
+
+    n = 128
+    rows = np.arange(4)
+    vals = np.cos(3.0 * phase_grid(n)[None, :] + rows[:, None])
+
+    def f(x):
+        return np.cos(3.0 * x + rows[:, None])
+
+    start = phase_grid(n)[np.argmin(vals, axis=1)]
+    want = np.full(4, np.inf)
+    for h in (2.0 * np.pi / n, 2.0 * np.pi / n / 16.0):
+        local = start[:, None] + np.linspace(-h, h, 33)
+        v = f(local)
+        j = np.argmin(v, axis=1)
+        want, start = np.minimum(want, v[rows, j]), local[rows, j]
+    assert np.array_equal(moduli._zoom_min(f, vals), want)
+
+
+def test_circle_max_zoom_calls_f_once_a_round():
+    rows_seen = []
+
+    def f(rows, t):
+        rows_seen.append(rows.size)
+        return _rows_wavy(rows, t)
+
+    vals = _rows_wavy(np.arange(3)[:, None], phase_grid(64)[None, :])
+    circle_max(f, vals, 4, 40, centers=np.full((3, 2), 1.0), zoom=True)
+    assert rows_seen == [3 * 6 * ZOOM_POINTS] * zoom_rounds(40)
+
+
 def test_refined_max_ignores_nan_lanes():
     # psi is NaN in the exclusion zone around the base point, so some lanes
     # of a disc_radii refinement can come out NaN; those lanes must drop out
@@ -108,6 +222,24 @@ def test_refined_max_ignores_nan_lanes():
     assert abs(tangency._refined_max(val, vals) - 1.0) <= 1e-15
     everywhere_nan = lambda th: np.full(np.shape(th), np.nan)  # noqa: E731
     assert tangency._refined_max(everywhere_nan, vals) == vals.max()
+
+
+def test_refined_max_reaches_a_corner_maximum():
+    # |T z| over the hexagon's sphere peaks at a vertex, a kink, where a
+    # search's error is linear in its last step: the 7-round zoom reads the
+    # vertex maximum within 1e-11 relative (3.4e-13 on these maps; 40 golden
+    # steps 7.6e-13, 4 rounds 3.6e-9)
+    model = gallery.get("hexagon")
+    fine = model.fine_points()
+    for mat in np.random.default_rng(61).normal(size=(32, 2, 2)):
+        def val(th, mat=mat):
+            z = model.sphere_points_at(th) @ mat.T
+            return np.hypot(z[:, 0], z[:, 1])
+
+        v = model.vertices @ mat.T
+        exact = np.hypot(v[:, 0], v[:, 1]).max()
+        got = tangency._refined_max(val, np.hypot(*(fine @ mat.T).T))
+        assert abs(got - exact) <= 1e-11 * exact
 
 
 def test_max_within_rejects_on_the_grid():
@@ -166,8 +298,8 @@ def test_circle_max_matches_dense_brute_force():
     vals = _rows_wavy(rows[:, None], phase_grid(64)[None, :])
     dense = phase_grid(1 << 20)
     brute = np.array([np.max(_rows_wavy(r, dense)) for r in rows])
-    for seeds in (1, 4):
-        maxima, angles = circle_max(_rows_wavy, vals, seeds, 40)
+    for seeds, zoom in ((1, False), (4, False), (1, True), (4, True)):
+        maxima, angles = circle_max(_rows_wavy, vals, seeds, 40, zoom=zoom)
         assert np.max(np.abs(maxima - brute)) <= 1e-10
         assert np.array_equal(_rows_wavy(rows, angles), maxima)
 
@@ -177,9 +309,10 @@ def test_circle_max_ties_keep_the_first_grid_maximum():
     vals[:, [3, 10]] = 1.0
     # row 0 refines below the grid, row 1 only ties it
     level = np.array([0.5, 1.0])
-    maxima, angles = circle_max(lambda rows, t: level[rows] + 0.0 * t, vals, 1, 40)
-    assert maxima.tolist() == [1.0, 1.0]
-    assert angles.tolist() == [phase_grid(16)[3]] * 2
+    for zoom in (False, True):
+        maxima, angles = circle_max(lambda rows, t: level[rows] + 0.0 * t, vals, 1, 40, zoom=zoom)
+        assert maxima.tolist() == [1.0, 1.0]
+        assert angles.tolist() == [phase_grid(16)[3]] * 2
 
 
 def test_phase_grid_of_period_pi_is_the_first_half():

@@ -360,3 +360,35 @@ def test_orbit_pairs_never_fail():
             cert.op_norm, cert.inv_norm, gauge=model.gauge_many,
         )
         assert errors == [], (name, a, b, errors)
+
+
+def _calls(model, monkeypatch, run) -> dict:
+    """Calls of model.sphere_points_at and model.gauge_many during run()."""
+    calls = {"sphere_points_at": 0, "gauge_many": 0}
+    for name in calls:
+        method = getattr(model, name)
+
+        def counting(arg, name=name, method=method):
+            calls[name] += 1
+            return method(arg)
+
+        monkeypatch.setattr(model, name, counting)
+    run()
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, sphere_calls, gauge_calls",
+    [("nobst", 32, 24), ("grandpa_pig_strict", 32, 56)],
+)
+def test_orbit_map_call_budget(monkeypatch, name, sphere_calls, gauge_calls):
+    """One orbit_map on warm caches: its per-point searches zoom, one call a
+    round for all lanes, so it makes 21 sphere_points_at and 15 gauge_many
+    calls on nobst (36 gauge_many on grandpa_pig_strict, whose sphere points
+    are 1 / gauge); golden searches, one call a step, made 124 and 83
+    (207)."""
+    model = gallery.get(name)
+    x, y = geometry.sphere_point(model, 0.4), geometry.sphere_point(model, 2.5)
+    semigroup.orbit_map(model, x, y)
+    calls = _calls(model, monkeypatch, lambda: semigroup.orbit_map(model, x, y))
+    assert calls["sphere_points_at"] <= sphere_calls and calls["gauge_many"] <= gauge_calls, calls
