@@ -145,8 +145,7 @@ class SpherePoint:
 
 def gauge(model, v) -> float:
     """The model's norm of v (Minkowski functional of the unit ball)."""
-    v = as_vec(v)
-    return float(model.gauge_many(np.array([[v.x1, v.x2]]))[0])
+    return model.gauge(v)
 
 
 def dual_gauge(model, f) -> float:

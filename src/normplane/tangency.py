@@ -1,23 +1,26 @@
 """Inner/outer disc and ellipse calculus at unit-sphere points.
 
-Discs are searched along the inward support normal only; tangency at the
-base point is then automatic and the admissible radii have a closed form:
-for a tangent disc D(x - r n, r) and a sphere point z, membership of z is
-governed by psi(z) = |z - x|^2 |f| / (2 (1 - <f, z>)), so the largest inner
-radius is the infimum of psi over the sphere and the smallest outer radius
-its supremum (the limit of psi at z -> x is the osculating radius, supplied
-analytically). One rule, ``disc_bounds`` then ``disc_exists``, decides the
-discs for the classification sweep (``sweep_radii``, psi's extremes on the
-fine cache) and the per-point path (``disc_radii``, refined at the worst
-angles), whose discs are then certified on the fine cache plus a zoom at the
-worst angles (``numerics.circle_max``).
+Both families are read off one function each, of the same broadcast
+signature (x, f, thetas, z, z_thetas): the radius of curvature at x of the
+family's member tangent at x (support f) through the sphere point z, which
+leaves z outside when smaller. For the discs D(x - r n, r), searched along
+the inward support normal, it is psi(z) = |z - x|^2 |f| / (2 (1 - <f, z>))
+(``disc_psi``). Every origin-centered ellipse tangent at x is
+``tangent_ellipse(x, t)`` = f f^T + t x_perp x_perp^T, of curvature t / |f|^3
+at x, and the member through z has t = g(z) = (1 - <f, z>^2) / <x_perp,
+z>^2, so its radius is |f|^3 / g(z) (``ellipse_psi``). The largest inner
+member's radius is the inf of psi over the sphere and the smallest outer
+member's its sup, combined with the one-sided osculating radii at x, the
+limit of psi at z -> x (``disc_bounds``).
 
-Ellipses come from one family: every origin-centered ellipse tangent to the
-sphere at x with support f is ``tangent_ellipse(x, t)`` = f f^T + t x_perp
-x_perp^T, of curvature t / |f|^3 at x. The inner and outer ellipses take t
-at the extremes of ``tangent_ratio`` over the sphere, combined with the
-one-sided curvatures as the disc radii are (``extremal_ts``), and inverting
-a member gives the member at the dual point (``dual_transfer``).
+One search serves both (``extremal_radii``): psi on the fine cache, refined
+at the worst angles and on the rims of the zone around x (``numerics.
+circle_max``), then ``disc_bounds``. ``disc_radii`` is a lane of it, whose
+disc ``disc_exists`` accepts and ``verify_disc`` certifies; ``extremal_ts``
+is |f|^3 over it, whose ellipses are certified the same way. The
+classification sweep (``sweep_radii``) takes disc_psi's extremes on the
+fine cache unrefined, under the same rule. Inverting a tangent ellipse
+gives the member at the dual point (``dual_transfer``).
 """
 
 from __future__ import annotations
@@ -113,7 +116,7 @@ class TangencyReport:
     outer_ellipse: Ellipse | None
 
 
-# -- tangent-disc radii -------------------------------------------------------
+# -- tangent discs and the extremal-member search -----------------------------
 
 
 #: angular radius of the 0/0 exclusion zone around the base point; the local
@@ -121,22 +124,19 @@ class TangencyReport:
 PSI_EXCLUDE = 3e-4
 
 
-def psi_table(x, f, thetas, z, z_thetas) -> np.ndarray:
-    """psi of the sphere points z (polar angles z_thetas) for the tangent
-    discs at the base points x (supports f, polar angles thetas).
-
-    Returns a (len(x), len(z)) table: NaN inside the exclusion zone around
-    each base point, INF where z lies on or beyond the support line.
-    """
-    diff = z[None, :, :] - x[:, None, :]
-    dist2 = diff[:, :, 0] ** 2 + diff[:, :, 1] ** 2
-    depth = 1.0 - f @ z.T
-    fnorm = np.hypot(f[:, 0], f[:, 1])
+def disc_psi(x, f, thetas, z, z_thetas) -> np.ndarray:
+    """psi(z) = |z - x|^2 |f| / (2 (1 - <f, z>)), the radius of the tangent
+    disc at x (support f, polar angle thetas) through z (polar angle
+    z_thetas); a smaller disc leaves z outside. Broadcasts over the leading
+    axes; INF where z lies on or beyond the support line, and NaN within
+    PSI_EXCLUDE of x, where it is 0 / 0 (applied last, so z = x is NaN)."""
+    dist2 = (z[..., 0] - x[..., 0]) ** 2 + (z[..., 1] - x[..., 1]) ** 2
+    # <f, z> as a matmul, which rounds as the sweep's table always has
+    depth = 1.0 - np.matmul(f[..., None, :], z[..., :, None])[..., 0, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        psi = dist2 * fnorm[:, None] / (2.0 * depth)
-    ang = angle_dist(z_thetas[None, :], thetas[:, None])
-    psi[ang < PSI_EXCLUDE] = np.nan
+        psi = dist2 * np.hypot(f[..., 0], f[..., 1]) / (2.0 * depth)
     psi[depth <= 0] = INF
+    psi[angle_dist(z_thetas, thetas) < PSI_EXCLUDE] = np.nan
     return psi
 
 
@@ -169,6 +169,37 @@ def disc_exists(r_in, r_out):
     return tuple((r >= MIN_DISC_RADIUS) & (r <= OUTER_DISC_CAP) for r in (r_in, r_out))
 
 
+def extremal_radii(model, psi, xs, outer) -> tuple[np.ndarray, np.ndarray]:
+    """Radii of curvature at the sphere points xs of the extremal members of
+    one tangent family, lanes of one search: psi(x, f, thetas, z, z_thetas)
+    is the radius of the family's member through z (disc_psi, ellipse_psi),
+    whose inf gives the inner member where ``outer`` is False and whose sup
+    the outer one where it is True, both combined with the one-sided
+    curvatures by disc_bounds. psi is taken on the fine cache and refined by
+    circle_max: REFINE_WORST seeds and a window on each rim of the unsampled
+    zone around x, zoomed as finely as 40 golden steps, 7 calls for all
+    lanes. Returns the radii, 0 / inf where a member does not exist, and
+    k_lo at xs."""
+    outer = np.asarray(outer, dtype=bool)
+    pts = np.array([x.point.as_array() for x in xs])
+    f = np.array([x.support.as_array() for x in xs])
+    thetas = np.array([x.theta for x in xs])
+    sign = np.where(outer, 1.0, -1.0)
+    fine = model.fine_points()
+    table = psi(pts[:, None], f[:, None], thetas[:, None], fine[None], phase_grid(len(fine))[None])
+
+    def lane(rows, th):
+        return sign[rows] * psi(pts[rows], f[rows], thetas[rows], model.sphere_points_at(th), th)
+
+    rims = thetas[:, None] + (PSI_EXCLUDE + 2.0 * np.pi / len(fine)) * np.array([-1.0, 1.0])
+    vals = np.where(np.isnan(table), -INF, sign[:, None] * table)
+    best = sign * circle_max(lane, vals, REFINE_WORST, 40, centers=rims, zoom=True)[0]
+    k_lo, k_hi = model.curvature_sided_many(thetas)
+    kink = model.corners().kinks().lookup(thetas)[0]
+    r_in, r_out = disc_bounds(best, best, k_lo, k_hi, kink)
+    return np.where(outer, r_out, r_in), k_lo
+
+
 def sweep_radii(model, thetas, points, supports, k_lo, k_hi, kink):
     """disc_bounds of psi's extremes on the fine cache, unrefined, for many
     base points at once (the classification sweep)."""
@@ -179,7 +210,7 @@ def sweep_radii(model, thetas, points, supports, k_lo, k_hi, kink):
     chunk = 128
     for lo in range(0, len(thetas), chunk):
         sl = slice(lo, lo + chunk)
-        psi = psi_table(points[sl], supports[sl], thetas[sl], fine, fine_thetas)
+        psi = disc_psi(points[sl, None], supports[sl, None], thetas[sl, None], fine[None], fine_thetas[None])
         r_in[sl] = np.nanmin(psi, axis=1)
         r_out[sl] = np.nanmax(psi, axis=1)
     return disc_bounds(r_in, r_out, k_lo, k_hi, kink)
@@ -187,62 +218,22 @@ def sweep_radii(model, thetas, points, supports, k_lo, k_hi, kink):
 
 def disc_radii(model, x: SpherePoint, which: str) -> float:
     """The largest inner radius (``which`` = "inner") or the smallest outer
-    radius ("outer") of a tangent disc at x: disc_bounds of psi's extreme,
-    refined at the worst angle.
-
-    It may be 0 / inf when that disc does not exist; the curvature limit at
-    x enters through the model's one-sided curvatures.
-    """
-    xa = x.point.as_array()[None, :]
-    f = x.support.as_array()[None, :]
-    theta = np.array([x.theta])
-    fine = model.fine_points()
-
-    def psi_at(th):
-        # the support-line rule reads z = x itself (depth 0) as inf, and a
-        # zone point near it can round to depth 0 too; the refinement's
-        # samples may land there, so the zone stays NaN for it
-        psi = psi_table(xa, f, theta, model.sphere_points_at(th), th)[0]
-        return np.where(angle_dist(th, x.theta) < PSI_EXCLUDE, np.nan, psi)
-
-    psi = psi_table(xa, f, theta, fine, phase_grid(len(fine)))[0]
-    r_in = r_out = np.nan
-    if which == "inner":
-        # the infimum of psi, as minus the sup of -psi
-        r_in = -_refined_max(lambda th: -psi_at(th), -np.where(np.isnan(psi), INF, psi))
-    elif np.any(np.isinf(psi)):
-        r_out = INF  # another sphere point on the support line: flat face
-    else:
-        r_out = _refined_max(psi_at, np.where(np.isnan(psi), -INF, psi))
-    k_lo, k_hi = model.curvature_sided(x.theta)
-    kink = model.one_sided_supports(x.theta) is not None
-    return float(disc_bounds(r_in, r_out, k_lo, k_hi, kink)[which != "inner"])
-
-
-#: certify-adjust slacks tried in order when the raw radius misses by noise
-_ADJUST_STEPS = (0.0, 1e-9, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
-
-
-def _tangent_disc(x: SpherePoint, r: float) -> Disc:
-    n = x.support.as_array()
-    n = n / np.hypot(n[0], n[1])
-    c = x.point.as_array() - r * n
-    return Disc(Vec2(float(c[0]), float(c[1])), float(r))
+    radius ("outer") of a tangent disc at x: one lane of extremal_radii on
+    disc_psi. It may be 0 / inf when that disc does not exist."""
+    return float(extremal_radii(model, disc_psi, [x], [which != "inner"])[0][0])
 
 
 def _certified_disc(model, x: SpherePoint, which: str) -> Disc | None:
-    """The ``which`` ("inner" or "outer") tangent disc at x, at the first
-    _ADJUST_STEPS slack that verify_disc certifies (shrinking an inner
-    radius, growing an outer one), or None when disc_exists rejects it."""
+    """The ``which`` ("inner" or "outer") tangent disc at x of radius
+    disc_radii, once verify_disc certifies it; None when disc_exists rejects
+    the radius or the check fails."""
     r = disc_radii(model, x, which)
     if not disc_exists(r, r)[0]:  # one rule for either side
         return None
-    sign = -1.0 if which == "inner" else 1.0
-    for slack in _ADJUST_STEPS:
-        disc = _tangent_disc(x, r * (1.0 + sign * slack))
-        if verify_disc(model, disc, which):
-            return disc
-    return None
+    n = x.support.as_array()
+    c = x.point.as_array() - r * (n / np.hypot(n[0], n[1]))
+    disc = Disc(Vec2(float(c[0]), float(c[1])), r)
+    return disc if verify_disc(model, disc, which) else None
 
 
 def inner_disc(model, x: SpherePoint) -> Disc | None:
@@ -314,43 +305,34 @@ def ball_inside_ellipse(model, ellipse: Ellipse, tol: float = CONTAIN_TOL) -> bo
     return _max_within(_sphere_form(model, ellipse), vals, 1.0 + tol)
 
 
-def tangent_ratio(x, f, thetas, z, z_thetas) -> np.ndarray:
-    """g(z) = (1 - <f, z>^2) / <x_perp, z>^2, the t of the tangent ellipse at
-    x (support f, polar angle thetas) through z (polar angle z_thetas); a
-    larger t leaves z outside. Broadcasts; NaN within PSI_EXCLUDE of x and -x
-    (the doubled angles' distance), where it is 0 / 0."""
+def ellipse_psi(x, f, thetas, z, z_thetas) -> np.ndarray:
+    """|f|^3 / g(z), with g(z) = (1 - <f, z>^2) / <x_perp, z>^2 the t of the
+    tangent ellipse at x (support f, polar angle thetas) through z (polar
+    angle z_thetas): that member's radius of curvature at x; a smaller one
+    leaves z outside. Broadcasts; INF where z lies on or beyond either
+    support line (g <= 0), and NaN within PSI_EXCLUDE of x and -x (the
+    doubled angles' distance), where it is 0 / 0 (applied last)."""
     fz = f[..., 0] * z[..., 0] + f[..., 1] * z[..., 1]
     xz = x[..., 0] * z[..., 1] - x[..., 1] * z[..., 0]
+    depth = (1.0 - fz) * (1.0 + fz)
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = (1.0 - fz) * (1.0 + fz) / (xz * xz)
-    return np.where(angle_dist(2.0 * z_thetas, 2.0 * thetas) < 2.0 * PSI_EXCLUDE, np.nan, g)
+        r = np.hypot(f[..., 0], f[..., 1]) ** 3 * (xz * xz) / depth
+    r[depth <= 0] = INF
+    r[angle_dist(2.0 * z_thetas, 2.0 * thetas) < 2.0 * PSI_EXCLUDE] = np.nan
+    return r
 
 
 def extremal_ts(model, xs, outer) -> np.ndarray:
     """t of the extremal tangent ellipses at the sphere points xs, lanes of
-    one search: t_in = max(sup g, k_hi |f|^3) where ``outer`` is False, and
-    t_out = min(inf g, k_lo |f|^3) where it is True, with g tangent_ratio on
-    the fine cache refined by circle_max (REFINE_WORST seeds and a window on
-    each rim of the unsampled zone around x, zoomed as finely as 40 golden
-    steps: 7 calls for all lanes). NaN where the member does not exist: at a
+    one search: |f|^3 over extremal_radii on ellipse_psi, so t_in =
+    max(sup g, k_hi |f|^3) where ``outer`` is False and t_out = min(inf g,
+    k_lo |f|^3) where it is True. NaN where the member does not exist: at a
     corner, outer at k_lo < 1e-9, or t not in (0, inf)."""
     outer = np.asarray(outer, dtype=bool)
-    pts = np.array([x.point.as_array() for x in xs])
     f = np.array([x.support.as_array() for x in xs])
-    thetas = np.array([x.theta for x in xs])
-    sign = np.where(outer, -1.0, 1.0)
-    fine = model.fine_points()
-    g = tangent_ratio(pts[:, None], f[:, None], thetas[:, None], fine[None], phase_grid(len(fine))[None])
-
-    def lane(rows, th):
-        return sign[rows] * tangent_ratio(pts[rows], f[rows], thetas[rows], model.sphere_points_at(th), th)
-
-    rims = thetas[:, None] + (PSI_EXCLUDE + 2.0 * np.pi / len(fine)) * np.array([-1.0, 1.0])
-    vals = np.where(np.isnan(g), -INF, sign[:, None] * g)
-    best = sign * circle_max(lane, vals, REFINE_WORST, 40, centers=rims, zoom=True)[0]
-    k_lo, k_hi = model.curvature_sided_many(thetas)
-    fcube = np.hypot(f[:, 0], f[:, 1]) ** 3
-    t = np.where(outer, np.minimum(best, k_lo * fcube), np.maximum(best, k_hi * fcube))
+    r, k_lo = extremal_radii(model, ellipse_psi, xs, outer)
+    with np.errstate(divide="ignore"):
+        t = np.hypot(f[:, 0], f[:, 1]) ** 3 / r
     ok = np.array([x.smooth for x in xs]) & ~(outer & (k_lo < 1e-9)) & (t > 0) & (t < INF)
     return np.where(ok, t, np.nan)
 

@@ -46,19 +46,21 @@ def test_psi_table(euclid, linf):
     thetas = np.array([0.3, 2.0])
     x = euclid.sphere_points_at(thetas)
     z_thetas = (np.arange(4096) + 0.5) * (2.0 * np.pi / 4096)
-    psi = tangency.psi_table(x, x, thetas, euclid.sphere_points_at(z_thetas), z_thetas)
+    z = euclid.sphere_points_at(z_thetas)
+    psi = tangency.disc_psi(x[:, None], x[:, None], thetas[:, None], z[None], z_thetas[None])
     assert psi.shape == (2, 4096)
     ang = np.abs((z_thetas[None, :] - thetas[:, None] + np.pi) % (2 * np.pi) - np.pi)
     zone = ang < tangency.PSI_EXCLUDE
     assert np.any(zone) and np.all(np.isnan(psi[zone]))
     np.testing.assert_allclose(psi[~zone], 1.0, rtol=1e-9)
-    # square: points on the face through x are on the support line, the one
-    # inside the exclusion zone included
-    xs = np.array([[1.0, 0.3]])
-    theta = np.arctan2([0.3], [1.0])
+    # square: points on the face through x are on the support line, except
+    # the one inside the exclusion zone, which the zone's NaN overrides
+    xs = np.array([1.0, 0.3])
+    theta = math.atan2(0.3, 1.0)
     z = np.array([[1.0, -0.5], [1.0, 0.9], [1.0, 0.3 + 1e-5], [0.0, 1.0]])
-    psi = tangency.psi_table(xs, np.array([[1.0, 0.0]]), theta, z, np.arctan2(z[:, 1], z[:, 0]))[0]
-    assert psi[:3].tolist() == [math.inf] * 3
+    psi = tangency.disc_psi(xs, np.array([1.0, 0.0]), theta, z, np.arctan2(z[:, 1], z[:, 0]))
+    assert psi[:2].tolist() == [math.inf] * 2
+    assert np.isnan(psi[2])
     assert psi[3] == pytest.approx((1.0 + 0.49) / 2.0)
 
 
@@ -114,9 +116,23 @@ def test_disc_rule_branches():
         assert (float(r[0]), float(r[1]), *map(bool, tangency.disc_exists(*r))) == want
 
 
+#: nobst's arc-midpoint angles around pi / 2 and their mirrors around
+#: 3 pi / 2, where the outer disc's sup of psi lies just past the rim of the
+#: exclusion zone, which the fine cache leaves unsampled
+_NOBST_RIM_THETAS = np.array(
+    [1.5692094129592054, 1.5700028697358488, 1.5715897838539443, 1.5723832406305878]
+)
+
+
 def test_per_point_discs_follow_the_sweep(all_gallery):
     """At sweep rows whose radii sit at least 10 % away from the floor and
-    the cap, the refined per-point discs exist exactly where the sweep says."""
+    the cap, the refined per-point discs exist exactly where the sweep says;
+    and nobst has an outer disc at the angles where only a search past the
+    zone's rims finds its radius, ~1.666 against the grid's ~1.52."""
+    nobst = all_gallery["nobst"]
+    for theta in np.concatenate([_NOBST_RIM_THETAS, _NOBST_RIM_THETAS + np.pi]):
+        disc = tangency.outer_disc(nobst, geometry.sphere_point(nobst, float(theta)))
+        assert disc is not None and disc.radius <= 5.0 / 3.0 + 1e-6, theta
     lo, hi = tangency.MIN_DISC_RADIUS, tangency.OUTER_DISC_CAP
 
     def clear(r):
@@ -241,87 +257,101 @@ def test_outer_ellipse(euclid, pig_strict):
         assert e.gauge_many(sp.point.as_array()[None, :])[0] == pytest.approx(1.0, abs=1e-9)
 
 
-def _ratio_at(model, x, thetas):
-    return tangency.tangent_ratio(
-        x.point.as_array(), x.support.as_array(), x.theta, model.sphere_points_at(thetas), thetas
-    )
+def _psi_at(psi, model, x, thetas):
+    return psi(x.point.as_array(), x.support.as_array(), x.theta, model.sphere_points_at(thetas), thetas)
 
 
-def _scatter(model, x, theta):
-    """Rounding scatter of g around the angle theta: the spread of 65 values
-    at angles 1e-12 apart, over which g itself does not move."""
-    vals = _ratio_at(model, x, theta + 1e-12 * np.arange(-32, 33))
+def _scatter(psi, model, x, theta):
+    """Rounding scatter of psi around the angle theta: the spread of 65
+    values at angles 1e-12 apart, over which psi itself does not move."""
+    vals = _psi_at(psi, model, x, theta + 1e-12 * np.arange(-32, 33))
     return float(np.nanmax(vals) - np.nanmin(vals))
 
 
-def _dense_extremes(model, x):
-    """Test-only (t_in, t_in's slack), (t_out, t_out's slack) at x: g on
-    2^16 phase-shifted angles plus 257 angles on each rim of the exclusion
-    zone, three zoom rounds of 257 angles around the 8 most extreme samples,
-    then the one-sided curvature limits. A slack is twice the largest
-    rounding scatter of g at the rims and at the extreme sample: the
-    cancellation in 1 - <f, z>^2 makes g noisy near x, up to 5e-4 relative
+def _dense_extremes(psi, model, x):
+    """Test-only (r_in, r_in's slack), (r_out, r_out's slack) at x for the
+    family whose member through z has the radius psi(z) at x: psi on 2^16
+    phase-shifted angles plus 257 angles on each rim of the exclusion zone,
+    three zoom rounds of 257 angles around the 8 most extreme samples, then
+    disc_bounds with the one-sided curvatures. A slack is twice the largest
+    rounding scatter of psi at the rims and at the extreme sample: the
+    cancellation in 1 - <f, z> makes psi noisy near x, up to 5e-4 relative
     on nobst's flattest arcs, where a sphere point carries the rounding of
     its arc's center 512 away."""
     n = 1 << 16
     step = 2.0 * math.pi / n
     rim = tangency.PSI_EXCLUDE * (1.0 + 1e-9) + np.linspace(0.0, 2.0 * step, 257)
     first = np.concatenate([(np.arange(n) + 0.381966) * step, x.theta + rim, x.theta - rim])
-    noise = max(_scatter(model, x, x.theta + side * rim[0]) for side in (-1.0, 1.0))
-    f = x.support.as_array()
-    k_lo, k_hi = model.curvature_sided(x.theta)
-    limits = (k_hi * np.hypot(*f) ** 3, k_lo * np.hypot(*f) ** 3)
-    out = []
-    for sign, limit in zip((1.0, -1.0), limits):
+    noise = max(_scatter(psi, model, x, x.theta + side * rim[0]) for side in (-1.0, 1.0))
+    extremes = []
+    for sign in (-1.0, 1.0):
         th, h = first, step
         top, at = -math.inf, None
         for _ in range(4):
-            vals = sign * _ratio_at(model, x, th)
+            vals = sign * _psi_at(psi, model, x, th)
             vals[np.isnan(vals)] = -math.inf
             best = int(np.argmax(vals))
             if vals[best] > top:
                 top, at = float(vals[best]), float(th[best])
             th = (th[np.argsort(-vals)[:8], None] + np.linspace(-h, h, 257)).ravel()
             h /= 128.0
-        t = sign * max(top, sign * limit)
-        out.append((t, 2.0 * max(noise, _scatter(model, x, at))))
-    return out
+        extremes.append((sign * top, 2.0 * max(noise, _scatter(psi, model, x, at))))
+    (inf_psi, slack_in), (sup_psi, slack_out) = extremes
+    k_lo, k_hi = model.curvature_sided(x.theta)
+    r_in, r_out = tangency.disc_bounds(inf_psi, sup_psi, k_lo, k_hi, False)
+    return (float(r_in), slack_in), (float(r_out), slack_out)
 
 
 @given(
     name=hst.sampled_from(("grandpa_pig_strict", "spliced", "nobst", "blend_l4")),
     theta=hst.floats(0.0, 2.0 * math.pi),
     at_corner=hst.booleans(),
+    family=hst.sampled_from(("disc", "ellipse")),
 )
-@example(name="nobst", theta=3.6281, at_corner=True)
-@example(name="spliced", theta=3.4265, at_corner=True)
-@example(name="nobst", theta=2.6553, at_corner=False)
+@example(name="nobst", theta=3.6281, at_corner=True, family="ellipse")
+@example(name="spliced", theta=3.4265, at_corner=True, family="ellipse")
+@example(name="nobst", theta=2.6553, at_corner=False, family="ellipse")
+@example(name="nobst", theta=3.6281, at_corner=True, family="disc")
+@example(name="nobst", theta=_NOBST_RIM_THETAS[1], at_corner=False, family="disc")
 @settings(max_examples=40, deadline=None)
-def test_extremal_ellipses_match_a_dense_oracle(name, theta, at_corner):
-    """inner_ellipse's t is the sup of g combined with k_hi |f|^3, and
-    outer_ellipse's the inf of g combined with k_lo |f|^3, to 1e-9 relative
-    plus the rounding scatter of g. At the corner-table rows (arc junctions)
-    and at the nobst angle in the examples the curvature limit decides t."""
+def test_extremal_ellipses_match_a_dense_oracle(name, theta, at_corner, family):
+    """The one extremal-member search, checked on both tangent families in
+    radius terms: inner_disc's and inner_ellipse's radius at x is the inf of
+    their family's psi combined with 1 / k_hi, and the outer members' the
+    sup combined with 1 / k_lo, to 1e-9 relative plus the rounding scatter
+    of psi (an ellipse's radius at x is |f|^3 / t). At the corner-table rows
+    (arc junctions) and at the nobst angle in the examples the curvature
+    limit decides the ellipses; at nobst's arc midpoint the outer disc's
+    sup lies past the rim of the exclusion zone."""
     model = gallery.get(name)
     corners = model.corners().thetas
     if at_corner and len(corners):
         theta = float(corners[np.argmin(angle_dist(corners, theta))])
     sp = geometry.sphere_point(model, theta)
     assume(sp.smooth)
-    fp = np.array([-sp.support.x2, sp.support.x1])
-    k_lo = model.curvature_sided(sp.theta)[0]
-    for e, (t, slack), present in zip(
-        (tangency.inner_ellipse(model, sp), tangency.outer_ellipse(model, sp)),
-        _dense_extremes(model, sp),
-        (True, k_lo >= 1e-9),
-    ):
-        if not present:
-            assert e is None
+    if family == "disc":
+        psi = tangency.disc_psi
+        members = (tangency.inner_disc(model, sp), tangency.outer_disc(model, sp))
+        radii = [None if d is None else d.radius for d in members]
+    else:
+        psi = tangency.ellipse_psi
+        fcube = np.hypot(sp.support.x1, sp.support.x2) ** 3
+        fp = np.array([-sp.support.x2, sp.support.x1])
+        # <f_perp, f> = 0 and <f_perp, x_perp> = <f, x> = 1, so t = f_perp^T M f_perp
+        members = (tangency.inner_ellipse(model, sp), tangency.outer_ellipse(model, sp))
+        radii = [None if e is None else fcube / float(fp @ e.matrix() @ fp) for e in members]
+    extremes = _dense_extremes(psi, model, sp)
+    (r_in, _), (r_out, _) = extremes
+    if family == "disc":
+        present = tangency.disc_exists(r_in, r_out)
+    else:
+        present = (True, model.curvature_sided(sp.theta)[0] >= 1e-9)
+    for got, (r, slack), there in zip(radii, extremes, present):
+        if not there:
+            assert got is None
             continue
-        assert e is not None
-        # <f_perp, f> = 0 and <f_perp, x_perp> = <f, x> = 1
-        got = float(fp @ e.matrix() @ fp)
-        assert abs(got - t) <= 1e-9 * t + slack, (got, t, slack)
+        assert got is not None
+        assert abs(got - r) <= 1e-9 * r + slack, (got, r, slack)
 
 
 def test_round_balls_give_their_own_form_and_isometries(euclid, ellipse_2_1):
@@ -452,7 +482,7 @@ def test_john_form_equivariance(name, a):
     # ever, without the exit on a determinant that stops falling
     # (grandpa_pig_strict). Every point of the circle's images touches the fit
     a = np.array(a).reshape(2, 2)
-    assume(abs(np.linalg.det(a)) >= 0.1 and np.linalg.cond(a) <= 50.0)
+    assume(abs(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]) >= 0.1 and np.linalg.cond(a) <= 50.0)
     pts = gallery.get(name).fine_points()
     a_inv = np.linalg.inv(a)
     expected = a_inv.T @ tangency.john_form(pts) @ a_inv
