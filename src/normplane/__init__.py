@@ -22,7 +22,6 @@ from .geometry import (
     SpherePoint,
     Vec2,
     dual_gauge,
-    gauge,
     operator_norm,
     operator_norms,
     sphere_point,
@@ -77,14 +76,11 @@ from .staircase import (
 )
 from .tangency import (
     Ellipse,
-    TangencyReport,
-    dual_transfer,
     inner_disc,
     inner_ellipse,
     john_ellipse,
     outer_disc,
     outer_ellipse,
-    tangency_report,
     tangent_ellipse,
 )
 

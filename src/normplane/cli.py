@@ -4,9 +4,9 @@ bundled reproduction checks.
 
 Exit codes: 0 on success, 1 when a reproduction assertion or a built-in
 self-check (``classify --dual-check``) fails, 2 on usage errors (argparse's
-default) and on invalid input, such as a model file that fails validation.
-A failed self-check and invalid input print one
-``normplane: error: <message>`` line to stderr.
+default), on invalid input, such as a model file that fails validation, and
+when an output file cannot be written. A failed self-check, invalid input
+and a failed write print one ``normplane: error: <message>`` line to stderr.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NormPlaneError as exc:
+    except (NormPlaneError, OSError) as exc:
         print(f"normplane: error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, SelfCheckFailed) else 2
 

@@ -59,13 +59,6 @@ class Vec2:
     def cross(self, other: "Vec2") -> float:
         return self.x1 * other.x2 - self.x2 * other.x1
 
-    def norm2(self) -> float:
-        return math.hypot(self.x1, self.x2)
-
-    def perp(self) -> "Vec2":
-        """Counterclockwise quarter turn."""
-        return Vec2(-self.x2, self.x1)
-
 
 def as_vec(v) -> Vec2:
     if isinstance(v, Vec2):
@@ -87,10 +80,6 @@ class LinearMap2:
     def from_matrix(mat) -> "LinearMap2":
         m = np.asarray(mat, dtype=float)
         return LinearMap2(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-
-    @staticmethod
-    def identity() -> "LinearMap2":
-        return LinearMap2(1.0, 0.0, 0.0, 1.0)
 
     def matrix(self) -> np.ndarray:
         return np.array([[self.m11, self.m12], [self.m21, self.m22]])
@@ -141,11 +130,6 @@ class SpherePoint:
     tangent: Vec2
     curvature: float
     smooth: bool
-
-
-def gauge(model, v) -> float:
-    """The model's norm of v (Minkowski functional of the unit ball)."""
-    return model.gauge(v)
 
 
 def dual_gauge(model, f) -> float:

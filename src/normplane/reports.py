@@ -26,21 +26,6 @@ def _num(x):
     return x
 
 
-def vec_dict(v):
-    return {"x1": _num(v.x1), "x2": _num(v.x2)}
-
-
-def sphere_point_dict(sp):
-    return {
-        "theta": _num(sp.theta),
-        "point": vec_dict(sp.point),
-        "support": vec_dict(sp.support),
-        "tangent": vec_dict(sp.tangent),
-        "curvature": _num(sp.curvature),
-        "smooth": sp.smooth,
-    }
-
-
 def certificate_dict(cert):
     return {
         "matrix": [[_num(cert.T.m11), _num(cert.T.m12)], [_num(cert.T.m21), _num(cert.T.m22)]],
@@ -50,30 +35,6 @@ def certificate_dict(cert):
         "witness_angle": _num(cert.witness_angle),
         "tolerance": _num(cert.tolerance),
         "boundary": cert.boundary,
-    }
-
-
-def disc_dict(disc):
-    if disc is None:
-        return None
-    return {"center": vec_dict(disc.center), "radius": _num(disc.radius)}
-
-
-def ellipse_dict(e):
-    if e is None:
-        return None
-    a, b, c = e.coeffs
-    return {"m11": _num(e.m11), "m12": _num(e.m12), "m22": _num(e.m22),
-            "coeffs": {"A": _num(a), "B": _num(b), "C": _num(c)}}
-
-
-def tangency_dict(report):
-    return {
-        "point": sphere_point_dict(report.point),
-        "inner_disc": disc_dict(report.inner_disc),
-        "outer_disc": disc_dict(report.outer_disc),
-        "inner_ellipse": ellipse_dict(report.inner_ellipse),
-        "outer_ellipse": ellipse_dict(report.outer_ellipse),
     }
 
 

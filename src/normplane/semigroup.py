@@ -64,7 +64,6 @@ class OrbitReport:
     x: SpherePoint
     reachable: Reachable
     witnesses: tuple
-    bound_K: float | None = None
 
 
 def perp(model, a: SpherePoint) -> Vec2:

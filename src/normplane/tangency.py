@@ -19,8 +19,7 @@ circle_max``), then ``disc_bounds``. ``disc_radii`` is a lane of it, whose
 disc ``disc_exists`` accepts and ``verify_disc`` certifies; ``extremal_ts``
 is |f|^3 over it, whose ellipses are certified the same way. The
 classification sweep (``sweep_radii``) takes disc_psi's extremes on the
-fine cache unrefined, under the same rule. Inverting a tangent ellipse
-gives the member at the dual point (``dual_transfer``).
+fine cache unrefined, under the same rule.
 """
 
 from __future__ import annotations
@@ -30,9 +29,8 @@ from itertools import combinations
 
 import numpy as np
 
-from . import geometry
 from .curvature import INF
-from .errors import NonSmoothPoint, NotPositiveDefinite
+from .errors import NotPositiveDefinite
 from .geometry import Disc, SpherePoint, Vec2
 from .numerics import angle_dist, circle_max, phase_grid, quad_form, spd_power
 
@@ -84,16 +82,6 @@ class Ellipse:
     def matrix(self) -> np.ndarray:
         return np.array([[self.m11, self.m12], [self.m12, self.m22]])
 
-    @property
-    def coeffs(self) -> tuple[float, float, float]:
-        """(A, B, C) with A x^2 + B y^2 + C x y = 1 on the boundary."""
-        return self.m11, self.m22, 2.0 * self.m12
-
-    def semi_axes(self) -> tuple[float, float]:
-        """(semi-major, semi-minor)."""
-        w = np.linalg.eigvalsh(self.matrix())
-        return 1.0 / np.sqrt(w[0]), 1.0 / np.sqrt(w[1])
-
     def gauge_many(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return np.sqrt(quad_form(pts, self.matrix()))
@@ -102,18 +90,6 @@ class Ellipse:
         phis = phase_grid(n)
         circle = np.column_stack([np.cos(phis), np.sin(phis)])
         return circle @ spd_power(self.matrix(), -0.5).T
-
-    def inverse(self) -> "Ellipse":
-        return Ellipse.from_matrix(np.linalg.inv(self.matrix()))
-
-
-@dataclass(frozen=True)
-class TangencyReport:
-    point: SpherePoint
-    inner_disc: Disc | None
-    outer_disc: Disc | None
-    inner_ellipse: Ellipse | None
-    outer_ellipse: Ellipse | None
 
 
 # -- tangent discs and the extremal-member search -----------------------------
@@ -434,45 +410,3 @@ def john_ellipse(model) -> Ellipse:
     scale = _refined_max(_sphere_form(model, e), e.gauge_many(pts))
     return Ellipse.from_matrix(e.matrix() / (scale * scale))
 
-
-# -- reports and duality -------------------------------------------------------
-
-
-def tangency_report(model, x: SpherePoint) -> TangencyReport:
-    return TangencyReport(
-        point=x,
-        inner_disc=inner_disc(model, x),
-        outer_disc=outer_disc(model, x),
-        inner_ellipse=inner_ellipse(model, x),
-        outer_ellipse=outer_ellipse(model, x),
-    )
-
-
-def dual_transfer(report: TangencyReport, model) -> TangencyReport:
-    """Transfer a report to the dual point: inner and outer ellipses swap
-    roles under M -> M^{ -1}. Discs do not dualize and are dropped."""
-    from . import models as _models
-
-    x = report.point
-    if not x.smooth:
-        raise NonSmoothPoint("dual transfer needs a support functional")
-    dual = _models.dual_model(model)
-    f = x.support.as_array()
-    dg = float(dual.gauge_many(f[None, :])[0])
-    if abs(dg - 1.0) > 1e-6:
-        raise NonSmoothPoint(f"support functional off the dual sphere by {dg - 1.0!r}")
-    theta = float(np.arctan2(f[1], f[0]) % (2.0 * np.pi))
-    xstar = geometry.sphere_point(dual, theta)
-    inner_e = report.outer_ellipse.inverse() if report.outer_ellipse else None
-    outer_e = report.inner_ellipse.inverse() if report.inner_ellipse else None
-    if inner_e is not None and not ellipse_inside_ball(dual, inner_e, tol=1e-6):
-        inner_e = None
-    if outer_e is not None and not ball_inside_ellipse(dual, outer_e, tol=1e-6):
-        outer_e = None
-    return TangencyReport(
-        point=xstar,
-        inner_disc=None,
-        outer_disc=None,
-        inner_ellipse=inner_e,
-        outer_ellipse=outer_e,
-    )

@@ -89,6 +89,7 @@ def test_cli_classify_deterministic(tmp_path, capsys):
 
     assert strip_timestamp(first) == strip_timestamp(second)
     doc = json.loads(first)
+    assert doc["schema"] == "normplane-report/1"
     assert doc["verdict"]["st"]["kind"] == "no"
     assert doc["verdict"]["st"]["missing_side"] == "outer"
     assert doc["verdict"]["umst"]["kind"] == "no"
@@ -113,18 +114,6 @@ def test_cli_curvature_and_render(tmp_path, capsys):
     ET.fromstring((tmp_path / "e.svg").read_text())
     assert cli.main(["render", str(path), "--overlay", "ellipses", "--out", str(tmp_path / "e2.svg")]) == 0
     ET.fromstring((tmp_path / "e2.svg").read_text())
-
-
-def test_tangency_report_json(euclid, capsys):
-    from normplane import geometry, reports, tangency
-
-    sp = geometry.sphere_point(euclid, 0.7)
-    rep = tangency.tangency_report(euclid, sp)
-    text = reports.report(euclid, {"tangency": reports.tangency_dict(rep)})
-    doc = json.loads(text)
-    assert doc["schema"] == "normplane-report/1"
-    assert doc["tangency"]["inner_disc"]["radius"] == pytest.approx(1.0, abs=1e-6)
-    assert doc["tangency"]["outer_ellipse"]["coeffs"]["A"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_cli_classify_pilgrim(tmp_path, capsys):
@@ -341,6 +330,26 @@ def test_cli_non_finite_angle_exits_2(tmp_path, capsys, args):
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("normplane: error: theta must be finite")
     assert not svg.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["render", "{model}", "--out", "{missing}/x.svg"],
+        ["curvature", "{model}", "--out", "{missing}"],
+        ["build-nobst", "--depth", "5", "--out", "{missing}/x.model"],
+    ],
+)
+def test_cli_failed_write_exits_2(tmp_path, capsys, args):
+    path = tmp_path / "hexagon.model"
+    modelspec.write_model_file(gallery.get("hexagon"), path)
+    argv = [a.format(model=path, missing=tmp_path / "missing") for a in args]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("normplane: error: ")
+
 
 def test_pilgrim_probe_needs_a_grid(euclid):
     sp = geometry.sphere_point(euclid, 0.4)
