@@ -5,9 +5,10 @@ unit-sphere point maps to every other under some norm-contractive invertible
 linear map; *boundedly semitransitive* (BST) when the inverses can be kept
 uniformly bounded; *uniformly micro-semitransitive* (UMST) when nearby points
 are connected by maps near the identity, uniformly. The geometric criteria:
-ST needs inner and outer tangent discs everywhere; BST needs their radii
-ratio uniformly bounded (equivalently power-type-2 convexity moduli both ways);
-UMST holds for C2 spheres with strictly positive curvature.
+ST needs inner and outer tangent discs everywhere; BST, decided on the same
+sweep, needs their radii ratio uniformly bounded (``dual_check`` cross-checks
+it by power-type-2 convexity moduli both ways); UMST holds for C2 spheres with
+strictly positive curvature.
 
 Verdicts are grid-certified, never proofs: each carries the sweep resolution,
 and Boundary / Unknown states exist instead of overclaiming.
@@ -204,15 +205,8 @@ def _classify_st_primal(model) -> StVerdict:
 
 
 def classify_bst(model) -> BstVerdict:
-    """BST verdict from power-type-2 fits (both ways) and the uniform
-    inner/outer disc-radius ratio across the sweep."""
-    fit = moduli.power2_fit(moduli.delta_curve(model))
-    if fit is None:
-        return BstVerdict("no", reason="uniform-convexity modulus vanishes at this resolution")
-    dual = _models.dual_model(model)
-    dual_fit = moduli.power2_fit(moduli.delta_curve(dual))
-    if dual_fit is None:
-        return BstVerdict("no", reason="dual modulus vanishes (smoothness side fails)")
+    """BST verdict from the disc sweep alone: both discs everywhere, then the
+    largest outer/inner radius ratio against BST_RATIO_YES and BST_RATIO_NO."""
     sweep = tangency_sweep(model)
     if not (np.all(sweep.inner_ok) and np.all(sweep.outer_ok)):
         return BstVerdict("no", reason="some point lacks an inner or outer disc")
@@ -354,6 +348,11 @@ def classify(model, dual_check: bool = False, pilgrim_grid: int = 0) -> Verdict:
         raise BadParameter(f"pilgrim grid must be 0 (off) or positive, got {pilgrim_grid!r}")
     st = classify_st(model, dual_check=dual_check)
     bst = classify_bst(model)
+    if dual_check and bst.kind != "unknown":
+        fits = (moduli.power2_fit(moduli.delta_curve(m)) for m in (model, _models.dual_model(model)))
+        kind = "yes" if all(fit is not None for fit in fits) else "no"
+        if kind != bst.kind:
+            raise SelfCheckFailed(f"convexity-moduli BST verdict {kind} disagrees with {bst.kind}")
     umst = classify_umst(model)
     flat = find_flat(model)
     pilgrim = "unknown"

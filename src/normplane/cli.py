@@ -3,7 +3,8 @@ curves, orbit certificates, the staircase build, figure rendering, and the
 bundled reproduction checks.
 
 Exit codes: 0 on success, 1 when a reproduction assertion or a built-in
-self-check (``classify --dual-check``) fails, 2 on usage errors (argparse's
+self-check fails (``classify --dual-check``: the dual's ST verdict, or the
+moduli's power-type-2 test on the BST verdict), 2 on usage errors (argparse's
 default), on invalid input, such as a model file that fails validation, and
 when an output file cannot be written. A failed self-check, invalid input
 and a failed write print one ``normplane: error: <message>`` line to stderr.

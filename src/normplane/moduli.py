@@ -1,5 +1,5 @@
-"""Moduli of uniform convexity and strong extremality, power-type-2 fits,
-and the support-line decomposition inequality.
+"""Moduli of uniform convexity and strong extremality, the power-type-2 test
+that ``classify --dual-check`` runs on BST, and the decomposition inequality.
 
 The uniform-convexity modulus is computed in its equality form (pairs at
 gauge distance exactly eps), which turns the infimum into a one-parameter
@@ -43,8 +43,8 @@ UC_BLOCK = 1 << 14
 #: direction count for the strong-extremality modulus
 STRONG_DIRS = 512
 
-#: a power-2 coefficient below this floor counts as vanishing
-POWER2_FLOOR = 1e-6
+#: largest distance from 2 of a power-type-2 modulus' log-log slope
+POWER2_SLOPE_TOL = 0.25
 
 
 @dataclass
@@ -256,14 +256,19 @@ def delta_strong(model, x: SpherePoint, eps: float) -> float:
 
 
 def power2_fit(curve: ModulusCurve) -> float | None:
-    """min value / eps^2 over the grid when it stays above the floor 1e-6,
-    else None (the modulus is not of power type 2 at this resolution)."""
-    vals = np.clip(curve.values, 0.0, None)
-    ratio = vals / curve.eps_grid**2
-    c = float(ratio.min())
-    if c < POWER2_FLOOR:
+    """min value / eps^2 over the grid if the modulus is of power type 2
+    (delta >= c eps^2; Lindenstrauss and Tzafriri, Classical Banach Spaces II,
+    1.e), else None: the least-squares slope of log delta against log eps over
+    eps in [CURVE_EPS_MIN, 10 CURVE_EPS_MIN] (two or more distinct eps there,
+    every delta there positive) must be within POWER2_SLOPE_TOL of 2."""
+    low = (curve.eps_grid >= CURVE_EPS_MIN) & (curve.eps_grid <= 10.0 * CURVE_EPS_MIN)
+    x, vals = np.log(curve.eps_grid[low]), curve.values[low]
+    if len(np.unique(x)) < 2 or np.any(vals <= 0.0):
         return None
-    return c
+    x = x - x.mean()
+    if abs(x @ np.log(vals) / (x @ x) - 2.0) > POWER2_SLOPE_TOL:
+        return None
+    return float(np.min(curve.values / curve.eps_grid**2))
 
 
 def delta_curve(model) -> ModulusCurve:

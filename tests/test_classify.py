@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from normplane import classify, geometry, models, semigroup
-from normplane.errors import BadParameter
+from normplane import classify, gallery, geometry, models, moduli, semigroup
+from normplane.errors import BadParameter, SelfCheckFailed
 from normplane.numerics import phase_grid
 
 
@@ -70,6 +70,17 @@ def test_bst_verdicts(euclid, nobst_model, pig_strict, linf):
     v = classify.classify_bst(pig_strict)
     assert v.kind == "yes" and v.lam < 10
     assert classify.classify_bst(linf).kind == "no"
+
+
+def test_default_verdict_builds_no_moduli(monkeypatch):
+    # the sweep alone decides BST; the moduli and the dual are --dual-check's
+    def refuse(*args):
+        raise AssertionError("the default verdict built a modulus curve or a dual")
+
+    monkeypatch.setattr(moduli, "delta_curve", refuse)
+    monkeypatch.setattr(models, "dual_model", refuse)
+    for name in ("grandpa_pig_strict", "nobst", "hexagon"):
+        classify.classify(gallery.get(name))
 
 
 def test_umst_verdicts(euclid, pig_strict, pig, l4, spliced):
@@ -172,6 +183,15 @@ def test_linear_images_of_the_circle_classify_as_the_circle(axes):
     # is the Euclidean plane, whose verdict is yes / yes / eligible_yes
     v = classify.classify(models.make_ellipse(*axes))
     assert (v.st.kind, v.bst.kind, v.umst.kind) == ("yes", "yes", "eligible_yes")
+
+
+def test_dual_check_catches_the_stretched_circle():
+    """The sweep calls the 100:1 ellipse BST no, while its moduli and its
+    dual's are of power type 2 (slope 2.0008), so the dual check fails.
+    Deciding verdicts in isotropic position (ROADMAP item 1) turns this into a
+    passing classification, and must replace this test then."""
+    with pytest.raises(SelfCheckFailed, match="convexity-moduli BST verdict yes disagrees with no"):
+        classify.classify(models.make_ellipse(100.0, 1.0), dual_check=True)
 
 
 def test_find_flat(l1, euclid, hybrid, l4):

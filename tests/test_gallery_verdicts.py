@@ -2,8 +2,7 @@
 
 ``tests/data/gallery_verdicts.json`` maps each gallery name to its
 ``model.family``, ``model.params`` and
-``reports.verdict_dict(classify.classify(model))``. It was generated at the
-commit before the l2/l1 hybrid became the quadrant mix (2, 1), with
+``reports.verdict_dict(classify.classify(model))``. It was generated with
 
     PYTHONPATH=src python -c "import json; from normplane import classify, \\
     gallery, reports; print(json.dumps({n: {'family': m.family, 'params': \\
@@ -11,8 +10,11 @@ commit before the l2/l1 hybrid became the quadrant mix (2, 1), with
     in gallery.all_models().items()}, indent=1, sort_keys=True, \\
     allow_nan=False))" > tests/data/gallery_verdicts.json
 
-and then only the hybrid's entry was edited, to family ``quadrant_mix`` and
-params ``{"p": 2.0, "q": 1.0}``; its verdict did not move.
+when BST came to be decided by the disc sweep alone, without the convexity
+moduli: the BST reason of l1, linf, l2_l1_hybrid, two_ellipses and hexagon
+moved from a vanishing modulus to "some point lacks an inner or outer disc",
+and no verdict kind moved. Nine UMST table deltas moved in their last digits
+(under 2e-15 relative), as the code before that change already computed them.
 
 Regenerate it only together with a CHANGES.md line saying why the verdicts
 moved. Strings, bools, ints and None must match exactly, so a parameter given

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from normplane import classify, cli, gallery, geometry, modelspec, models
+from normplane import classify, cli, gallery, geometry, modelspec, models, moduli
 from normplane.errors import BadParameter
 
 
@@ -281,6 +281,18 @@ def test_cli_dual_check_disagreement_exits_1(tmp_path, monkeypatch, capsys):
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("normplane: error: dual ST verdict no")
+
+
+def test_cli_dual_check_moduli_disagreement_exits_1(tmp_path, monkeypatch, capsys):
+    # the sweep says BST yes on the circle, the (patched) moduli no
+    monkeypatch.setattr(moduli, "power2_fit", lambda curve: None)
+    path = tmp_path / "l2.model"
+    path.write_text("family = lp\np = 2\n")
+    assert cli.main(["classify", str(path), "--dual-check"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert lines == ["normplane: error: convexity-moduli BST verdict no disagrees with yes"]
 
 
 @pytest.mark.parametrize(

@@ -122,10 +122,10 @@ def test_curve_csv(euclid):
 
 
 def test_dual_curve_power2(euclid, l1_5):
-    # the dual plane's modulus drives the smoothness half of the BST check
+    # the dual plane's modulus is the smoothness half of --dual-check's BST cross-check
     dual = models.dual_model(l1_5)
     fit = moduli.power2_fit(moduli.delta_curve(dual))
-    assert fit is not None  # conjugate exponent 3 still has a grid-positive fit
+    assert fit is None  # conjugate exponent 3: power type 3, not 2
     dual_e = models.dual_model(euclid)
     assert moduli.power2_fit(moduli.delta_curve(dual_e)) == pytest.approx(0.125, abs=2e-3)
 
@@ -155,6 +155,40 @@ def _curve_model(name: str):
 
 
 _GALLERY_AND_DUALS = [tag + name for name in gallery.names() for tag in ("", "dual:")]
+
+
+# the curves whose log-log slope over [0.02, 0.2] is not within 0.25 of 2:
+# l4 reads 4.00, quadrant_mix 4.00 and its dual 3.00, l1_5's dual (l3) 3.00,
+# grandpa_pig 3.99, nobst 2.50; the rest vanish somewhere on that decade
+_NOT_POWER2 = {
+    "l1", "linf", "l4", "quadrant_mix", "l2_l1_hybrid", "grandpa_pig", "nobst", "hexagon",
+    "dual:l1", "dual:linf", "dual:l1_5", "dual:quadrant_mix", "dual:l2_l1_hybrid",
+    "dual:two_ellipses", "dual:hexagon",
+}
+
+
+@pytest.mark.parametrize("name", _GALLERY_AND_DUALS)
+def test_power2_fit_tests_power_type(name):
+    """A coefficient exactly where the modulus is of power type 2 (both sides
+    of the BST-yes models among them), None where it is of higher power type
+    or vanishes."""
+    fit = moduli.power2_fit(moduli.delta_curve(_curve_model(name)))
+    if name in _NOT_POWER2:
+        assert fit is None
+    else:
+        assert fit > 0.02
+
+
+def test_power2_fit_window():
+    eps = np.geomspace(0.02, 2.0, moduli.CURVE_GRID_N)
+    curve = moduli.ModulusCurve("uniform_convexity", eps, 0.1 * eps**2)
+    assert moduli.power2_fit(curve) == pytest.approx(0.1, rel=1e-12)
+    curve.values = 0.1 * eps**4
+    assert moduli.power2_fit(curve) is None  # c = 4e-6 > 0, but power type 4
+    # one eps in [0.02, 0.2] gives no slope; a vanishing delta there, no log
+    assert moduli.power2_fit(moduli.ModulusCurve("uniform_convexity", eps[31:], eps[31:] ** 2)) is None
+    curve.values = np.where(eps < 0.05, 0.0, eps**2)
+    assert moduli.power2_fit(curve) is None
 
 
 @pytest.mark.parametrize("name", _GALLERY_AND_DUALS)
