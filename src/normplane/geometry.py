@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, Singular
-from .numerics import circle_max, phase_grid
+from .numerics import BLOCK_POINTS, circle_max, phase_grid
 
 #: support functionals differing by more than this (in sup norm) mark a kink
 SMOOTH_JUMP_TOL = 1e-6
@@ -237,16 +237,24 @@ def _map_images(mats: np.ndarray, pts: np.ndarray) -> np.ndarray:
 def _operator_norms(model, mats, pts, iters: int, period: float = 2.0 * np.pi, centers=None, zoom=False):
     """sup of gauge(T z) over the gauge-unit sphere for each T in mats (shape
     (k, 2, 2)): the sphere points ``pts`` of phase_grid(len(pts), period),
-    then one lane-wise search (circle_max: golden of ``iters`` steps, or
-    with ``zoom`` the zoom of as fine a final step) around each map's best
-    grid angle and its ``centers``. Returns (values, witness angles)."""
+    gauged in blocks of BLOCK_POINTS images (whole maps' grids; the grid
+    stage is memory-bound), then one lane-wise search of all maps
+    (circle_max: golden of ``iters`` steps, or with ``zoom`` the zoom of as
+    fine a final step) around each map's best grid angle and its
+    ``centers``. The gauge works row by row, so the blocks change no value.
+    Returns (values, witness angles)."""
     k, grid = mats.shape[0], len(pts)
-    vals = model.gauge_many(_map_images(mats[:, None], pts).reshape(k * grid, 2))
+    vals = np.empty((k, grid))
+    per = max(1, BLOCK_POINTS // grid)
+    for lo in range(0, k, per):
+        block = mats[lo : lo + per]
+        images = _map_images(block[:, None], pts).reshape(len(block) * grid, 2)
+        vals[lo : lo + per] = model.gauge_many(images).reshape(len(block), grid)
 
     def val(rows, ts):
         return model.gauge_many(_map_images(mats[rows], model.sphere_points_at(ts)))
 
-    return circle_max(val, vals.reshape(k, grid), 1, iters, period, centers, zoom)
+    return circle_max(val, vals, 1, iters, period, centers, zoom)
 
 
 def operator_norms(model, mats, centers=None) -> tuple[np.ndarray, np.ndarray]:

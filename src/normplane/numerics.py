@@ -3,7 +3,8 @@ minimum searches (golden section, one point per lane a step, and a zoom, one
 batched call of ZOOM_POINTS points per lane a round) and the circle maximum
 that refines with either, batched bisection and Illinois root polishing, a
 periodic cubic spline, finite-difference stencils, and 2x2 matrix helpers
-(quadratic forms, symmetric powers, rotations).
+(quadratic forms, symmetric powers, rotations), and the block size of the
+memory-bound classification tables.
 
 Golden section needs the fewest evaluations, the zoom the fewest calls: on a
 few lanes a call of the model's gauge costs about the same for 4 rows as for
@@ -25,6 +26,11 @@ INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0  # 1/phi^2
 
 #: points per lane in each round of zoom_min
 ZOOM_POINTS = 33
+
+#: entries per block of the memory-bound classification tables (the disc
+#: sweep's psi table, the UMST table's grid images): 256 KiB of doubles, so a
+#: block's temporaries stay in cache
+BLOCK_POINTS = 1 << 15
 
 
 def phase_grid(n: int, period: float = 2.0 * np.pi) -> np.ndarray:

@@ -19,7 +19,7 @@ circle_max``), then ``disc_bounds``. ``disc_radii`` is a lane of it, whose
 disc ``disc_exists`` accepts and ``verify_disc`` certifies; ``extremal_ts``
 is |f|^3 over it, whose ellipses are certified the same way. The
 classification sweep (``sweep_radii``) takes disc_psi's extremes on the
-fine cache unrefined, under the same rule.
+fine cache unrefined, under the same rule, in cache-sized blocks.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from .curvature import INF
 from .errors import NotPositiveDefinite
 from .geometry import Disc, SpherePoint, Vec2
-from .numerics import angle_dist, circle_max, phase_grid, quad_form, spd_power
+from .numerics import BLOCK_POINTS, angle_dist, circle_max, phase_grid, quad_form, spd_power
 
 #: no disc below this radius counts as existing
 MIN_DISC_RADIUS = 1e-6
@@ -100,19 +100,54 @@ class Ellipse:
 PSI_EXCLUDE = 3e-4
 
 
+def _disc_radius(x, z, fnorm, depth) -> np.ndarray:
+    """|z - x|^2 |f| / (2 depth), psi from the points and its parts |f| and
+    depth = 1 - <f, z>; INF where depth <= 0. Broadcasts over the leading
+    axes, where x and z must span psi's shape. Works in place, so a table
+    allocates one temporary of its size besides psi; depth is left
+    doubled."""
+    psi = z[..., 0] - x[..., 0]
+    psi *= psi
+    dy = z[..., 1] - x[..., 1]
+    dy *= dy
+    psi += dy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        psi *= fnorm
+        depth *= 2.0
+        psi /= depth
+    np.copyto(psi, INF, where=depth <= 0)
+    return psi
+
+
+def _in_zone(z_thetas, thetas) -> np.ndarray:
+    """Whether z_thetas lie within PSI_EXCLUDE of thetas: psi's 0 / 0 zone."""
+    return angle_dist(z_thetas, thetas) < PSI_EXCLUDE
+
+
+def _zone_candidates(thetas, n: int) -> np.ndarray:
+    """Indices, one row per angle of thetas, of the phase_grid(n) samples
+    that can lie in its zone: the 2 (PSI_EXCLUDE // step + 1) nearest the
+    angle, one more sample either side of those for the rounding of the
+    index, so 4 on the fine cache (the zone is 3e-4 wide either side, the
+    step 1.5e-3)."""
+    step = 2.0 * np.pi / n
+    reach = int(PSI_EXCLUDE // step) + 2
+    below = np.floor((np.asarray(thetas) % (2.0 * np.pi)) / step - 0.5).astype(int)
+    return (below[:, None] + np.arange(1 - reach, reach + 1)) % n
+
+
 def disc_psi(x, f, thetas, z, z_thetas) -> np.ndarray:
     """psi(z) = |z - x|^2 |f| / (2 (1 - <f, z>)), the radius of the tangent
     disc at x (support f, polar angle thetas) through z (polar angle
     z_thetas); a smaller disc leaves z outside. Broadcasts over the leading
     axes; INF where z lies on or beyond the support line, and NaN within
     PSI_EXCLUDE of x, where it is 0 / 0 (applied last, so z = x is NaN)."""
-    dist2 = (z[..., 0] - x[..., 0]) ** 2 + (z[..., 1] - x[..., 1]) ** 2
-    # <f, z> as a matmul, which rounds as the sweep's table always has
+    # <f, z> as a stacked matmul, which OpenBLAS rounds as fma(f1, z1, f0 z0),
+    # as it does each entry of the sweep's GEMM, so the two agree bit for bit;
+    # an elementwise product rounds f1 z1 apart, and another BLAS may differ
     depth = 1.0 - np.matmul(f[..., None, :], z[..., :, None])[..., 0, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        psi = dist2 * np.hypot(f[..., 0], f[..., 1]) / (2.0 * depth)
-    psi[depth <= 0] = INF
-    psi[angle_dist(z_thetas, thetas) < PSI_EXCLUDE] = np.nan
+    psi = _disc_radius(x, z, np.hypot(f[..., 0], f[..., 1]), depth)
+    psi[_in_zone(z_thetas, thetas)] = np.nan
     return psi
 
 
@@ -178,15 +213,28 @@ def extremal_radii(model, psi, xs, outer) -> tuple[np.ndarray, np.ndarray]:
 
 def sweep_radii(model, thetas, points, supports, k_lo, k_hi, kink):
     """disc_bounds of psi's extremes on the fine cache, unrefined, for many
-    base points at once (the classification sweep)."""
+    base points at once (the classification sweep).
+
+    The table is memory-bound, so it is built in blocks of BLOCK_POINTS
+    entries, whole rows of fine samples, whose temporaries stay in cache.
+    Each block takes <f, z> as one GEMM, supports @ fine.T, bit for bit
+    disc_psi's matmul, and masks psi's zone only at each row's
+    _zone_candidates, the samples the zone can reach; so every value is
+    disc_psi's."""
     fine = model.fine_points()
-    fine_thetas = phase_grid(len(fine))
+    n = len(fine)
+    cand = _zone_candidates(thetas, n)
+    zone = _in_zone(phase_grid(n)[cand], thetas[:, None])
+    fnorm = np.hypot(supports[:, 0], supports[:, 1])
     r_in = np.empty(len(thetas))
     r_out = np.empty(len(thetas))
-    chunk = 128
-    for lo in range(0, len(thetas), chunk):
-        sl = slice(lo, lo + chunk)
-        psi = disc_psi(points[sl, None], supports[sl, None], thetas[sl, None], fine[None], fine_thetas[None])
+    rows = max(1, BLOCK_POINTS // n)
+    for lo in range(0, len(thetas), rows):
+        sl = slice(lo, lo + rows)
+        fz = supports[sl] @ fine.T
+        psi = _disc_radius(points[sl, None], fine, fnorm[sl, None], np.subtract(1.0, fz, out=fz))
+        hit = zone[sl]
+        psi[np.nonzero(hit)[0], cand[sl][hit]] = np.nan
         r_in[sl] = np.nanmin(psi, axis=1)
         r_out[sl] = np.nanmax(psi, axis=1)
     return disc_bounds(r_in, r_out, k_lo, k_hi, kink)

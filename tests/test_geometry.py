@@ -10,7 +10,7 @@ from scipy.optimize import minimize_scalar
 
 from normplane import gallery, geometry, models, semigroup
 from normplane.geometry import LinearMap2, Vec2
-from normplane.numerics import angle_dist, phase_grid
+from normplane.numerics import BLOCK_POINTS, angle_dist, circle_max, phase_grid
 
 finite_floats = st.floats(
     min_value=-50, max_value=50, allow_nan=False, allow_infinity=False
@@ -308,6 +308,52 @@ def test_operator_norm_batch_is_the_antipodal_full_scan(all_gallery):
         half = model.sphere_points_at(phase_grid(n)[: n // 2])
         want = geometry._operator_norms(model, mats, np.concatenate([half, -half]), 60)[0]
         assert np.array_equal(geometry.operator_norm_batch(model, mats), want), name
+
+
+def _one_call_operator_norms(model, mats, pts, iters, period=2.0 * np.pi, zoom=False):
+    """_operator_norms with every map's grid images gauged in one call."""
+    k, grid = len(mats), len(pts)
+    vals = model.gauge_many(geometry._map_images(mats[:, None], pts).reshape(k * grid, 2))
+
+    def val(rows, ts):
+        return model.gauge_many(geometry._map_images(mats[rows], model.sphere_points_at(ts)))
+
+    return circle_max(val, vals.reshape(k, grid), 1, iters, period, zoom=zoom)
+
+
+@pytest.mark.parametrize("k", [1, 127, 128, 129, 300])
+def test_blocked_operator_norms_are_the_one_call_grid(all_gallery, k):
+    """The grid stage, gauged in blocks of BLOCK_POINTS images (128 maps on
+    the UMST table's 256-point half grid), gives bit for bit the values and
+    witness angles of one gauge call over all k maps, on UMST-style shrink
+    maps and Gaussian maps."""
+    half = phase_grid(geometry.OPNORM_BATCH_GRID // 2, np.pi)
+    assert BLOCK_POINTS // len(half) == 128
+    rng = np.random.default_rng(53 + k)
+    theta = rng.uniform(0.0, 2.0 * np.pi, k)
+    for name in ("grandpa_pig_strict", "ellipse_2_1", "nobst", "hexagon", "l1_5"):
+        model = all_gallery[name]
+        a = geometry.sphere_data(model, theta)
+        b = geometry.sphere_data(model, theta + rng.uniform(1e-3, 0.75, k))
+        dst = np.stack([b["points"], 0.9 * b["tangents"]], axis=-1)
+        shrink = dst @ np.linalg.inv(np.stack([a["points"], a["tangents"]], axis=-1))
+        mats = np.where(rng.random((k, 1, 1)) < 0.5, shrink, rng.normal(size=(k, 2, 2)))
+        pts = model.sphere_points_at(half)
+        got = geometry._operator_norms(model, mats, pts, 60, np.pi)
+        want = _one_call_operator_norms(model, mats, pts, 60, np.pi)
+        np.testing.assert_array_equal(got[0], want[0], err_msg=name)
+        np.testing.assert_array_equal(got[1], want[1], err_msg=name)
+
+
+def test_blocked_operator_norms_certificate_shape(all_gallery):
+    """Two maps on the 4096-point fine cache, zoomed, as certificates search
+    them: one block, bit for bit the one-call grid."""
+    mats = np.random.default_rng(59).normal(size=(2, 2, 2))
+    for name, model in all_gallery.items():
+        got = geometry._operator_norms(model, mats, model.fine_points(), 80, zoom=True)
+        want = _one_call_operator_norms(model, mats, model.fine_points(), 80, zoom=True)
+        np.testing.assert_array_equal(got[0], want[0], err_msg=name)
+        np.testing.assert_array_equal(got[1], want[1], err_msg=name)
 
 
 def test_map_images_match_matmul(ellipse_2_1):

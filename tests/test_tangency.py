@@ -13,7 +13,7 @@ from normplane import classify, gallery, geometry, models, semigroup, tangency
 from normplane.curvature import curvature_implicit
 from normplane.errors import NotPositiveDefinite
 from normplane.geometry import SpherePoint, Vec2
-from normplane.numerics import angle_dist
+from normplane.numerics import angle_dist, phase_grid
 from normplane.tangency import Ellipse
 
 
@@ -146,6 +146,95 @@ def test_per_point_discs_follow_the_sweep(all_gallery):
             sp = geometry.sphere_point(model, float(sweep.thetas[j]))
             assert (tangency.inner_disc(model, sp) is not None) == sweep.inner_ok[j], (name, j)
             assert (tangency.outer_disc(model, sp) is not None) == sweep.outer_ok[j], (name, j)
+
+
+_SWEEP_ORACLE_MODELS = {
+    "nobst": lambda: gallery.get("nobst"),
+    "hexagon": lambda: gallery.get("hexagon"),
+    "grandpa_pig_strict": lambda: gallery.get("grandpa_pig_strict"),
+    "l4": lambda: gallery.get("l4"),
+    "ellipse(100, 1)": lambda: models.make_ellipse(100.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", _SWEEP_ORACLE_MODELS)
+def test_sweep_is_the_row_by_row_psi_table(name, monkeypatch):
+    """The blocked sweep (one GEMM per block, the zone found from grid
+    indices) gives bit for bit the radii and existence flags of a table
+    built one row at a time by disc_psi, which masks the zone over the whole
+    row with angle_dist."""
+    model = _SWEEP_ORACLE_MODELS[name]()
+    seen = {}
+    sweep_radii = tangency.sweep_radii
+
+    def spy(model, *args):
+        seen["args"] = args
+        return sweep_radii(model, *args)
+
+    monkeypatch.setattr(tangency, "sweep_radii", spy)
+    monkeypatch.setattr(model, "_sweep", None)
+    sweep = classify.tangency_sweep(model)
+    thetas, points, supports, k_lo, k_hi, kink = seen["args"]
+    fine = model.fine_points()
+    fine_thetas = phase_grid(len(fine))
+    lo = np.empty(len(thetas))
+    hi = np.empty(len(thetas))
+    for j in range(len(thetas)):
+        psi = tangency.disc_psi(points[j], supports[j], thetas[j], fine, fine_thetas)
+        lo[j], hi[j] = np.nanmin(psi), np.nanmax(psi)
+    r_in, r_out = tangency.disc_bounds(lo, hi, k_lo, k_hi, kink)
+    inner_ok, outer_ok = tangency.disc_exists(r_in, r_out)
+    np.testing.assert_array_equal(sweep.r_inner, r_in)
+    np.testing.assert_array_equal(sweep.r_outer, r_out)
+    np.testing.assert_array_equal(sweep.inner_ok, inner_ok)
+    np.testing.assert_array_equal(sweep.outer_ok, outer_ok)
+
+
+_TWO_PI = 2.0 * np.pi
+_FINE_STEP = _TWO_PI / models.FINE_CACHE_N
+
+
+@hst.composite
+def _zone_angles(draw):
+    """Angles where the zone's edge or the circle's seam is decided by
+    rounding: on a fine sample, PSI_EXCLUDE +- 1 ulp from one, around 0 and
+    2 pi, and round(theta % 2 pi, 12) just above 2 pi, as the sweep's extra
+    rows can be; or anywhere on (and a little past) the circle."""
+    kind = draw(hst.sampled_from(["on", "edge", "seam", "rounded", "any"]))
+    sample = (draw(hst.integers(0, models.FINE_CACHE_N - 1)) + 0.5) * _FINE_STEP
+    if kind == "on":
+        return sample
+    if kind == "edge":
+        reach = np.nextafter(tangency.PSI_EXCLUDE, draw(hst.sampled_from([0.0, 1.0])))
+        return sample + draw(hst.sampled_from([-1.0, 1.0])) * float(reach)
+    if kind == "seam":
+        return draw(hst.sampled_from([-1e-15, 0.0, _TWO_PI, -_TWO_PI, 2.0 * _TWO_PI]))
+    if kind == "rounded":
+        return round(draw(hst.floats(_TWO_PI - 5e-13, _TWO_PI)) % _TWO_PI, 12)
+    return draw(hst.floats(-0.1, _TWO_PI + 0.1))
+
+
+@given(theta=_zone_angles(), n=hst.sampled_from([models.FINE_CACHE_N, 1 << 16]))
+@example(theta=-1e-15, n=models.FINE_CACHE_N)
+@example(theta=0.0, n=models.FINE_CACHE_N)
+@example(theta=_TWO_PI, n=models.FINE_CACHE_N)
+@example(theta=round(_TWO_PI, 12), n=models.FINE_CACHE_N)
+@example(theta=0.5 * _FINE_STEP + tangency.PSI_EXCLUDE, n=models.FINE_CACHE_N)
+@settings(max_examples=300, deadline=None)
+def test_zone_candidates_hold_the_zone(theta, n):
+    """The samples the sweep masks, its zone predicate on the index-found
+    candidates, are exactly those angle_dist puts within PSI_EXCLUDE over
+    the whole grid; the candidates are the 2 (PSI_EXCLUDE // step + 2)
+    nearest samples, one either side past the farthest the zone can reach
+    (4 on the fine cache, 10 at 2^16 points)."""
+    grid = phase_grid(n)
+    step = _TWO_PI / n
+    cand = tangency._zone_candidates(np.array([theta]), n)[0]
+    assert len(cand) == 2 * (math.floor(tangency.PSI_EXCLUDE / step) + 2)
+    assert np.all(angle_dist(grid[cand], theta) <= tangency.PSI_EXCLUDE + 2.0 * step)
+    marked = np.zeros(n, dtype=bool)
+    marked[cand[tangency._in_zone(grid[cand], theta)]] = True
+    np.testing.assert_array_equal(marked, angle_dist(grid, theta) < tangency.PSI_EXCLUDE)
 
 
 _TANGENT_MODELS = ("grandpa_pig_strict", "spliced", "blend_l4")
