@@ -23,7 +23,7 @@ import numpy as np
 from . import geometry, models as _models, moduli, semigroup, tangency
 from .errors import BadParameter, SelfCheckFailed
 from .geometry import SpherePoint
-from .numerics import angle_dist, golden_min, phase_grid
+from .numerics import angle_dist, golden_min, phase_grid, sorted_unique
 from .tangency import MIN_DISC_RADIUS, OUTER_DISC_CAP
 
 #: sweep resolution for verdicts: every sweep runs on the sphere cache's grid
@@ -106,7 +106,7 @@ def tangency_sweep(model) -> TangencySweep:
     extrema = kappa_extrema_thetas(model)
     # an extremum that converged onto a feature row is that row
     near = angle_dist(extrema[:, None], features[None, :]) <= geometry.KINK_TOL
-    extra = np.unique(
+    extra = sorted_unique(
         np.round(np.concatenate([features, extrema[~near.any(axis=1)]]) % (2.0 * np.pi), 12)
     )
     if len(extra):
@@ -250,12 +250,32 @@ def umst_delta_table(model, eps_values, n_a: int = TABLE_A_POINTS, n_off: int = 
     gauge(pa - pb), so it fails exactly when its twin does. The counts are
     reported doubled, for the whole grid.
 
-    Rows are (eps, delta, n_pairs, n_failures).
+    The eps are walked in increasing order, each searching only the maps
+    that failed at the eps before. With S = [pa, ta] and T_eps =
+    [pb, (1 - eps) tb] S^-1, for eps1 <= eps2 < 1 the map T_eps2 is
+    T_eps1 P_r, where P_r = S diag(1, r) S^-1 and r = (1 - eps2) / (1 - eps1)
+    is in (0, 1]. P_r is a contraction: with z = alpha pa + beta ta, alpha =
+    <f_a, z> for the support f_a at pa (ta lies in its kernel, as on any C1
+    sphere) and P_r z = r z + (1 - r) alpha pa, so gauge(P_r z) <=
+    r gauge(z) + (1 - r) |<f_a, z>| <= gauge(z). Hence ||T_eps2|| <=
+    ||T_eps1||, and a map that passed at eps1 passes at eps2 unsearched. A
+    searched map's norm is bit for bit its norm in the full batch (the gauge
+    works row by row, golden lanes are independent), so the rows are the
+    unscreened table's whenever its failing sets nest. One edge remains: a
+    sup above 1 + CERTIFY_TOL that the eps1 search misses is inherited at
+    eps2, where the unscreened search might have found it.
+
+    Every eps must be finite with 0 < eps < 1 (at 1 the map is singular,
+    above it the tangent flips). Rows are (eps, delta, n_pairs, n_failures),
+    in the order of eps_values.
     """
     if n_a < 2 or n_a % 2:
         raise BadParameter(f"table base points must be even and at least 2, got {n_a!r}")
     if n_off < 1:
         raise BadParameter(f"table offsets must be at least 1, got {n_off!r}")
+    for eps in eps_values:
+        if not 0.0 < eps < 1.0:
+            raise BadParameter(f"table eps must be finite and in (0, 1), got {eps!r}")
     offsets = np.geomspace(1e-3, 0.75, n_off)
     pair_a = np.repeat(phase_grid(n_a // 2, np.pi), n_off)
     pair_b = pair_a + np.tile(offsets, n_a // 2)
@@ -265,21 +285,22 @@ def umst_delta_table(model, eps_values, n_a: int = TABLE_A_POINTS, n_off: int = 
     dists = model.gauge_many(pa - pb)
     src = np.stack([pa, ta], axis=-1)
     src_inv = np.linalg.inv(src)
-    rows = []
-    for eps in eps_values:
-        dst = np.stack([pb, (1.0 - eps) * tb], axis=-1)
-        mats = dst @ src_inv
+    failing = np.ones(len(pa), dtype=bool)  # every map is live before the smallest eps
+    rows = {}
+    for eps in sorted(set(eps_values)):
+        live = np.flatnonzero(failing)
+        mats = np.stack([pb[live], (1.0 - eps) * tb[live]], axis=-1) @ src_inv[live]
         ops = np.empty(len(mats))
         chunk = 2048
         for lo in range(0, len(mats), chunk):
             ops[lo : lo + chunk] = geometry.operator_norm_batch(model, mats[lo : lo + chunk])
-        failing = ops > 1.0 + semigroup.CERTIFY_TOL
+        failing[live] = ops > 1.0 + semigroup.CERTIFY_TOL
         if np.any(failing):
             delta = float(dists[failing].min())
         else:
             delta = float(dists.max())
-        rows.append((float(eps), delta, 2 * len(mats), 2 * int(failing.sum())))
-    return tuple(rows)
+        rows[eps] = (float(eps), delta, 2 * len(pa), 2 * int(failing.sum()))
+    return tuple(rows[eps] for eps in eps_values)
 
 
 def find_flat(model) -> tuple:

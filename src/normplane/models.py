@@ -46,6 +46,7 @@ from .numerics import (
     phase_grid,
     quad_form,
     rotation,
+    sorted_unique,
 )
 
 SPHERE_CACHE_N = 1024
@@ -242,7 +243,7 @@ class NormModel:
     def feature_thetas(self) -> np.ndarray:
         """Angles worth adding to classification sweeps: the corner rows and
         the family's hints."""
-        return np.union1d(self.corners().thetas, self._sweep_hints())
+        return sorted_unique(np.concatenate([self.corners().thetas, self._sweep_hints()]))
 
     def one_sided_supports(self, theta: float):
         """(f_minus, f_plus), the one-sided supports of the kink within

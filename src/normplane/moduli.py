@@ -28,7 +28,7 @@ from . import geometry
 from .errors import BadEps, NonSmoothPoint
 from .geometry import SpherePoint, Vec2
 from .models import SPHERE_CACHE_N
-from .numerics import bisect_batch, illinois_batch, phase_grid, zoom_min
+from .numerics import bisect_batch, illinois_batch, phase_grid, sorted_unique, zoom_min
 
 #: eps grid for cached modulus curves (log-spaced)
 CURVE_GRID_N = 64
@@ -263,7 +263,7 @@ def power2_fit(curve: ModulusCurve) -> float | None:
     every delta there positive) must be within POWER2_SLOPE_TOL of 2."""
     low = (curve.eps_grid >= CURVE_EPS_MIN) & (curve.eps_grid <= 10.0 * CURVE_EPS_MIN)
     x, vals = np.log(curve.eps_grid[low]), curve.values[low]
-    if len(np.unique(x)) < 2 or np.any(vals <= 0.0):
+    if len(sorted_unique(x)) < 2 or np.any(vals <= 0.0):
         return None
     x = x - x.mean()
     if abs(x @ np.log(vals) / (x @ x) - 2.0) > POWER2_SLOPE_TOL:

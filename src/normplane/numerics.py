@@ -1,10 +1,11 @@
-"""Small numeric building blocks: the phase-offset circle grid, two lane-wise
-minimum searches (golden section, one point per lane a step, and a zoom, one
-batched call of ZOOM_POINTS points per lane a round) and the circle maximum
-that refines with either, batched bisection and Illinois root polishing, a
-periodic cubic spline, finite-difference stencils, and 2x2 matrix helpers
-(quadratic forms, symmetric powers, rotations), and the block size of the
-memory-bound classification tables.
+"""Small numeric building blocks: the phase-offset circle grid, the sorted
+distinct values of an array, two lane-wise minimum searches (golden section,
+one point per lane a step, and a zoom, one batched call of ZOOM_POINTS points
+per lane a round) and the circle maximum that refines with either, batched
+bisection and Illinois root polishing, a periodic cubic spline,
+finite-difference stencils, 2x2 matrix helpers (quadratic forms, symmetric
+powers, rotations), and the block size of the memory-bound classification
+tables.
 
 Golden section needs the fewest evaluations, the zoom the fewest calls: on a
 few lanes a call of the model's gauge costs about the same for 4 rows as for
@@ -49,6 +50,19 @@ def phase_grid(n: int, period: float = 2.0 * np.pi) -> np.ndarray:
 def angle_dist(a, b):
     """Distance on the circle between the angles a and b, in [0, pi]."""
     return np.abs((a - b + np.pi) % (2.0 * np.pi) - np.pi)
+
+
+def sorted_unique(x) -> np.ndarray:
+    """The distinct values of the finite array x, flattened and sorted, each
+    run of equal values kept by its first element after the sort: np.unique
+    bit for bit (the sign of a zero included), which sorts floats the same
+    way, without the numpy.ma import that np.unique makes on its first
+    call."""
+    x = np.sort(np.ravel(x))
+    keep = np.empty(len(x), dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
 
 
 def golden_min(f, lo, hi, iters: int = 80):

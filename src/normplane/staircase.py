@@ -19,6 +19,7 @@ import numpy as np
 from .errors import BadParameter, NotConvex, OutOfDomain, TangencySolveFailed
 from .geometry import Vec2
 from .models import Arc, ArcChainNorm, _reflect_q4_chain, make_arc_chain
+from .numerics import sorted_unique
 from .semigroup import inv_norm_lower_bound
 
 #: truncation depth: intervals below 2^-19 are dropped. Depth 19 keeps the
@@ -54,7 +55,7 @@ class CurvatureFunction:
         pts = [S_MIN, 0.0, S_MAX]
         for lo, hi, _ in self.intervals:
             pts.extend((lo, hi))
-        return np.unique(np.asarray(pts))
+        return sorted_unique(pts)
 
 
 def staircase_function(n_max: int = DEFAULT_DEPTH) -> CurvatureFunction:

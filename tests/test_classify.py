@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hst
 
 from normplane import classify, gallery, geometry, models, moduli, semigroup
 from normplane.errors import BadParameter, SelfCheckFailed
@@ -148,9 +149,47 @@ def test_delta_table_halves_the_grid(pig_strict):
         assert abs(delta - want) <= 1e-12 * want, eps
 
 
+@pytest.mark.parametrize("name", ["grandpa_pig_strict", "blend_l4", "ellipse_2_1", "euclidean"])
+def test_screened_delta_table_is_the_unscreened_table(name):
+    # each eps searches only the maps that failed at the eps before; the rows
+    # still come back in the caller's order, a repeated eps twice
+    model = gallery.get(name)
+    eps_values = (0.4, 0.05, 0.2, 0.05, 0.1)
+    table = classify.umst_delta_table(model, eps_values, n_a=64, n_off=16)
+    full = _full_grid_delta_table(model, eps_values, 64, 16)
+    assert [row[0] for row in table] == list(eps_values)
+    for (eps, delta, pairs, failures), (_, want, want_pairs, want_failures) in zip(table, full):
+        assert (pairs, failures) == (want_pairs, want_failures), eps
+        assert abs(delta - want) <= 1e-12 * want, eps
+
+
+_C2_GALLERY = ["euclidean", "l4", "grandpa_pig", "grandpa_pig_strict", "blend_l4", "ellipse_2_1"]
+
+
+@given(
+    name=hst.sampled_from(_C2_GALLERY),
+    theta=hst.floats(0.0, 2.0 * np.pi),
+    r=hst.floats(0.0, 1.0, exclude_min=True),
+)
+@example(name="l4", theta=0.0, r=1e-9)
+@example(name="ellipse_2_1", theta=np.pi / 2, r=1.0)
+@settings(max_examples=60, deadline=None)
+def test_tangent_shrink_is_a_contraction(name, theta, r):
+    # the table's screen: with S = [p, t] at a sphere point, S diag(1, r) S^-1
+    # moves z = alpha p + beta t to r z + (1 - r) alpha p, alpha = <f, z>
+    model = gallery.get(name)
+    assert model.is_c2
+    data = geometry.sphere_data(model, [theta])
+    src = np.stack([data["points"][0], data["tangents"][0]], axis=-1)
+    shrink = src @ np.diag([1.0, r]) @ np.linalg.inv(src)
+    assert geometry.operator_norm(model, shrink) <= 1.0 + semigroup.CERTIFY_TOL
+
+
 def test_delta_table_gauge_points(pig_strict, monkeypatch):
-    """The verdict's table gauges 6,248,448 points on half the base points,
-    each map scanned on half the grid (20,889,600 on the full grids)."""
+    """The verdict's table gauges 2,374,720 points on half the base points,
+    each map scanned on half the grid, each eps searching only the maps that
+    failed at the eps before (6,248,448 unscreened; 20,889,600 on the full
+    grids)."""
     points = []
     gauge_many = pig_strict.gauge_many
 
@@ -160,7 +199,7 @@ def test_delta_table_gauge_points(pig_strict, monkeypatch):
 
     monkeypatch.setattr(pig_strict, "gauge_many", counting)
     classify.umst_delta_table(pig_strict, (0.05, 0.1, 0.2, 0.4))
-    assert sum(points) <= 6_500_000
+    assert sum(points) <= 2_500_000
 
 
 @pytest.mark.parametrize("n_a, n_off", [(63, 16), (0, 16), (64, 0)])
@@ -168,6 +207,14 @@ def test_delta_table_rejects_bad_grids(pig_strict, n_a, n_off):
     # halving needs an even number of base points
     with pytest.raises(BadParameter):
         classify.umst_delta_table(pig_strict, (0.1,), n_a=n_a, n_off=n_off)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, -0.1, math.nan, math.inf])
+def test_delta_table_rejects_bad_eps(pig_strict, eps):
+    # the screen needs 1 - eps > 0; at eps = 1 the map is singular, above it
+    # the tangent flips
+    with pytest.raises(BadParameter):
+        classify.umst_delta_table(pig_strict, (0.1, eps), n_a=2, n_off=1)
 
 
 _NOT_ISOTROPIC = pytest.mark.xfail(

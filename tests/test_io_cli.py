@@ -242,28 +242,48 @@ for name in ("grandpa_pig_strict", "nobst"):
 """
 
 
-def _scipy_modules_after(script: str) -> str:
-    """The scipy modules loaded once script has run in a fresh interpreter."""
+def _modules_after(script: str, root: str) -> str:
+    """The modules under root (root itself and its submodules) loaded once
+    script has run in a fresh interpreter, as the last line of its stdout."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    report = 'import sys\nprint(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))'
+    report = (
+        "import sys\n"
+        f"print(sorted(m for m in sys.modules if m == {root!r} or m.startswith({root + '.'!r})))"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", script + report],
+        [sys.executable, "-c", script + "\n" + report],
         capture_output=True, text=True, env=env, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
+    return proc.stdout.strip().splitlines()[-1]
 
 
 def test_verdicts_import_no_scipy():
     # the sampled duals' spline is the package's own, so no verdict, with or
     # without the dual check, pays for importing scipy
-    assert _scipy_modules_after(_SCIPY_FREE_VERDICTS) == "[]"
+    assert _modules_after(_SCIPY_FREE_VERDICTS, "scipy") == "[]"
 
 
 def test_orbit_path_imports_no_scipy():
     # the John ellipse that seeds every outer ellipse is fitted in numpy, so
     # the per-point certificate path does not import scipy either
-    assert _scipy_modules_after(_SCIPY_FREE_ORBITS) == "[]"
+    assert _modules_after(_SCIPY_FREE_ORBITS, "scipy") == "[]"
+
+
+def test_cli_verdicts_import_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call; the verdict path takes
+    # its distinct values from numerics.sorted_unique instead
+    paths = []
+    for name in ("grandpa_pig_strict", "ellipse_2_1", "nobst", "hexagon"):
+        paths.append(str(tmp_path / f"{name}.model"))
+        modelspec.write_model_file(gallery.get(name), paths[-1])
+    script = (
+        "import contextlib, io\nfrom normplane import cli\n"
+        f"for path in {paths!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(['classify', path]) == 0\n"
+    )
+    assert _modules_after(script, "numpy.ma") == "[]"
 
 
 def test_cli_dual_check_disagreement_exits_1(tmp_path, monkeypatch, capsys):

@@ -1,11 +1,12 @@
 """The lane-wise golden-section search and zoom and the circle maximum built
-on them, bisection plateaus, Illinois root polishing and the periodic cubic
-spline."""
+on them, bisection plateaus, Illinois root polishing, the periodic cubic
+spline and the sorted distinct values."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hst
 
 from normplane import gallery, models, tangency
 from normplane.numerics import (
@@ -18,6 +19,7 @@ from normplane.numerics import (
     golden_min,
     illinois_batch,
     phase_grid,
+    sorted_unique,
     zoom_min,
     zoom_rounds,
 )
@@ -388,3 +390,23 @@ def test_bisect_plateau_end_follows_lo():
     down = bisect_batch(lambda x: -f(x), np.array([3.0]), np.array([0.0]), 60)[0]
     assert up == pytest.approx(2.0, abs=1e-12)
     assert down == pytest.approx(1.0, abs=1e-12)
+
+
+# few distinct values, so that draws repeat them; both zeros among them
+_REPEATING = hst.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, -1e300, math.pi])
+_FINITE = hst.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(values=hst.lists(hst.one_of(_REPEATING, _FINITE), max_size=60))
+@example(values=[0.0, -0.0])
+@example(values=[-0.0, 0.0, -0.0])
+@example(values=[])
+@settings(max_examples=300, deadline=None)
+def test_sorted_unique_is_np_unique(values):
+    # the same values in the same order, and the same zero where both occur
+    x = np.array(values, dtype=float)
+    got, want = sorted_unique(x), np.unique(x)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(sorted_unique(x.reshape(-1, 1)), want)
