@@ -202,7 +202,10 @@ class NormModel:
     # -- shared machinery -----------------------------------------------------
 
     def gauge_many(self, points) -> np.ndarray:
-        return self._gauge_raw(np.atleast_2d(np.asarray(points, dtype=float)))
+        # a 2-D float64 array, the common case, goes through unconverted
+        if not (type(points) is np.ndarray and points.ndim == 2 and points.dtype == np.float64):
+            points = np.atleast_2d(np.asarray(points, dtype=float))
+        return self._gauge_raw(points)
 
     def gauge(self, v) -> float:
         v = as_vec(v)
@@ -219,7 +222,8 @@ class NormModel:
     def sphere_points_at(self, thetas) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
         units = _units(thetas)
-        return units * self._radii(thetas, units)[:, None]
+        units *= self._radii(thetas, units)[:, None]
+        return units
 
     def curvature_theta_many(self, thetas) -> np.ndarray:
         """Sphere curvature at the polar angles thetas, in the family's closed
@@ -333,8 +337,10 @@ class LpNorm(NormModel):
         return _rescaled(self._power_sum, pts)
 
     def _power_sum(self, pts):
+        a = np.abs(pts)
         with np.errstate(over="ignore", under="ignore"):
-            s = np.abs(pts[:, 0]) ** self.p + np.abs(pts[:, 1]) ** self.p
+            a **= self.p
+            s = a[:, 0] + a[:, 1]
         return s, s ** (1.0 / self.p)
 
     def grad_many(self, pts):
@@ -462,11 +468,15 @@ class PolarNorm(RadialNorm):
     def g_many(self, thetas, order: int = 0) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
         out = np.full_like(thetas, self.constant if order == 0 else 0.0)
+        term = np.empty_like(out)
         # sin(n theta) takes the signs and trig functions of cos(n theta) three orders on
         for terms, shift in ((self.cos_terms, 0), (self.sin_terms, 3)):
             sign, trig = _COS_DERIVATIVES[(order + shift) % 4]
             for n, a in terms:
-                out += sign * a * n**order * trig(n * thetas)
+                np.multiply(n, thetas, out=term)
+                trig(term, out=term)
+                term *= sign * a * n**order
+                out += term
         return out
 
     def curvature_theta_many(self, thetas):
@@ -699,6 +709,9 @@ class ArcChainNorm(NormModel):
         self.arcs = arcs
         self.centers = np.array([[a.center.x1, a.center.x2] for a in arcs])
         self.radii = np.array([a.radius for a in arcs])
+        # |c|^2 and r^2 per arc, for _radii
+        self._center_sq = np.einsum("ij,ij->i", self.centers, self.centers)
+        self._radius_sq = self.radii * self.radii
         p0 = arcs[0].start_point()
         self.phi_start = math.atan2(p0[1], p0[0])
         phis = [self.phi_start]
@@ -711,21 +724,21 @@ class ArcChainNorm(NormModel):
                 phi += 2.0 * np.pi
             phis.append(phi)
         self.phi_bounds = np.asarray(phis)
+        # the inner junctions' offsets from the chain's start, for arc_index
+        self._offsets = self.phi_bounds[1:-1] - self.phi_start
 
     def arc_index(self, thetas: np.ndarray) -> np.ndarray:
         rel = (np.asarray(thetas) - self.phi_start) % (2.0 * np.pi)
-        idx = np.searchsorted(self.phi_bounds[1:-1] - self.phi_start, rel, side="right")
+        idx = np.searchsorted(self._offsets, rel, side="right")
         return np.clip(idx, 0, len(self.arcs) - 1)
 
     def _radii(self, thetas, u):
         idx = self.arc_index(thetas)
-        c = self.centers[idx]
-        r = self.radii[idx]
-        b = np.einsum("ij,ij->i", u, c)
+        b = np.einsum("ij,ij->i", u, self.centers[idx])
         # the far root t = b + sqrt(...): each arc bulges away from its center
         # and the origin is inside the ball, so <p - c, p> > 0 at the sphere
         # point p = t u, that is t > b
-        return b + np.sqrt(np.maximum(b * b - np.einsum("ij,ij->i", c, c) + r * r, 0.0))
+        return b + np.sqrt(np.maximum(b * b - self._center_sq[idx] + self._radius_sq[idx], 0.0))
 
     def _gauge_raw(self, pts):
         return _radial_gauge(pts, self.radial_many)
@@ -894,7 +907,7 @@ class EllipseMaxNorm(NormModel):
 
     def _max_form(self, pts):
         with np.errstate(over="ignore", under="ignore"):
-            s = np.maximum(*self._forms(pts))
+            s = quad_form(pts, self.m1) if self.single else np.maximum(*self._forms(pts))
         return s, np.sqrt(s)
 
     def grad_many(self, pts):

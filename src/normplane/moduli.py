@@ -9,10 +9,13 @@ depth and distance of (x, y), so the depth is pi-periodic in the base
 point: one sweep over the first half of the sphere cache's grid, on both
 branches (``_sweep_depths``), brackets each root between two grid offsets,
 for any number of eps, gauging at each bracket step the pairs its open
-lanes read, and places it with one polish (``_polish_depths``).
-``delta_uc`` and ``delta_curve`` run that one sweep, so the curve is
-``delta_uc`` at each of its eps. The sweep only chooses where one lane-wise
-zoom (``_zoom_min``, over the half circle) starts, and the zoom's values
+lanes read (``_sweep_brackets``), bounds its depth by the depths at the
+bracket's ends, and places it with one polish (``_polish_depths``) only
+where those bounds let a base point hold the minimum; the sweep's rows are
+inf where a base cannot. ``delta_uc`` and ``delta_curve`` run that one
+sweep, so the curve is ``delta_uc`` at each of its eps. The sweep only
+chooses where one lane-wise zoom (``_zoom_min``, over the half circle)
+starts, its rows' argmin, and the zoom's values
 come from a 50-step bisection (``_uc_depths``); the zoom is
 ``numerics.zoom_min``, which the per-point searches of ``geometry`` and
 ``tangency`` share.
@@ -39,6 +42,10 @@ UC_POLISH_STEPS = 8
 
 #: points per batched call of the modulus curve's sweep, bounding its memory
 UC_BLOCK = 1 << 14
+
+#: slack of the sweep's depth bounds over their rounding: a base point is
+#: polished unless its lower bound exceeds the least upper bound by more
+UC_PRUNE_MARGIN = 1e-12
 
 #: direction count for the strong-extremality modulus
 STRONG_DIRS = 512
@@ -125,13 +132,10 @@ def _uc_depths(model, eps, thetas) -> np.ndarray:
 
     # gauge(2x) can round below 2 at eps = 2; such a branch has no root
     bad = dist(np.full(2 * n, np.pi)) < eps
-    # bisect_batch moves its first end on f <= 0: starting that end at pi and
-    # testing d >= eps converges to the smallest root
+    # bisect_batch moves its first end where the predicate holds: starting
+    # that end at pi and testing d >= eps converges to the smallest root
     s = bisect_batch(
-        lambda s: np.where((dist(s) >= eps) & (s <= s_max), -1.0, 1.0),
-        np.full(2 * n, np.pi),
-        np.full(2 * n, 1e-9),
-        iters=50,
+        lambda s: (dist(s) >= eps) & (s <= s_max), np.full(2 * n, np.pi), np.full(2 * n, 1e-9), iters=50
     )
     ys = model.sphere_points_at(th + sign * s)
     depth = 1.0 - model.gauge_many(0.5 * (xs + ys))
@@ -141,49 +145,84 @@ def _uc_depths(model, eps, thetas) -> np.ndarray:
 
 def _sweep_depths(model, eps: np.ndarray) -> np.ndarray:
     """_uc_depths on the first half of the sphere cache's n-point grid for
-    every eps at once, shape (len(eps), n // 2), from the distances
-    d = gauge(x_base - x_(base + sign k)) of grid points x at offsets k. The
-    grid's second half is the first one turned by pi, whose pairs (-x, -y)
-    have the depths and distances of (x, y).
+    every eps at once, shape (len(eps), n // 2), inf at the base points that
+    cannot hold their eps' minimum. The grid's second half is the first one
+    turned by pi, whose pairs (-x, -y) have the depths and distances of
+    (x, y).
+
+    UC_BLOCK // n eps at a time, _sweep_brackets brackets each (eps, base,
+    branch) lane's smallest root between two grid offsets. The midpoint
+    depth never decreases along a branch either, so the root's depth lies
+    between the depths at the bracket's two ends, which one gauge_many call
+    reads off the cache midpoints (x_base + x_(base + sign j)) / 2. The
+    least upper bound of an eps, plus UC_PRUNE_MARGIN (far above the
+    rounding between those midpoints and the polished roots), caps its
+    minimum: _polish_depths places the roots of the found lanes whose lower
+    bound is within the cap, and the other lanes, deeper than the cap, stay
+    inf. A base deeper than the cap on its polished lanes is set to inf
+    too, so every finite entry is the unpruned sweep's, and so is each
+    row's argmin, the one thing _zoom_min reads. Lanes with no root get
+    depth inf, as in _uc_depths.
+    """
+    n = SPHERE_CACHE_N
+    per = UC_BLOCK // n
+    xs = model.sphere_cache()["points"]
+    depth = np.full((len(eps), n), np.inf)
+    cap = np.empty((len(eps), 1))
+    for e0 in range(0, len(eps), per):
+        base, sign, k, d_lo, d_hi, e = _sweep_brackets(model, eps[e0 : e0 + per])
+        (found,) = np.nonzero(k <= n // 2)
+        b, far = base[found], base[found] + sign[found] * k[found]
+        ends = np.concatenate([far - sign[found], far]) % n
+        low, high = np.split(1.0 - model.gauge_many(0.5 * (xs[np.tile(b, 2)] + xs[ends])), 2)
+        upper = np.full((e.size // n, n), np.inf)
+        upper.reshape(-1)[found] = high
+        cap[e0 : e0 + per] = upper.min(axis=1, keepdims=True) + UC_PRUNE_MARGIN
+        p = found[low <= cap[e0 + found // n, 0]]
+        depth[e0 : e0 + per].reshape(-1)[p] = _polish_depths(
+            model, base[p], sign[p], k[p], d_lo[p], d_hi[p], e[p]
+        )
+    rows = np.minimum(depth[:, : n // 2], depth[:, n // 2 :])
+    rows[rows > cap] = np.inf
+    return rows
+
+
+def _sweep_brackets(model, eps: np.ndarray):
+    """Grid brackets of the smallest roots of d = eps for the lanes of one
+    sweep block, d = gauge(x_base - x_(base + sign j)) from the grid points
+    x of the sphere cache at offsets j: per eps the base points 0 .. n/2 - 1
+    on branch +1, then on branch -1.
 
     In a normed plane d never decreases along a branch from x to -x
     (Martini, Swanepoel and Weiss, Expo. Math. 19 (2001)), so the first
     offset with d >= eps brackets the smallest root within one grid step.
-    Every (eps, base, branch) lane of UC_BLOCK // n eps at once
-    binary-searches the offsets 1 .. n/2 for it, each step gauging the pairs
-    the still open lanes read (at most 10 steps for n = 1024), keeping d at
-    both ends of its bracket; _polish_depths then places the root. Lanes with no such
-    offset get depth inf, as in _uc_depths.
+    Every lane binary-searches the offsets 1 .. n/2 for it, each step
+    gauging the pairs the still open lanes read (at most 10 steps for
+    n = 1024), keeping d at both ends of its bracket. Returns per lane
+    (base, sign, k, d_lo, d_hi, eps): the bracket is the offsets k - 1 and
+    k, d_lo < eps <= d_hi, and k = n/2 + 1 marks a branch that never
+    reaches eps.
     """
     n = SPHERE_CACHE_N
     half = n // 2
-    per = UC_BLOCK // n
     xs = model.sphere_cache()["points"]
-    depth = np.full((len(eps), n), np.inf)
-    for e0 in range(0, len(eps), per):
-        e = np.repeat(eps[e0 : e0 + per], n)
-        m = e.size
-        # lanes: per eps the bases 0 .. half - 1 on branch +1, then on branch -1
-        base, sign = np.arange(m) % half, np.where(np.arange(m) % n < half, 1, -1)
-        # d(lo) < eps <= d(hi); offset 0 is the base point itself (d = 0) and
-        # half + 1 stands for a branch that never reaches eps
-        lo, hi = np.zeros(m, dtype=int), np.full(m, half + 1)
-        d_lo, d_hi = np.zeros(m), np.full(m, np.inf)
-        while True:
-            (lanes,) = np.nonzero(hi - lo > 1)
-            if lanes.size == 0:
-                break
-            mid = (lo[lanes] + hi[lanes]) // 2
-            b = base[lanes]
-            d = model.gauge_many(xs[b] - xs[(b + sign[lanes] * mid) % n])
-            up = d >= e[lanes]
-            hi[lanes[up]], d_hi[lanes[up]] = mid[up], d[up]
-            lo[lanes[~up]], d_lo[lanes[~up]] = mid[~up], d[~up]
-        found = hi <= half
-        depth[e0 : e0 + per].reshape(-1)[found] = _polish_depths(
-            model, base[found], sign[found], hi[found], d_lo[found], d_hi[found], e[found]
-        )
-    return np.minimum(depth[:, :half], depth[:, half:])
+    e = np.repeat(eps, n)
+    m = e.size
+    base, sign = np.arange(m) % half, np.where(np.arange(m) % n < half, 1, -1)
+    # d(lo) < eps <= d(hi); offset 0 is the base point itself (d = 0)
+    lo, hi = np.zeros(m, dtype=int), np.full(m, half + 1)
+    d_lo, d_hi = np.zeros(m), np.full(m, np.inf)
+    while True:
+        (lanes,) = np.nonzero(hi - lo > 1)
+        if lanes.size == 0:
+            break
+        mid = (lo[lanes] + hi[lanes]) // 2
+        b = base[lanes]
+        d = model.gauge_many(xs[b] - xs[(b + sign[lanes] * mid) % n])
+        up = d >= e[lanes]
+        hi[lanes[up]], d_hi[lanes[up]] = mid[up], d[up]
+        lo[lanes[~up]], d_lo[lanes[~up]] = mid[~up], d[~up]
+    return base, sign, hi, d_lo, d_hi, e
 
 
 def _polish_depths(model, base, sign, k, d_lo, d_hi, eps) -> np.ndarray:
@@ -221,9 +260,7 @@ def _polish_depths(model, base, sign, k, d_lo, d_hi, eps) -> np.ndarray:
     )
     (flat,) = np.nonzero(flat)
     if flat.size:
-        s[flat] = bisect_batch(
-            lambda t: np.where(gap(flat, t) >= 0.0, -1.0, 1.0), k[flat] * h, (k[flat] - 1) * h, iters=41
-        )
+        s[flat] = bisect_batch(lambda t: gap(flat, t) >= 0.0, k[flat] * h, (k[flat] - 1) * h, iters=41)
     ys = partners(np.arange(base.size), s)
     return 1.0 - model.gauge_many(0.5 * (xs[base] + ys))
 
@@ -243,12 +280,12 @@ def delta_strong(model, x: SpherePoint, eps: float) -> float:
     def rho_max(phis: np.ndarray) -> np.ndarray:
         ys = model.sphere_points_at(phis) * eps
 
-        def slack(rho):
+        def inside(rho):
             zp = rho[:, None] * xa[None, :] + ys
             zm = rho[:, None] * xa[None, :] - ys
-            return np.maximum(model.gauge_many(zp), model.gauge_many(zm)) - 1.0
+            return np.maximum(model.gauge_many(zp), model.gauge_many(zm)) <= 1.0
 
-        return bisect_batch(slack, np.zeros(len(phis)), np.full(len(phis), 2.0), iters=50)
+        return bisect_batch(inside, np.zeros(len(phis)), np.full(len(phis), 2.0), iters=50)
 
     vals = -rho_max(phase_grid(STRONG_DIRS))
     zoomed = _zoom_min(lambda phis: -rho_max(phis.ravel()).reshape(phis.shape), vals[None])

@@ -105,6 +105,13 @@ def zoom_min(f, center, h: float, rounds: int):
     earlier angle. Lanes are independent: each returns bit for bit what a
     search on its centre alone returns.
 
+    The offsets are one ramp, linspace(-h, h, ZOOM_POINTS), scaled by the
+    shrink 1/16 each round: scaling by a power of 2 is exact, so the ramp is
+    linspace(-h', h', ZOOM_POINTS) of the round's h' bit for bit (above the
+    subnormals). The search stops once every lane's window rounds onto its
+    centre: such a round samples the centre alone, whose value is already
+    the running best, so it changes nothing.
+
     NaN samples are passed over, and a lane with no other sample returns
     inf; infinite samples are kept, as golden_min keeps them, so a refined
     maximum that meets an infinite sample reads infinite. Returns (argmins,
@@ -112,15 +119,19 @@ def zoom_min(f, center, h: float, rounds: int):
     center = np.array(center, dtype=float, ndmin=1)
     rows = np.arange(center.size)
     arg, best = center.copy(), np.full(center.size, np.inf)
+    ramp = np.linspace(-h, h, ZOOM_POINTS)
     for _ in range(rounds):
-        local = center[:, None] + np.linspace(-h, h, ZOOM_POINTS)
+        local = center[:, None] + ramp
+        # the ramp's ends round onto the centre only if all of it does
+        if np.array_equal(local[:, 0], center) and np.array_equal(local[:, -1], center):
+            break
         v = f(local)
         v = np.where(np.isnan(v), np.inf, v)
         j = np.argmin(v, axis=1)
         center, low = local[rows, j], v[rows, j]
         up = low < best
         arg, best = np.where(up, center, arg), np.where(up, low, best)
-        h = 2.0 * h / (ZOOM_POINTS - 1)
+        ramp *= 2.0 / (ZOOM_POINTS - 1)
     return arg, best
 
 
@@ -152,8 +163,16 @@ def circle_max(f, vals, seeds: int, iters: int, period: float = 2.0 * np.pi, cen
     k, n = vals.shape
     h = period / n
     top = np.argmax(vals, axis=1)
-    # argmax picks the first maximum; a full argsort of a large table is slow
-    idx = top[:, None] if seeds == 1 else np.argsort(-vals, axis=1)[:, :seeds]
+    # argmax picks the first maximum; more seeds are the row's largest
+    # samples by argpartition (a full argsort of a large table is slow),
+    # largest first, equal ones by index
+    if seeds == 1:
+        idx = top[:, None]
+    else:
+        seeds = min(seeds, n)
+        idx = np.sort(np.argpartition(-vals, seeds - 1, axis=1)[:, :seeds], axis=1)
+        order = np.argsort(-np.take_along_axis(vals, idx, axis=1), axis=1, kind="stable")
+        idx = np.take_along_axis(idx, order, axis=1)
     keep = np.isfinite(np.take_along_axis(vals, idx, axis=1))
     th = (idx + 0.5) * h
     if centers is not None:
@@ -161,8 +180,10 @@ def circle_max(f, vals, seeds: int, iters: int, period: float = 2.0 * np.pi, cen
     rows = np.nonzero(keep)[0]
     t = v = th = th[keep]
     if rows.size and zoom:
+        lane_rows = np.repeat(rows, ZOOM_POINTS)
+
         def lanes(x):
-            return -f(np.repeat(rows, x.shape[1]), x.ravel()).reshape(x.shape)
+            return -f(lane_rows, x.ravel()).reshape(x.shape)
 
         t, v = zoom_min(lanes, th, h, zoom_rounds(iters))
     elif rows.size:
@@ -178,22 +199,22 @@ def circle_max(f, vals, seeds: int, iters: int, period: float = 2.0 * np.pi, cen
     return np.where(up, best, grid), np.where(up, angles[np.arange(k), lane], (top + 0.5) * h)
 
 
-def bisect_batch(f, lo, hi, iters: int = 80):
-    """Vectorized bisection for roots of f on brackets [lo, hi].
+def bisect_batch(moves_lo, lo, hi, iters: int = 80):
+    """Vectorized bisection on brackets [lo, hi] for where the predicate
+    moves_lo (an array of points -> a bool array) turns from true to false.
 
-    Assumes f(lo) <= 0 <= f(hi) componentwise (callers arrange signs); lo
-    may lie above hi. f <= 0 moves the lo end, so where f vanishes on an
-    interval the result is its end farthest from lo. Returns the midpoint
-    array after `iters` halvings.
+    Assumes moves_lo(lo) holds and moves_lo(hi) does not, componentwise (the
+    root of f with f(lo) <= 0 <= f(hi) is moves_lo = f <= 0); lo may lie
+    above hi. Each midpoint where moves_lo holds becomes the lo end, so where
+    it holds on an interval the result is its end farthest from lo. Returns
+    the midpoint array after `iters` halvings.
     """
-    a = np.asarray(lo, dtype=float).copy()
-    b = np.asarray(hi, dtype=float).copy()
+    a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
     for _ in range(iters):
         m = 0.5 * (a + b)
-        fm = f(m)
-        neg = fm <= 0
-        a = np.where(neg, m, a)
-        b = np.where(neg, b, m)
+        up = moves_lo(m)
+        np.copyto(a, m, where=up)
+        np.copyto(b, m, where=~up)
     return 0.5 * (a + b)
 
 

@@ -100,22 +100,23 @@ class Ellipse:
 PSI_EXCLUDE = 3e-4
 
 
-def _disc_radius(x, z, fnorm, depth) -> np.ndarray:
+def _disc_radius(x, z, fnorm, depth, psi=None, dy=None, mask=None) -> np.ndarray:
     """|z - x|^2 |f| / (2 depth), psi from the points and its parts |f| and
     depth = 1 - <f, z>; INF where depth <= 0. Broadcasts over the leading
     axes, where x and z must span psi's shape. Works in place, so a table
-    allocates one temporary of its size besides psi; depth is left
-    doubled."""
-    psi = z[..., 0] - x[..., 0]
+    allocates one float temporary and one bool mask of its size besides psi,
+    or writes them and psi into the buffers psi, dy and mask when given;
+    depth is left doubled."""
+    psi = np.subtract(z[..., 0], x[..., 0], out=psi)
     psi *= psi
-    dy = z[..., 1] - x[..., 1]
+    dy = np.subtract(z[..., 1], x[..., 1], out=dy)
     dy *= dy
     psi += dy
     with np.errstate(divide="ignore", invalid="ignore"):
         psi *= fnorm
         depth *= 2.0
         psi /= depth
-    np.copyto(psi, INF, where=depth <= 0)
+    np.copyto(psi, INF, where=np.less_equal(depth, 0, out=mask))
     return psi
 
 
@@ -216,11 +217,12 @@ def sweep_radii(model, thetas, points, supports, k_lo, k_hi, kink):
     base points at once (the classification sweep).
 
     The table is memory-bound, so it is built in blocks of BLOCK_POINTS
-    entries, whole rows of fine samples, whose temporaries stay in cache.
-    Each block takes <f, z> as one GEMM, supports @ fine.T, bit for bit
-    disc_psi's matmul, and masks psi's zone only at each row's
-    _zone_candidates, the samples the zone can reach; so every value is
-    disc_psi's."""
+    entries, whole rows of fine samples, written into buffers allocated
+    once per sweep (<f, z>, psi and a temporary in three float buffers, the
+    depth mask in a bool one) that stay in cache. Each block takes <f, z>
+    as one GEMM, supports @ fine.T, bit for bit disc_psi's matmul, and
+    masks psi's zone only at each row's _zone_candidates, the samples the
+    zone can reach; so every value is disc_psi's."""
     fine = model.fine_points()
     n = len(fine)
     cand = _zone_candidates(thetas, n)
@@ -229,10 +231,14 @@ def sweep_radii(model, thetas, points, supports, k_lo, k_hi, kink):
     r_in = np.empty(len(thetas))
     r_out = np.empty(len(thetas))
     rows = max(1, BLOCK_POINTS // n)
+    fz_buf, psi_buf, dy_buf = (np.empty((rows, n)) for _ in range(3))
+    mask_buf = np.empty((rows, n), dtype=bool)
     for lo in range(0, len(thetas), rows):
         sl = slice(lo, lo + rows)
-        fz = supports[sl] @ fine.T
-        psi = _disc_radius(points[sl, None], fine, fnorm[sl, None], np.subtract(1.0, fz, out=fz))
+        w = slice(0, len(r_in[sl]))
+        fz = np.matmul(supports[sl], fine.T, out=fz_buf[w])
+        np.subtract(1.0, fz, out=fz)
+        psi = _disc_radius(points[sl, None], fine, fnorm[sl, None], fz, psi_buf[w], dy_buf[w], mask_buf[w])
         hit = zone[sl]
         psi[np.nonzero(hit)[0], cand[sl][hit]] = np.nan
         r_in[sl] = np.nanmin(psi, axis=1)

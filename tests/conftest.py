@@ -3,6 +3,29 @@ import pytest
 from normplane import gallery, models
 
 
+@pytest.fixture
+def gauge_counter():
+    """count(model, run) -> (calls, points): the gauge_many calls on model
+    during run() and the rows they evaluate, counted on the instance."""
+
+    def count(model, run):
+        sizes = []
+        gauge_many = model.gauge_many
+
+        def counting(pts):
+            sizes.append(len(pts))
+            return gauge_many(pts)
+
+        model.gauge_many = counting
+        try:
+            run()
+        finally:
+            del model.gauge_many
+        return len(sizes), sum(sizes)
+
+    return count
+
+
 @pytest.fixture(scope="session")
 def euclid():
     return gallery.get("euclidean")

@@ -185,21 +185,13 @@ def test_tangent_shrink_is_a_contraction(name, theta, r):
     assert geometry.operator_norm(model, shrink) <= 1.0 + semigroup.CERTIFY_TOL
 
 
-def test_delta_table_gauge_points(pig_strict, monkeypatch):
+def test_delta_table_gauge_points(pig_strict, gauge_counter):
     """The verdict's table gauges 2,374,720 points on half the base points,
     each map scanned on half the grid, each eps searching only the maps that
     failed at the eps before (6,248,448 unscreened; 20,889,600 on the full
     grids)."""
-    points = []
-    gauge_many = pig_strict.gauge_many
-
-    def counting(pts):
-        points.append(len(pts))
-        return gauge_many(pts)
-
-    monkeypatch.setattr(pig_strict, "gauge_many", counting)
-    classify.umst_delta_table(pig_strict, (0.05, 0.1, 0.2, 0.4))
-    assert sum(points) <= 2_500_000
+    _, points = gauge_counter(pig_strict, lambda: classify.umst_delta_table(pig_strict, (0.05, 0.1, 0.2, 0.4)))
+    assert points <= 2_500_000
 
 
 @pytest.mark.parametrize("n_a, n_off", [(63, 16), (0, 16), (64, 0)])

@@ -1,6 +1,7 @@
 """Convexity moduli, power-type fits, and the decomposition inequality."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -224,35 +225,52 @@ def test_sweep_rows_match_one_eps_sweeps(name, faced):
         assert np.array_equal(moduli._sweep_depths(model, eps_grid[j : j + 1])[0], rows[j]), float(eps)
 
 
-def _gauge_points(model, monkeypatch, run) -> int:
-    """Points model.gauge_many evaluates during run()."""
-    points = []
-    gauge_many = model.gauge_many
-
-    def counting(pts):
-        points.append(len(pts))
-        return gauge_many(pts)
-
-    monkeypatch.setattr(model, "gauge_many", counting)
-    run()
-    return sum(points)
-
-
-def test_delta_curve_gauge_points(monkeypatch):
+def test_delta_curve_gauge_points(gauge_counter):
     """One curve: the sweep gauges only the pairs its <= 10 bracket steps read
-    (2,650,072 points on grandpa_pig_strict, its 64-eps polish and zoom
-    included); a 50-step bisection per sweep lane alone would gauge
+    and polishes only the lanes that can hold their eps' minimum (2,650,072
+    points on grandpa_pig_strict before that pruning, its 64-eps polish and
+    zoom included); a 50-step bisection per sweep lane alone would gauge
     64 * 1024 * 50 = 3,276,800."""
     model = models.make_polar(sin_terms={4: 1.0 / 34.0})
-    assert _gauge_points(model, monkeypatch, lambda: moduli.delta_curve(model)) <= 2_700_000
+    assert gauge_counter(model, lambda: moduli.delta_curve(model))[1] <= 2_700_000
 
 
-def test_delta_uc_gauge_points(ellipse_2_1, monkeypatch):
-    """One delta_uc call: <= 10 bracket steps and the polish on the 1024
-    sweep lanes (512 base points, both branches), then the 50-step zoom
-    (69,090 points on all 1024 base points; 227,810 when every sweep lane
-    bisected for 50 steps)."""
-    assert _gauge_points(ellipse_2_1, monkeypatch, lambda: moduli.delta_uc(ellipse_2_1, 0.5)) <= 45_000
+def test_delta_uc_gauge_points(ellipse_2_1, l4, gauge_counter):
+    """One delta_uc call: <= 10 bracket steps, the bracket-end depths and the
+    polish of the sweep lanes that can hold the minimum, then the 50-step
+    zoom (69,090 points on all 1024 base points; 227,810 when every sweep
+    lane bisected for 50 steps). On the ellipse no lane is pruned (43,490
+    points); on l4 at eps = 0.5 all but a few dozen of the 1024 are (25,562
+    points, against 41,442 polishing them all)."""
+    assert gauge_counter(ellipse_2_1, lambda: moduli.delta_uc(ellipse_2_1, 0.5))[1] <= 45_000
+    assert gauge_counter(l4, lambda: moduli.delta_uc(l4, 0.5))[1] <= 27_000
+
+
+def _unpruned_rows(model, eps):
+    """The sweep's rows with every bracketed lane polished, as before the
+    pruning: the oracle of the pruned sweep."""
+    n = models.SPHERE_CACHE_N
+    base, sign, k, d_lo, d_hi, e = moduli._sweep_brackets(model, eps)
+    depth = np.full(e.size, np.inf)
+    found = np.nonzero(k <= n // 2)[0]
+    depth[found] = moduli._polish_depths(model, *(a[found] for a in (base, sign, k, d_lo, d_hi, e)))
+    depth = depth.reshape(len(eps), n)
+    return np.minimum(depth[:, : n // 2], depth[:, n // 2 :])
+
+
+@pytest.mark.parametrize("name", _GALLERY_AND_DUALS)
+def test_sweep_pruning_keeps_argmin_and_values(name):
+    """Pruned base points read inf, every other entry is the unpruned
+    sweep's bit for bit, and each row's argmin, where the zoom starts, is the
+    unpruned one: on the curve grid and on random eps."""
+    model = _curve_model(name)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    curve_grid = np.geomspace(moduli.CURVE_EPS_MIN, 2.0, moduli.CURVE_GRID_N)
+    eps = np.concatenate([curve_grid, np.exp(rng.uniform(np.log(0.02), np.log(2.0), 8))])
+    rows, want = moduli._sweep_depths(model, eps), _unpruned_rows(model, eps)
+    assert np.array_equal(np.argmin(rows, axis=1), np.argmin(want, axis=1))
+    finite = np.isfinite(rows)
+    assert np.array_equal(rows[finite], want[finite])
 
 
 def _clarkson(p: float):

@@ -171,6 +171,50 @@ def test_zoom_passes_over_nan_keeps_inf():
     assert vs[2] == -np.inf and xs[2] == grid[2, spike[2][0]]
 
 
+def _zoom_per_round_linspace(f, center, h, rounds):
+    """zoom_min as it was written before its ramp and stop rule: a fresh
+    linspace each round, every round run."""
+    center = np.array(center, dtype=float, ndmin=1)
+    rows = np.arange(center.size)
+    arg, best = center.copy(), np.full(center.size, np.inf)
+    for _ in range(rounds):
+        local = center[:, None] + np.linspace(-h, h, ZOOM_POINTS)
+        v = f(local)
+        v = np.where(np.isnan(v), np.inf, v)
+        j = np.argmin(v, axis=1)
+        center, low = local[rows, j], v[rows, j]
+        up = low < best
+        arg, best = np.where(up, center, arg), np.where(up, low, best)
+        h = 2.0 * h / (ZOOM_POINTS - 1)
+    return arg, best
+
+
+def test_zoom_ramp_and_stop_rule_keep_every_bit():
+    """Over the certificates' 14 rounds from a fine-cache step, the lanes near
+    6 collapse onto their centres (their windows round to one float) after
+    about 10 rounds, while a lane near 1e-3, where floats are denser, stays
+    open: the search runs every round for it and stops once all lanes have
+    collapsed, and either way returns the per-round-linspace loop's angles
+    and values bit for bit."""
+    h = 2.0 * np.pi / 4096
+    targets = np.array([6.0 + 1.234567e-4, 6.1 - 7.654321e-4, 1.0e-3 + 3.21e-7])
+
+    def f(x):
+        calls.append(x.shape[0])
+        return np.abs(x - targets[: x.shape[0], None])
+
+    for lanes, full in ((3, True), (2, False)):
+        centers = targets[:lanes] + 0.37 * h
+        calls = []
+        got = zoom_min(f, centers, h, 14)
+        assert (len(calls) == 14) == full and len(calls) >= 9
+        want = _zoom_per_round_linspace(f, centers, h, 14)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        # the open lane keeps closing in on its target after the others stop
+        if full:
+            assert got[1][2] < _zoom_per_round_linspace(f, centers, h, 11)[1][2]
+
+
 def test_zoom_of_two_rounds_is_the_modulus_zoom():
     # moduli._zoom_min is two rounds from the grid argmin, window one grid
     # step, shrinking 16x a round
@@ -306,6 +350,38 @@ def test_circle_max_matches_dense_brute_force():
         assert np.array_equal(_rows_wavy(rows, angles), maxima)
 
 
+def _argsort_seed_maxima(f, vals, seeds, iters):
+    """circle_max's zoomed maxima with the seeds of each row taken by a full
+    argsort, as before argpartition: each finite seed's window zoomed alone,
+    not below the grid maximum."""
+    k, n = vals.shape
+    h = 2.0 * np.pi / n
+    out = vals.max(axis=1)
+    for r in range(k):
+
+        def lane(x, r=r):
+            return -f(np.full(x.shape, r), x)
+
+        for j in np.argsort(-vals[r], kind="stable")[:seeds]:
+            if np.isfinite(vals[r, j]):
+                out[r] = max(out[r], -zoom_min(lane, [(j + 0.5) * h], h, zoom_rounds(iters))[1][0])
+    return out
+
+
+def test_circle_max_argpartition_seeds_give_the_argsort_maxima():
+    """The seeds by argpartition refine the same samples as a full argsort, so
+    the maxima are the same, with more seeds than samples as well (every
+    sample a seed) and with an infinite sample at a row's maximum (+inf is
+    the row's maximum, -inf, as psi's zone reads, is no seed)."""
+    rows = np.arange(4)
+    for n, seeds in ((64, 8), (96, 3), (6, 8)):
+        vals = _rows_wavy(rows[:, None], phase_grid(n)[None, :])
+        vals[1, np.argmax(vals[1])] = np.inf
+        vals[2, np.argmax(vals[2])] = -np.inf
+        got = circle_max(_rows_wavy, vals, seeds, 40, zoom=True)[0]
+        assert np.array_equal(got, _argsort_seed_maxima(_rows_wavy, vals, seeds, 40)) and got[1] == np.inf
+
+
 def test_circle_max_ties_keep_the_first_grid_maximum():
     vals = np.zeros((2, 16))
     vals[:, [3, 10]] = 1.0
@@ -386,10 +462,46 @@ def test_bisect_plateau_end_follows_lo():
     def f(x):
         return np.where(x < 1.0, -1.0, np.where(x > 2.0, 1.0, 0.0))
 
-    up = bisect_batch(f, np.array([0.0]), np.array([3.0]), 60)[0]
-    down = bisect_batch(lambda x: -f(x), np.array([3.0]), np.array([0.0]), 60)[0]
+    up = bisect_batch(lambda x: f(x) <= 0, np.array([0.0]), np.array([3.0]), 60)[0]
+    down = bisect_batch(lambda x: -f(x) <= 0, np.array([3.0]), np.array([0.0]), 60)[0]
     assert up == pytest.approx(2.0, abs=1e-12)
     assert down == pytest.approx(1.0, abs=1e-12)
+
+
+def _textbook_bisect(moves_lo, lo: float, hi: float, iters: int) -> float:
+    """Bisection on one bracket, one midpoint at a time."""
+    a, b = lo, hi
+    for _ in range(iters):
+        m = 0.5 * (a + b)
+        if moves_lo(m):
+            a = m
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
+_BRACKET_END = hst.floats(-10.0, 10.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ends=hst.lists(hst.tuples(_BRACKET_END, _BRACKET_END, hst.floats(0.0, 1.0)), min_size=1, max_size=6),
+    iters=hst.integers(0, 60),
+)
+def test_bisect_lanes_match_the_textbook_loop(ends, iters):
+    """Each lane of bisect_batch is the textbook loop on its bracket, bit for
+    bit, for brackets either way round and for a predicate that holds on a
+    plateau (a lane whose root is an end of it)."""
+    lo, hi, t = (np.array(column) for column in zip(*ends))
+    root = lo + t * (hi - lo)
+
+    def moves_lo(x, root=root, lo=lo):
+        return (x - root) * (root - lo) <= 0.0
+
+    got = bisect_batch(moves_lo, lo, hi, iters)
+    for j in range(len(ends)):
+        want = _textbook_bisect(lambda x: bool(moves_lo(x, root[j], lo[j])), lo[j], hi[j], iters)
+        assert got[j] == want
 
 
 # few distinct values, so that draws repeat them; both zeros among them

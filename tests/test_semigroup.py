@@ -392,3 +392,13 @@ def test_orbit_map_call_budget(monkeypatch, name, sphere_calls, gauge_calls):
     semigroup.orbit_map(model, x, y)
     calls = _calls(model, monkeypatch, lambda: semigroup.orbit_map(model, x, y))
     assert calls["sphere_points_at"] <= sphere_calls and calls["gauge_many"] <= gauge_calls, calls
+
+
+def test_certificate_gauge_call_budget(ellipse_2_1, gauge_counter):
+    """One certificate: one gauge_many call on the grid of both maps, then
+    two a zoom round (ellipse_2_1's sphere points are 1 / gauge), until every
+    window has rounded onto its centre: 12 of the 14 rounds at these angles,
+    25 calls, and 29 when all 14 rounds run."""
+    x, y = geometry.sphere_point(ellipse_2_1, 0.3), geometry.sphere_point(ellipse_2_1, 2.1)
+    t = semigroup.orbit_map(ellipse_2_1, x, y).T
+    assert gauge_counter(ellipse_2_1, lambda: semigroup.certify(ellipse_2_1, t))[0] <= 25
