@@ -172,7 +172,7 @@ def refined_kappa_min(model) -> float:
 def classify_st(model, dual_check: bool = False) -> StVerdict:
     """ST verdict: every swept point must admit inner and outer discs.
 
-    With ``dual_check`` the numerically sampled dual plane is swept as well
+    With ``dual_check`` the dual plane (models.dual_model) is swept as well
     and the verdicts are required to agree; SelfCheckFailed if they do not.
     """
     verdict = _classify_st_primal(model)

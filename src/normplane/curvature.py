@@ -83,14 +83,6 @@ def curvature_polar_many(g, gp, gpp):
     return np.abs(2.0 * gp * gp + g * g - g * gpp) / (g * g + gp * gp) ** 1.5
 
 
-def stencil_curvature_many(model, thetas) -> np.ndarray:
-    """Polar-graph curvature of the model's radial function, its derivatives
-    from a 5-point stencil of step 2e-4: the sampled dual's curvature rule."""
-    h = 2e-4
-    r = [model.radial_many(thetas + k * h) for k in (-2, -1, 0, 1, 2)]
-    return curvature_polar_many(r[2], stencil5_d1(r, h), stencil5_d2(r, h))
-
-
 @dataclass
 class CurvatureProfile:
     """Sampled curvature of a model's unit sphere over a theta grid."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, Singular
-from .numerics import BLOCK_POINTS, circle_max, phase_grid
+from .numerics import BLOCK_POINTS, circle_max, illinois_batch, phase_grid
 
 #: support functionals differing by more than this (in sup norm) mark a kink
 SMOOTH_JUMP_TOL = 1e-6
@@ -27,8 +27,13 @@ DET_TOL = 1e-12
 
 #: coarse grid sizes (operator_norm and certificates search the model's
 #: 4096-point fine cache)
-DUAL_GAUGE_GRID = 2048
 OPNORM_BATCH_GRID = 512
+
+#: the support table's tolerance on the maximiser's angle, its halvings of
+#: an interval at most, and the Illinois steps of the polish where it fails
+SUPPORT_TOL = 1e-9
+SUPPORT_DEPTH = 24
+SUPPORT_STEPS = 40
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,27 +138,128 @@ class SpherePoint:
 
 
 def dual_gauge(model, f) -> float:
-    """sup{<f, y> : gauge(y) <= 1}, by coarse grid plus golden refinement."""
+    """sup{<f, y> : gauge(y) <= 1}: dual_gauge_many at one functional."""
     f = as_vec(f)
     return float(dual_gauge_many(model, np.array([[f.x1, f.x2]]))[0])
 
 
 def dual_gauge_many(model, fs: np.ndarray) -> np.ndarray:
-    """Dual gauges of the rows of fs: circle_max of <f, z> over the sphere
-    from a DUAL_GAUGE_GRID grid, one seed per functional, 60 steps. The rows
-    are scored in chunks of 1024, so the score table stays at 16 MiB."""
+    """The support function h(f) = sup{<f, y> : gauge(y) <= 1} of the unit
+    ball at the rows f of fs (support_points)."""
+    return support_points(model, fs)[0]
+
+
+def support_points(model, fs):
+    """(h(f), theta, x) for the rows f of fs: the support function and the
+    polar angle of the sphere point x with <f, x> = h(f), by the support
+    table's cubic, or its Illinois polish where the cubic is not trusted."""
     fs = np.asarray(fs, dtype=float)
-    grid = model.sphere_points_at(phase_grid(DUAL_GAUGE_GRID))
-    out = np.empty(len(fs))
-    for start in range(0, len(fs), 1024):
-        chunk = fs[start:start + 1024]
+    table, trusted, phi0 = _support_table(model)
+    rel = (np.arctan2(fs[:, 1], fs[:, 0]) - phi0) % (2.0 * np.pi)
+    i = np.searchsorted(table[0], rel, side="right") - 1
+    start, inv_width, a, c1, c2, c3, b, end = table[:, i]
+    t = (rel - start) * inv_width
+    thetas = a + t * (c1 + t * (c2 + t * c3))
+    polish = np.flatnonzero(~trusted[i] & (t > 0.0))
+    if polish.size:
+        psi = rel[polish] + phi0
 
-        def val(rows, ts):
-            return np.einsum("ij,ij->i", chunk[rows], model.sphere_points_at(ts))
+        def turn(th):  # the support's angle at th less f's, rising through 0
+            return (_support_knots(model, th)[0] - psi + np.pi) % (2.0 * np.pi) - np.pi
 
-        out[start:start + 1024] = circle_max(val, chunk @ grid.T, 1, 60)[0]
-    out[np.hypot(fs[:, 0], fs[:, 1]) == 0.0] = 0.0
-    return out
+        lo, hi = (start - rel)[polish], (end - rel)[polish]
+        thetas[polish] = illinois_batch(turn, a[polish], b[polish], lo, hi, SUPPORT_STEPS)
+    points = model.sphere_points_at(thetas)
+    return np.einsum("ij,ij->i", fs, points), thetas, points
+
+
+def _support_knots(model, thetas, f=None, kappas=None):
+    """(phi, d theta / d phi = 1 / (kappa |x|^2 |f|)) at the sphere points x
+    of thetas, f the support (the model's unless given) paired 1 with x."""
+    x = model.sphere_points_at(thetas)
+    f = model.grad_many(x) if f is None else f
+    kappas = model.curvature_theta_many(thetas) if kappas is None else kappas
+    scale = np.einsum("ij,ij->i", x, x) * np.hypot(f[:, 0], f[:, 1]) / np.einsum("ij,ij->i", f, x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.arctan2(f[:, 1], f[:, 0]), 1.0 / (kappas * scale)
+
+
+def _hermite(rows):
+    """(c1, c2, c3) of theta = ta + t (c1 + t (c2 + t c3)) over t in [0, 1]
+    across each row (ta, pa, ma, tb, pb, mb): the cubic Hermite interpolant
+    of theta from ta to tb with slopes ma, mb in phi from pa to pb, each
+    slope capped at 3 times the secant's, which keeps it monotone (Fritsch
+    and Carlson, SIAM J. Numer. Anal. 17, 1980); theta stays at ta where it
+    or phi does not rise."""
+    ta, pa, ma, tb, pb, mb = rows.T
+    rise = np.where((tb > ta) & (pb > pa), tb - ta, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b = (np.where(rise > 0.0, np.minimum(m * (pb - pa) / rise, 3.0), 0.0) for m in (ma, mb))
+    return a * rise, (3.0 - 2.0 * a - b) * rise, (a + b - 2.0) * rise
+
+
+def _support_table(model):
+    """The maximiser's angle theta as a function of the support angle phi,
+    kept on the model: knots at the sphere cache's angles, the sweep hints,
+    and each corner row twice, with either side's support and curvature (a
+    kink's cone of supports keeps theta at the kink). Between knots theta is
+    _hermite's cubic, checked at a quarter, half and three quarters of the
+    interval's phi: the Newton step from the cubic's angle to the true one
+    must be at most SUPPORT_TOL there, and the value <f, x> it would gain at
+    most SUPPORT_TOL^2 relative. A failing interval is split at its middle,
+    SUPPORT_DEPTH times at most, and left untrusted after that.
+
+    Returns (table, trusted, phi0): the table's rows are the intervals'
+    start phi, 1 / width, the cubic's coefficients, end theta and end phi,
+    with phi unwrapped from the first knot's phi0."""
+    if model._support_table is not None:
+        return model._support_table
+    c = model.corners()
+    free = np.concatenate([model.sphere_cache()["thetas"], model.feature_thetas()])
+    free = free[~c.lookup(free)[0]]
+    knots = [(free, *_support_knots(model, free))]
+    for f, k in ((c.f_minus, c.k_minus), (c.f_plus, c.k_plus)):
+        knots.append((c.thetas, *_support_knots(model, c.thetas, f, k)))
+    theta, phi, slope = map(np.concatenate, zip(*knots))
+    # by angle, a corner's minus side first
+    order = np.lexsort((np.arange(len(theta)) >= len(theta) - len(c.thetas), theta))
+    theta, phi, slope = theta[order], phi[order], slope[order]
+    # each step turns the support by [0, pi), rounding on a flat stretch by 0
+    turns = np.maximum((np.diff(phi, prepend=phi[0]) + np.pi) % (2.0 * np.pi) - np.pi, 0.0)
+    rows = np.column_stack([theta, np.minimum(np.cumsum(turns), 2.0 * np.pi), slope])
+    rows = np.hstack([rows, np.roll(rows, -1, axis=0)])
+    rows[-1, 3:5] += 2.0 * np.pi
+    done = []
+    u = np.array([0.25, 0.5, 0.75])
+    with np.errstate(invalid="ignore"):  # a slope of inf gives NaN, which fails
+        for _ in range(SUPPORT_DEPTH):
+            if not len(rows):
+                break
+            c1, c2, c3 = (v[:, None] for v in _hermite(rows))
+            ta, pa, tb, pb = (rows[:, [k]] for k in (0, 1, 3, 4))
+            tc = ta + u * (c1 + u * (c2 + u * c3))
+            inside = (tc >= ta) & (tc <= tb)
+            tc = np.where(inside, tc, ta + u * (tb - ta))
+            pc, mc = (v.reshape(tc.shape) for v in _support_knots(model, tc.ravel()))
+            pc = np.clip(pa + (pc - phi[0] - pa + np.pi) % (2.0 * np.pi) - np.pi, pa, pb)
+            miss = pa + u * (pb - pa) - pc
+            step = miss * mc  # the Newton step in theta
+            close = inside & (np.abs(step) <= SUPPORT_TOL) & (np.abs(miss * step) <= SUPPORT_TOL**2)
+            # a cone (theta fixed) or an empty interval (phi fixed) is exact
+            good = (tb[:, 0] <= ta[:, 0]) | (pb[:, 0] <= pa[:, 0]) | close.all(axis=1)
+            done.append(rows[good])
+            knot, rows = np.column_stack([tc[:, 1], pc[:, 1], mc[:, 1]])[~good], rows[~good]
+            rows = np.vstack([np.column_stack([rows[:, :3], knot]), np.column_stack([knot, rows[:, 3:]])])
+    trusted = np.arange(sum(map(len, done)) + len(rows)) < sum(map(len, done))
+    rows = np.vstack(done + [rows])
+    order = np.lexsort((rows[:, 0], rows[:, 1]))
+    rows, trusted = rows[order], trusted[order]
+    pa, pb = rows[:, 1], rows[:, 4]
+    # theta stays at the start until the polish where the cubic is not trusted
+    cubic = [np.where(trusted, c, 0.0) for c in _hermite(rows)]
+    table = np.stack([pa, 1.0 / np.where(pb > pa, pb - pa, np.inf), rows[:, 0], *cubic, rows[:, 3], pb])
+    model._support_table = (table, trusted, phi[0])
+    return model._support_table
 
 
 def sphere_data(model, thetas) -> dict:

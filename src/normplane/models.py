@@ -1,6 +1,8 @@
 """The catalogue of norm families: lp, polar-profile, quadrant mixes,
 polygons, arc chains (the spliced sphere and the staircase sphere among
-them), ellipse intersections, blends, and numerically sampled duals.
+them), ellipse intersections, blends, and the duals of all of them (closed
+forms where a family has one, the support function of the base's ball
+otherwise).
 
 Every model is immutable after construction and carries two eagerly built
 caches: a 1024-point sphere table with supports/tangents/curvatures and a
@@ -10,7 +12,7 @@ gauge(-v) == gauge(v) holds exactly, bit for bit, for every family. Most
 formulas are exactly even as written (absolute values, hypot, squares, a
 quadrant picked by a sign product), so their rows are evaluated as given. The
 four families whose gauge reads an angle or a face normal (polar profiles, arc
-chains, sampled duals: arctan2(-v) is theta + pi only to rounding; polygons:
+chains, support duals: arctan2(-v) is theta + pi only to rounding; polygons:
 normals are antipodal only to make_polygon's tolerance) flip each row to a
 canonical sign first.
 """
@@ -29,7 +31,6 @@ from .curvature import (
     INF,
     curvature_implicit_many,
     curvature_polar_many,
-    stencil_curvature_many,
 )
 from .errors import (
     BadParameter,
@@ -41,7 +42,6 @@ from .errors import (
 )
 from .geometry import Vec2, as_vec
 from .numerics import (
-    PeriodicSpline,
     angle_dist,
     phase_grid,
     quad_form,
@@ -51,9 +51,6 @@ from .numerics import (
 
 SPHERE_CACHE_N = 1024
 FINE_CACHE_N = 4096
-
-#: radial table size of the numerically sampled dual
-DUAL_TABLE_N = 8192
 
 #: junction tangents must agree to this tolerance (Euclidean, absolute)
 TANGENT_TOL = 1e-9
@@ -181,6 +178,7 @@ class NormModel:
         self._kappa_extrema = None
         self._delta_curve = None
         self._corners = None
+        self._support_table = None
 
     # -- family hooks --------------------------------------------------------
 
@@ -424,31 +422,13 @@ def make_lp(p) -> LpNorm:
 # -- polar profile ---------------------------------------------------------
 
 
-class RadialNorm(NormModel):
-    """Gauge r / g(theta) of a family known by its sphere radius g at each
-    polar angle; ``g_many(thetas, order)`` gives g and its derivatives."""
-
-    def g_many(self, thetas, order: int = 0) -> np.ndarray:
-        raise NotImplementedError
-
-    def _gauge_raw(self, pts):
-        return _radial_gauge(pts, self.g_many)
-
-    def grad_many(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        th = np.arctan2(pts[:, 1], pts[:, 0])
-        g = self.g_many(th)
-        gp = self.g_many(th, 1)
-        c, s = np.cos(th), np.sin(th)
-        return np.column_stack([(c * g + gp * s), (s * g - gp * c)]) / (g * g)[:, None]
-
-
 #: the k-th derivative of cos(n theta) is n^k sign trig(n theta), by k mod 4
 _COS_DERIVATIVES = ((1.0, np.cos), (-1.0, np.sin), (-1.0, np.cos), (1.0, np.sin))
 
 
-class PolarNorm(RadialNorm):
-    """Gauge r / g(theta) for a positive pi-periodic trigonometric profile."""
+class PolarNorm(NormModel):
+    """Gauge r / g(theta) for a positive pi-periodic trigonometric profile;
+    ``g_many(thetas, order)`` gives g and its derivatives."""
 
     family = "polar"
     is_c2 = True
@@ -478,6 +458,17 @@ class PolarNorm(RadialNorm):
                 term *= sign * a * n**order
                 out += term
         return out
+
+    def _gauge_raw(self, pts):
+        return _radial_gauge(pts, self.g_many)
+
+    def grad_many(self, pts):
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        th = np.arctan2(pts[:, 1], pts[:, 0])
+        g = self.g_many(th)
+        gp = self.g_many(th, 1)
+        c, s = np.cos(th), np.sin(th)
+        return np.column_stack([(c * g + gp * s), (s * g - gp * c)]) / (g * g)[:, None]
 
     def curvature_theta_many(self, thetas):
         thetas = np.asarray(thetas, dtype=float)
@@ -1001,6 +992,10 @@ class BlendNorm(NormModel):
         (f_minus, k_minus), (f_plus, k_plus) = (self._from_base(x, f, k) for f, k in sides)
         return Corners(base.thetas, f_minus, f_plus, k_minus, k_plus, base.kink)
 
+    def _sweep_hints(self):
+        # the base's curvature is 0 or inf there, and so the blend's may be
+        return self.base._sweep_hints()
+
     def _from_base(self, x, f, k):
         """(supports, curvatures) of the blend at its sphere points x, from the
         base's supports f and curvatures k on the same rays (inf where k is):
@@ -1048,36 +1043,64 @@ def make_blend(base: NormModel, eps: float) -> BlendNorm:
     return BlendNorm(base, eps).validate()
 
 
-# -- numerically sampled duals ------------------------------------------------
+# -- duals ---------------------------------------------------------------------
 
 
-class DualNorm(RadialNorm):
-    """Dual gauge of a base model, sampled once and interpolated.
-
-    The radial table is computed with the exact support-maximization routine
-    on a dense grid of DUAL_TABLE_N knots, of which the first half is gauged
-    and the second half, the antipodal functionals, repeats it exactly (the
-    dual gauge is even); the package's own periodic cubic spline
-    (``numerics.PeriodicSpline``) then serves gauge queries. The table
-    resolution keeps interpolation error near 1e-12 for smooth bases.
-    Gradients come from the spline's first derivative; curvatures from a
-    stencil on the radial function, since its second derivative is too rough.
-    """
+class SupportDual(NormModel):
+    """The dual of a base model from the support function of its ball,
+    N*(f) = h_B(f) = <f, x> with x the base's sphere point that f supports
+    (geometry.support_points), on the canonical rows. The gradient at f is
+    x, and the curvature at the dual sphere point f is 1 / (kappa(x) (|x|
+    |f|)^3) (Hug, Results Math. 29, 1996). A base junction at x with support
+    f turns into a junction at f, a kink into a face from f_minus to f_plus
+    whose ends have curvature 0 on the face's side, both supported by x, and
+    a sweep hint into a hint at its support's angle."""
 
     family = "dual"
 
     def __init__(self, base: NormModel):
         super().__init__({"base": dict(base.params), "base_family": base.family})
         self.base = base
-        half = _units(np.arange(DUAL_TABLE_N // 2) * (2.0 * np.pi / DUAL_TABLE_N))
-        self._spline = PeriodicSpline(np.tile(1.0 / geometry.dual_gauge_many(base, half), 2))
         self.is_c2 = base.is_c2
 
-    def g_many(self, thetas, order: int = 0):
-        return self._spline(thetas, order)
+    def _gauge_raw(self, pts):
+        return geometry.dual_gauge_many(self.base, _canonical(pts))
+
+    def grad_many(self, pts):
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        canon = _canonical(pts)
+        x = geometry.support_points(self.base, canon)[2]
+        # the gradient of an even gauge is odd
+        return np.where((canon == pts).all(axis=1)[:, None], x, -x)
 
     def curvature_theta_many(self, thetas):
-        return stencil_curvature_many(self, np.asarray(thetas, dtype=float))
+        units = _canonical(_units(np.asarray(thetas, dtype=float)))
+        h, th, x = geometry.support_points(self.base, units)
+        # the dual sphere point u / h(u) has norm 1 / h(u)
+        return _dual_kappas(self.base.curvature_theta_many(th), x, 1.0 / h)
+
+    def _corner_rows(self):
+        c = self.base.corners()
+        x = self.base.sphere_points_at(c.thetas)
+        sides = ((c.k_minus, c.f_minus), (c.k_plus, c.f_plus))
+        k_minus, k_plus = (_dual_kappas(k, x, np.hypot(f[:, 0], f[:, 1])) for k, f in sides)
+        # a row at each f_minus, and one more at each kink's f_plus
+        f, x = np.concatenate([c.f_minus, c.f_plus[c.kink]]), np.concatenate([x, x[c.kink]])
+        k_minus = np.concatenate([k_minus, np.zeros(c.kink.sum())])
+        k_plus = np.concatenate([np.where(c.kink, 0.0, k_plus), k_plus[c.kink]])
+        thetas = np.arctan2(f[:, 1], f[:, 0]) % (2.0 * np.pi)
+        return Corners(thetas, x, x, k_minus, k_plus, np.zeros(len(f), dtype=bool))
+
+    def _sweep_hints(self):
+        g = self.base.grad_many(self.base.sphere_points_at(self.base._sweep_hints()))
+        return np.arctan2(g[:, 1], g[:, 0]) % (2.0 * np.pi)
+
+
+def _dual_kappas(kappas, x, fnorms):
+    """1 / (kappa (|x| |f|)^3): the dual's curvature at the points f of norms
+    fnorms, supported by the base's sphere points x of curvatures kappas."""
+    with np.errstate(divide="ignore"):
+        return 1.0 / (kappas * (np.hypot(x[:, 0], x[:, 1]) * fnorms) ** 3)
 
 
 def dual_model(model: NormModel) -> NormModel:
@@ -1085,8 +1108,8 @@ def dual_model(model: NormModel) -> NormModel:
     kept on it, and the base kept on the dual: the bidual is the model).
 
     Exact for lp (conjugate exponent), quadrant mixes (conjugates quadrantwise),
-    polygons (dual polygon), and single ellipses (inverse form); numerically
-    sampled otherwise.
+    polygons (dual polygon), and single ellipses (inverse form); the
+    SupportDual of the model otherwise.
     """
     if model._dual is None:
         model._dual = _dual_model(model)
@@ -1104,4 +1127,4 @@ def _dual_model(model: NormModel) -> NormModel:
     if isinstance(model, EllipseMaxNorm) and model.single:
         m = np.linalg.inv(model.m1)
         return make_ellipse_pair(m, m)
-    return DualNorm(model).validate()
+    return SupportDual(model).validate()

@@ -2,10 +2,9 @@
 distinct values of an array, two lane-wise minimum searches (golden section,
 one point per lane a step, and a zoom, one batched call of ZOOM_POINTS points
 per lane a round) and the circle maximum that refines with either, batched
-bisection and Illinois root polishing, a periodic cubic spline,
-finite-difference stencils, 2x2 matrix helpers (quadratic forms, symmetric
-powers, rotations), and the block size of the memory-bound classification
-tables.
+bisection and Illinois root polishing, finite-difference stencils, 2x2
+matrix helpers (quadratic forms, symmetric powers, rotations), and the block
+size of the memory-bound classification tables.
 
 Golden section needs the fewest evaluations, the zoom the fewest calls: on a
 few lanes a call of the model's gauge costs about the same for 4 rows as for
@@ -241,61 +240,6 @@ def illinois_batch(f, a, b, fa, fb, iters: int):
         b, fb = np.where(up, x, b), np.where(up, fx, fb)
         kept_a, kept_b = up, ~up
     return x
-
-
-class PeriodicSpline:
-    """Periodic cubic spline through the samples y at the n knots
-    2 pi k / n, k = 0..n-1: the C2 interpolant that
-    scipy.interpolate.CubicSpline(bc_type="periodic") builds, to rounding.
-
-    Its knot slopes s solve dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] +
-    dx[i-1] s[i+1] = 3 (dx[i] m[i-1] + dx[i-1] m[i]), with dx the knot
-    spacings and m the secant slopes. With every dx equal to h = 2 pi / n
-    the matrix is h times the circulant (1, 4, 1), whose eigenvalues
-    4 + 2 cos(2 pi k / n) lie in [2, 6], so a real FFT pair solves it; the
-    rounded knots' spacings differ from h by up to ~1e-12 relative, which
-    one step of refinement against the true residual removes. Each interval keeps the cubic Hermite
-    coefficients in powers of the offset from its left knot, evaluated term
-    by term as scipy's PPoly does.
-    """
-
-    def __init__(self, y):
-        y = np.asarray(y, dtype=float)
-        n = y.size
-        h = 2.0 * np.pi / n
-        self.knots = np.arange(n + 1) * h
-        dx = np.diff(self.knots)
-        slope = np.diff(np.append(y, y[0])) / dx
-        # row i's coefficients of s[i-1] and s[i+1]
-        prev, after = dx, np.roll(dx, 1)
-        rhs = 3.0 * (prev * np.roll(slope, 1) + after * slope)
-        eig = h * (4.0 + 2.0 * np.cos(np.arange(n // 2 + 1) * (2.0 * np.pi / n)))
-
-        def circulant_solve(b):
-            return np.fft.irfft(np.fft.rfft(b) / eig, n)
-
-        s = circulant_solve(rhs)
-        lhs = prev * np.roll(s, 1) + 2.0 * (prev + after) * s + after * np.roll(s, -1)
-        s += circulant_solve(rhs - lhs)
-        s = np.append(s, s[0])
-        t = (s[:-1] + s[1:] - 2.0 * slope) / dx
-        # rows: cubic, quadratic, linear and constant coefficients
-        self.coeffs = np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y])
-
-    def __call__(self, x, order: int = 0) -> np.ndarray:
-        """The spline (order 0) or its first derivative (order 1) at the
-        angles x, taken modulo 2 pi."""
-        x = np.asarray(x, dtype=float) % (2.0 * np.pi)
-        i = np.searchsorted(self.knots, x, side="right") - 1
-        np.clip(i, 0, self.knots.size - 2, out=i)
-        z = x - self.knots[i]
-        c3, c2, c1, c0 = (row[i] for row in self.coeffs)
-        if order == 0:
-            z2 = z * z
-            return c0 + c1 * z + c2 * z2 + c3 * (z2 * z)
-        if order == 1:
-            return c1 + c2 * z * 2.0 + c3 * (z * z) * 3.0
-        raise ValueError("order must be 0 or 1")
 
 
 def stencil5_d1(values, h: float):

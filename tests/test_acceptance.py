@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from normplane import classify, curvature, gallery, geometry, moduli, semigroup, staircase, tangency
+from normplane import classify, curvature, gallery, geometry, models, moduli, semigroup, staircase, tangency
 from normplane.geometry import LinearMap2, Vec2
 
 
@@ -178,30 +178,22 @@ def test_criterion_07_staircase_build(nobst_model):
     _line(7, f"staircase build verified; witness ratios ~ {ratios[0]:.4f}")
 
 
-DUAL_CHECK_MODELS = (
-    "euclidean",
-    "l1",
-    "linf",
-    "l1_5",
-    "l4",
-    "quadrant_mix",
-    "blend_l4",
-    "ellipse_2_1",
-)
-
-
 def test_criterion_08_dual_agreement():
-    # grandpa_pig and nobst stay out: their sampled duals' ST sweeps disagree
+    # the whole gallery and the blends of l1.5, whose axis points of infinite
+    # curvature are their duals' points of curvature 0
+    checked = {name: gallery.get(name) for name in gallery.names()}
+    for eps in (0.01, 1.0, 10.0):
+        checked[f"blend(l1_5, {eps})"] = models.make_blend(gallery.get("l1_5"), eps)
     kinds = {}
-    for name in DUAL_CHECK_MODELS:
-        model = gallery.get(name)
-        # raises when the sampled dual's ST verdict differs, or when the BST
-        # verdict differs from the power-type-2 test on both sides' moduli
+    for name, model in checked.items():
+        # raises when the dual's ST verdict differs, or when the BST verdict
+        # differs from the power-type-2 test on both sides' moduli
         verdict = classify.classify(model, dual_check=True)
-        kinds[name] = verdict.bst.kind
-    assert len(kinds) == 8
-    assert {"yes", "no"} <= set(kinds.values())
-    _line(8, f"ST verdicts and BST moduli agree with the sampled duals on {len(kinds)} models")
+        kinds[name] = verdict.st.kind, verdict.bst.kind
+    assert len(kinds) == 18
+    assert {"yes", "no"} <= {bst for _, bst in kinds.values()}
+    assert all(kinds[f"blend(l1_5, {eps})"][0] == "no" for eps in (0.01, 1.0, 10.0))
+    _line(8, f"ST verdicts and BST moduli agree with the duals on {len(kinds)} models")
 
 
 SMOOTH_GALLERY = (

@@ -58,8 +58,21 @@ def test_st_boundary_state():
     assert classify.classify_st(eccentric).kind == "boundary"
 
 
+@pytest.mark.parametrize("eps", [0.01, 1.0, 3.0, 10.0, 100.0])
+def test_blend_keeps_its_bases_infinite_curvature(eps):
+    # the blend of l1.5 has infinite curvature at the axis points, as its
+    # base does, so no inner disc fits there; the sweep meets those points
+    # only as sweep hints, which the blend takes from its base
+    base = models.make_lp(1.5)
+    blend = models.make_blend(base, eps)
+    assert np.array_equal(blend.feature_thetas(), base.feature_thetas())
+    assert np.all(blend.curvature_theta_many(base.feature_thetas()) > 1.0 / classify.MIN_DISC_RADIUS)
+    v = classify.classify_st(blend)
+    assert v.kind == "no" and v.missing_side == "inner"
+
+
 def test_st_dual_agreement(euclid, l4):
-    # the dual check runs the sampled dual plane and must agree
+    # the dual check runs the dual plane and must agree
     assert classify.classify_st(euclid, dual_check=True).kind == "yes"
     assert classify.classify_st(l4, dual_check=True).kind == "no"
 

@@ -7,7 +7,7 @@ import pytest
 
 from normplane import classify, curvature, geometry, models
 from normplane.errors import ScaleLawViolation, SingularPoint
-from normplane.numerics import phase_grid
+from normplane.numerics import phase_grid, stencil5_d1, stencil5_d2
 
 
 def test_curvature_graph():
@@ -100,11 +100,14 @@ def test_profile_spliced(spliced):
 
 
 def test_formula_agreement_on_c2_models(pig, blend_l4, euclid):
-    # analytic family formulas vs the sampled dual's radial stencil rule
+    # analytic family formulas vs the polar-graph curvature of the radial
+    # function, its derivatives from a 5-point stencil of step 2e-4
     thetas = (np.arange(256) + 0.5) * (2 * np.pi / 256)
+    h = 2e-4
     for model in (pig, blend_l4, euclid):
         analytic = model.curvature_theta_many(thetas)
-        numeric = curvature.stencil_curvature_many(model, thetas)
+        r = [model.radial_many(thetas + k * h) for k in (-2, -1, 0, 1, 2)]
+        numeric = curvature.curvature_polar_many(r[2], stencil5_d1(r, h), stencil5_d2(r, h))
         assert np.max(np.abs(analytic - numeric)) < 1e-6
 
 

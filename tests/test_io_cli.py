@@ -222,14 +222,10 @@ def test_cli_invalid_model_exits_2(tmp_path, text):
 _SCIPY_FREE_VERDICTS = """
 import normplane.cli
 from normplane import classify, gallery
-from normplane.errors import SelfCheckFailed
 for name in ("nobst", "grandpa_pig_strict"):
     model = gallery.get(name)
     classify.classify(model)
-    try:
-        classify.classify_st(model, dual_check=True)
-    except SelfCheckFailed:
-        pass  # nobst's sampled dual sweep disagrees with its primal one
+    classify.classify_st(model, dual_check=True)
 """
 
 _SCIPY_FREE_ORBITS = """
@@ -259,8 +255,8 @@ def _modules_after(script: str, root: str) -> str:
 
 
 def test_verdicts_import_no_scipy():
-    # the sampled duals' spline is the package's own, so no verdict, with or
-    # without the dual check, pays for importing scipy
+    # the support duals need no scipy, so no verdict, with or without the
+    # dual check, pays for importing it
     assert _modules_after(_SCIPY_FREE_VERDICTS, "scipy") == "[]"
 
 
@@ -284,6 +280,24 @@ def test_cli_verdicts_import_no_numpy_ma(tmp_path):
         "        assert cli.main(['classify', path]) == 0\n"
     )
     assert _modules_after(script, "numpy.ma") == "[]"
+
+
+@pytest.mark.parametrize("name", ["dual:spliced", "nobst", "grandpa_pig"])
+def test_cli_dual_check_round_trip(tmp_path, capsys, name):
+    # a support dual's model file reads back as the dual of its base, and
+    # --dual-check passes on it, on nobst, whose dual meets the images of
+    # the staircase's junctions, and on grandpa_pig, whose dual has infinite
+    # curvature where the model's is 0
+    base = gallery.get(name.removeprefix("dual:"))
+    model = models.dual_model(base) if name.startswith("dual:") else base
+    path = tmp_path / "m.model"
+    modelspec.write_model_file(model, path)
+    if model is not base:
+        back = modelspec.read_model_file(path)
+        assert back.family == "dual" and back.base.params == base.params
+    assert cli.main(["classify", str(path), "--dual-check"]) == 0
+    verdict = json.loads(capsys.readouterr().out)["verdict"]
+    assert verdict["st"]["kind"] == classify.classify_st(model).kind
 
 
 def test_cli_dual_check_disagreement_exits_1(tmp_path, monkeypatch, capsys):

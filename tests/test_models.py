@@ -3,6 +3,7 @@
 import gc
 import math
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from normplane.errors import (
 )
 from normplane.geometry import Vec2
 from normplane.models import Arc
-from normplane.numerics import angle_dist, quad_form
+from normplane.numerics import angle_dist, quad_form, stencil5_d1, stencil5_d2
 
 
 def test_make_lp_flags():
@@ -249,11 +250,19 @@ def test_blend(euclid, l4, blend_l4):
     assert kappas.min() > 0.1  # strictly positive curvature everywhere
 
 
+def _stencil_curvatures(model, thetas):
+    """Polar-graph curvature of the model's radial function, its derivatives
+    from a 5-point stencil of step 2e-4."""
+    h = 2e-4
+    r = [model.radial_many(thetas + k * h) for k in (-2, -1, 0, 1, 2)]
+    return curvature.curvature_polar_many(r[2], stencil5_d1(r, h), stencil5_d2(r, h))
+
+
 def test_blend_curvature_formula_agreement(blend_l4):
-    # implicit-formula curvature vs the sampled dual's radial stencil rule
+    # implicit-formula curvature vs a radial stencil
     thetas = np.linspace(0.1, 2 * np.pi, 64, endpoint=False)
     analytic = blend_l4.curvature_theta_many(thetas)
-    numeric = curvature.stencil_curvature_many(blend_l4, thetas)
+    numeric = _stencil_curvatures(blend_l4, thetas)
     assert np.max(np.abs(analytic - numeric)) < 1e-6
 
 
@@ -539,37 +548,49 @@ def test_dual_model_numeric(pig):
     rng = np.random.default_rng(2)
     for v in rng.normal(size=(10, 2)):
         back = geometry.dual_gauge(dual, v)
-        assert back == pytest.approx(pig.gauge(v), rel=1e-5)
+        assert back == pytest.approx(pig.gauge(v), rel=1e-12)
 
 
-@pytest.mark.parametrize("name", ["grandpa_pig_strict", "two_ellipses", "spliced", "nobst", "blend_l4"])
-def test_sampled_dual_is_exactly_even(name):
-    # N*(-f) = N*(f): the knots' second half repeats the first, and the
-    # dual's gauge is even bit for bit
+SUPPORT_DUALS = ("grandpa_pig", "grandpa_pig_strict", "two_ellipses", "spliced", "nobst", "blend_l4")
+
+
+@pytest.mark.parametrize("name", SUPPORT_DUALS)
+def test_support_dual_is_exactly_even(name):
+    # N*(-f) = N*(f) bit for bit, and the gradient, the primal maximiser,
+    # is odd bit for bit
     dual = models.dual_model(gallery.get(name))
-    assert isinstance(dual, models.DualNorm)
-    radii = dual._spline.coeffs[3]
-    half = models.DUAL_TABLE_N // 2
-    assert np.array_equal(radii[half:], radii[:half])
+    assert isinstance(dual, models.SupportDual)
     fs = np.random.default_rng(47).normal(size=(256, 2))
     assert np.array_equal(dual.gauge_many(-fs), dual.gauge_many(fs))
+    assert np.array_equal(dual.grad_many(-fs), -dual.grad_many(fs))
 
 
-def test_sampled_dual_build_gauge_points(monkeypatch):
-    """Building grandpa_pig_strict's dual gauges the DUAL_TABLE_N // 2 = 4096
-    first functionals only: the 2048-point grid plus 62 golden points each,
-    256,000 base points (509,952 for all 8192 knots)."""
-    base = models.make_polar(sin_terms={4: 1.0 / 34.0})
-    points = []
-    gauge_many = base.gauge_many
-
-    def counting(pts):
-        points.append(len(pts))
-        return gauge_many(pts)
-
-    monkeypatch.setattr(base, "gauge_many", counting)
-    models.dual_model(base)
-    assert sum(points) <= 260_000
+@pytest.mark.parametrize("name", SUPPORT_DUALS)
+def test_support_dual_curvature_relation(name):
+    """kappa(x) kappa*(f) (|x| |f|)^3 = 1 at the dual sphere points f and the
+    base's sphere points x that support them, off the dual's junction rows;
+    and, away from the dual's corner rows and its infinite curvatures, the
+    dual's curvature agrees with a radial stencil."""
+    base = gallery.get(name)
+    dual = models.dual_model(base)
+    thetas = np.random.default_rng(zlib.crc32(name.encode())).uniform(0.0, 2.0 * np.pi, 512)
+    rows = dual.corners().thetas
+    thetas = thetas[np.all(angle_dist(thetas[:, None], rows[None, :]) > 1e-6, axis=1)]
+    f = dual.sphere_points_at(thetas)
+    x = dual.grad_many(f)
+    assert np.allclose(base.gauge_many(x), 1.0, rtol=0.0, atol=1e-15)
+    assert np.allclose(np.einsum("ij,ij->i", f, x), 1.0, rtol=0.0, atol=1e-15)
+    k_base = base.curvature_theta_many(np.arctan2(x[:, 1], x[:, 0]))
+    k_dual = dual.curvature_theta_many(thetas)
+    norms = (np.hypot(*x.T) * np.hypot(*f.T)) ** 3
+    finite = np.isfinite(k_base) & (k_base > 0.0)
+    assert np.all(np.abs(k_base[finite] * k_dual[finite] * norms[finite] - 1.0) <= 1e-10), name
+    assert np.all(k_dual[k_base == np.inf] == 0.0) and np.all(k_dual[k_base == 0.0] == np.inf)
+    # the stencil needs 4e-4 either side clear of a junction or a face end,
+    # and a curvature that varies slowly on that scale
+    clear = np.all(angle_dist(thetas[:, None], rows[None, :]) > 1e-3, axis=1) & finite & (k_dual < 10.0)
+    numeric = _stencil_curvatures(dual, thetas[clear])
+    assert np.all(np.abs(numeric - k_dual[clear]) <= 1e-6 * np.maximum(1.0, k_dual[clear])), name
 
 
 def test_dual_model_survives_address_reuse():

@@ -304,19 +304,7 @@ def test_curve_closed_forms(name, reference):
         assert abs(value - want) <= 1e-5 * want + 1e-12, (float(eps), value, want)
 
 
-_SPLINE_OVERSHOOT = pytest.mark.xfail(
-    reason="the sampled DualNorm spline likely overshoots at the dual's corners: "
-    "delta dips below 0 (-1.3e-8 on two_ellipses' dual) and falls on 22 grid steps",
-)
-
-
-@pytest.mark.parametrize(
-    "name",
-    [
-        pytest.param(name, marks=_SPLINE_OVERSHOOT) if name == "dual:two_ellipses" else name
-        for name in _GALLERY_AND_DUALS
-    ],
-)
+@pytest.mark.parametrize("name", _GALLERY_AND_DUALS)
 def test_curve_within_nordlander_and_monotone(name):
     """0 <= delta(eps) <= 1 - sqrt(1 - eps^2/4) (Nordlander) and delta never
     decreases, on every gallery curve and its dual's."""

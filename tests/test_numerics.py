@@ -1,6 +1,6 @@
 """The lane-wise golden-section search and zoom and the circle maximum built
-on them, bisection plateaus, Illinois root polishing, the periodic cubic
-spline and the sorted distinct values."""
+on them, bisection plateaus, Illinois root polishing and the sorted distinct
+values."""
 
 import math
 
@@ -13,7 +13,6 @@ from normplane.numerics import (
     INVPHI,
     INVPHI2,
     ZOOM_POINTS,
-    PeriodicSpline,
     bisect_batch,
     circle_max,
     golden_min,
@@ -307,31 +306,6 @@ def test_max_within_rejects_on_the_grid():
     calls.clear()
     assert tangency._max_within(val, vals, 2.0) == (tangency._refined_max(val, vals) <= 2.0)
     assert calls
-
-
-@pytest.mark.parametrize("name", ["random", "dual:grandpa_pig_strict", "dual:nobst"])
-def test_periodic_spline_matches_scipy(name):
-    from scipy.interpolate import CubicSpline
-
-    if name == "random":
-        y = 1.0 + 0.1 * np.random.default_rng(20).uniform(-1.0, 1.0, 1000)
-    else:
-        y = models.dual_model(gallery.get(name.removeprefix("dual:")))._spline.coeffs[-1]
-    spline = PeriodicSpline(y)
-    knots = spline.knots
-    ref = CubicSpline(knots, np.append(y, y[0]), bc_type="periodic")
-    x = np.random.default_rng(21).uniform(0.0, 2.0 * np.pi, 50_000)
-    g, want = spline(x), ref(x)
-    assert np.all(np.abs(g - want) <= 1e-15 * np.abs(want))
-    d1, want1 = spline(x, 1), ref(x, 1)
-    scale = np.abs(want1).max()
-    assert np.all(np.abs(d1 - want1) <= 1e-13 * scale)
-    # exact at the knots, and periodic: theta and theta + 2 pi agree, on
-    # angles whose shift by 2 pi is exact in floating point
-    assert np.array_equal(spline(knots[:-1]), y)
-    theta = (x + 2.0 * np.pi) - 2.0 * np.pi
-    for order in (0, 1):
-        assert np.array_equal(spline(theta + 2.0 * np.pi, order), spline(theta, order))
 
 
 def _rows_wavy(rows, t):
