@@ -95,13 +95,23 @@ def tangency_sweep(model) -> TangencySweep:
     one-sided curvatures, so features are evaluated in one batch; the fully
     refined per-point path stays behind inner_disc / outer_disc. Both apply
     the same rule (tangency.disc_bounds, tangency.disc_exists).
+
+    Only the grid rows of the caches' fundamental domain (geometry.grid_fold)
+    are swept, with every feature and extremum row; each other grid row reads
+    its representative's radii. Its cache row is the image of the
+    representative's under a declared sign flip g, which maps the fine cache
+    onto itself, so its psi row is the representative's permuted bit for bit:
+    g negates both factors of each product in <f, z> and each difference in
+    |z - x|^2, and no fine sample lies in a grid row's exclusion zone. Discs
+    are Euclidean, so the radii are the same in exact arithmetic too.
     """
     if model._sweep is not None:
         return model._sweep
     cache = model.sphere_cache()
-    thetas, points, supports = cache["thetas"], cache["points"], cache["supports"]
-    k_lo = k_hi = cache["kappas"]
-    kink = cache["kink"]
+    m, rep, _ = geometry.grid_fold(model, len(cache["thetas"]))
+    thetas, points, supports = cache["thetas"][:m], cache["points"][:m], cache["supports"][:m]
+    k_lo = k_hi = cache["kappas"][:m]
+    kink = cache["kink"][:m]
     features = model.feature_thetas()
     extrema = kappa_extrema_thetas(model)
     # an extremum that converged onto a feature row is that row
@@ -118,7 +128,11 @@ def tangency_sweep(model) -> TangencySweep:
         k_lo = np.concatenate([k_lo, extra_lo])
         k_hi = np.concatenate([k_hi, extra_hi])
         kink = np.concatenate([kink, feat["kink"]])
-    r_in, r_out = tangency.sweep_radii(model, thetas, points, supports, k_lo, k_hi, kink)
+    r_in, r_out = (
+        np.concatenate([r[rep], r[m:]])
+        for r in tangency.sweep_radii(model, thetas, points, supports, k_lo, k_hi, kink)
+    )
+    thetas = np.concatenate([cache["thetas"], thetas[m:]])
     model._sweep = TangencySweep(thetas, r_in, r_out, *tangency.disc_exists(r_in, r_out))
     return model._sweep
 
@@ -132,11 +146,11 @@ def kappa_extrema_thetas(model) -> np.ndarray:
     thetas = cache["thetas"]
     n = len(kap)
     finite = np.where(np.isfinite(kap), kap, np.nan)
-    out = []
     h = 2.0 * np.pi / n
     with np.errstate(invalid="ignore"):
         is_min = (finite <= np.roll(finite, 1)) & (finite <= np.roll(finite, -1))
         is_max = (finite >= np.roll(finite, 1)) & (finite >= np.roll(finite, -1))
+    seeds, signs = [], []
     for mask, sign in ((is_min, 1.0), (is_max, -1.0)):
         # adjacent grid extrema of one sign are equal (each is <= and >= the
         # other), so a run of them brackets one extremum of the profile or is
@@ -146,16 +160,20 @@ def kappa_extrema_thetas(model) -> np.ndarray:
         if len(idx) > 8:
             order = np.argsort(sign * finite[idx])
             idx = idx[order[:8]]
-        if len(idx) == 0:
-            continue
+        seeds.append(idx)
+        signs.append(np.full(len(idx), sign))
+    idx, sign = np.concatenate(seeds), np.concatenate(signs)
+    out = np.empty(0)
+    if len(idx):
+        # minima and maxima as lanes of one search, the maxima's profile negated
         t, _ = golden_min(
             lambda th: sign * model.curvature_theta_many(th),
             thetas[idx] - h,
             thetas[idx] + h,
             iters=50,
         )
-        out.extend(t % (2.0 * np.pi))
-    model._kappa_extrema = np.asarray(sorted(out))
+        out = np.sort(t % (2.0 * np.pi))
+    model._kappa_extrema = out
     return model._kappa_extrema
 
 
@@ -248,7 +266,13 @@ def umst_delta_table(model, eps_values, n_a: int = TABLE_A_POINTS, n_off: int = 
     a + pi and b + pi is (-pa, -pb), whose tangent-shrink map is
     (-D)(-S)^-1 = D S^-1 and whose distance is gauge(-(pa - pb)) =
     gauge(pa - pb), so it fails exactly when its twin does. The counts are
-    reported doubled, for the whole grid.
+    reported doubled, for the whole grid. Where the model declares the
+    quarter turn R (and 4 | n_a) only the first n_a / 4 are swept, those in
+    [0, pi / 2), and the counts are reported fourfold: the pair at a + pi / 2
+    and b + pi / 2 is (R pa, R pb) with tangents R ta, R tb (a rotation
+    keeps the orientation), whose map is R T R^-1, of T's norm since R is an
+    isometry, and whose distance is gauge(R (pa - pb)) = gauge(pa - pb). A
+    reflection reverses the pair's offset, so it folds nothing here.
 
     The eps are walked in increasing order, each searching only the maps
     that failed at the eps before. With S = [pa, ta] and T_eps =
@@ -263,7 +287,10 @@ def umst_delta_table(model, eps_values, n_a: int = TABLE_A_POINTS, n_off: int = 
     works row by row, golden lanes are independent), so the rows are the
     unscreened table's whenever its failing sets nest. One edge remains: a
     sup above 1 + CERTIFY_TOL that the eps1 search misses is inherited at
-    eps2, where the unscreened search might have found it.
+    eps2, where the unscreened search might have found it. A map whose grid
+    maximum already exceeds 1 + CERTIFY_TOL is not refined
+    (geometry.operator_norm_batch's bound): the refined value is never below
+    the grid's, so it fails either way.
 
     Every eps must be finite with 0 < eps < 1 (at 1 the map is singular,
     above it the tangent flips). Rows are (eps, delta, n_pairs, n_failures),
@@ -276,9 +303,10 @@ def umst_delta_table(model, eps_values, n_a: int = TABLE_A_POINTS, n_off: int = 
     for eps in eps_values:
         if not 0.0 < eps < 1.0:
             raise BadParameter(f"table eps must be finite and in (0, 1), got {eps!r}")
+    fold = 4 if n_a % 4 == 0 and geometry.declares(model, geometry.QUARTER_TURN) else 2
     offsets = np.geomspace(1e-3, 0.75, n_off)
-    pair_a = np.repeat(phase_grid(n_a // 2, np.pi), n_off)
-    pair_b = pair_a + np.tile(offsets, n_a // 2)
+    pair_a = np.repeat(phase_grid(n_a // fold, 2.0 * np.pi / fold), n_off)
+    pair_b = pair_a + np.tile(offsets, n_a // fold)
     a = geometry.sphere_data(model, pair_a)
     b = geometry.sphere_data(model, pair_b)
     pa, ta, pb, tb = a["points"], a["tangents"], b["points"], b["tangents"]
@@ -286,6 +314,7 @@ def umst_delta_table(model, eps_values, n_a: int = TABLE_A_POINTS, n_off: int = 
     src = np.stack([pa, ta], axis=-1)
     src_inv = np.linalg.inv(src)
     failing = np.ones(len(pa), dtype=bool)  # every map is live before the smallest eps
+    bound = 1.0 + semigroup.CERTIFY_TOL
     rows = {}
     for eps in sorted(set(eps_values)):
         live = np.flatnonzero(failing)
@@ -293,13 +322,13 @@ def umst_delta_table(model, eps_values, n_a: int = TABLE_A_POINTS, n_off: int = 
         ops = np.empty(len(mats))
         chunk = 2048
         for lo in range(0, len(mats), chunk):
-            ops[lo : lo + chunk] = geometry.operator_norm_batch(model, mats[lo : lo + chunk])
-        failing[live] = ops > 1.0 + semigroup.CERTIFY_TOL
+            ops[lo : lo + chunk] = geometry.operator_norm_batch(model, mats[lo : lo + chunk], bound)
+        failing[live] = ops > bound
         if np.any(failing):
             delta = float(dists[failing].min())
         else:
             delta = float(dists.max())
-        rows[eps] = (float(eps), delta, 2 * len(pa), 2 * int(failing.sum()))
+        rows[eps] = (float(eps), delta, fold * len(pa), fold * int(failing.sum()))
     return tuple(rows[eps] for eps in eps_values)
 
 

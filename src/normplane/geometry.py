@@ -35,6 +35,29 @@ SUPPORT_TOL = 1e-9
 SUPPORT_DEPTH = 24
 SUPPORT_STEPS = 40
 
+#: the eight signed permutations of the plane, each exact in floating point:
+#: I and -I, the axis flips, the diagonal swaps and the quarter turns. A
+#: model's symmetries() is the subgroup of them that it declares.
+SIGNED_PERMUTATIONS = np.array(
+    [
+        [[1, 0], [0, 1]],
+        [[-1, 0], [0, -1]],
+        [[-1, 0], [0, 1]],
+        [[1, 0], [0, -1]],
+        [[0, 1], [1, 0]],
+        [[0, -1], [-1, 0]],
+        [[0, -1], [1, 0]],
+        [[0, 1], [-1, 0]],
+    ],
+    dtype=float,
+)
+AXIS_FLIP = SIGNED_PERMUTATIONS[2]
+QUARTER_TURN = SIGNED_PERMUTATIONS[6]
+
+#: the signs of the four quadrants' images of the first: I, the flip
+#: x1 -> -x1, -I and the flip x2 -> -x2
+_QUADRANT_SIGNS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+
 
 @dataclass(frozen=True, slots=True)
 class Vec2:
@@ -308,10 +331,45 @@ def sphere_point(model, theta: float) -> SpherePoint:
     )
 
 
+def declares(model, g) -> bool:
+    """Whether the signed permutation g is among the model's symmetries()."""
+    return bool((model.symmetries() == g).all(axis=(1, 2)).any())
+
+
+def grid_fold(model, n: int):
+    """(m, rep, signs): phase_grid(n), n a multiple of 4, as the images of
+    its first m rows under the model's declared sign flips, row k the image
+    of row rep[k] under diag(signs[k]). With the axis flips declared (so the
+    group holds all four diagonal signed permutations) m = n / 4, the first
+    quadrant, whose angles theta turn to pi - theta, pi + theta and
+    2 pi - theta; otherwise -I alone folds, m = n / 2 and row k + m is row k
+    turned by pi. The angles map exactly on the grid, and multiplying by a
+    sign is exact."""
+    quadrants = [0, 1, 2, 3] if declares(model, AXIS_FLIP) else [0, 2]
+    m = n // len(quadrants)
+    rows = np.arange(m)
+    rep = np.concatenate([rows[::-1] if q % 2 else rows for q in quadrants])
+    return m, rep, np.repeat(_QUADRANT_SIGNS[quadrants], m, axis=0)
+
+
 def sphere_table(model, n: int) -> dict:
-    """Sphere data and curvatures on the phase-offset n-grid (cache builder)."""
+    """Sphere data and curvatures on the phase-offset n-grid (cache builder),
+    computed on grid_fold's fundamental domain only. Every other row is an
+    exact image of its representative under a declared isometry g = diag(s):
+    points and supports are g x and g f, tangents det(g) g t (a reflection
+    reverses the orientation), kappas and the kink and smooth flags are
+    copied."""
     thetas = phase_grid(n)
-    return {"thetas": thetas, **sphere_data(model, thetas), "kappas": model.curvature_theta_many(thetas)}
+    m, rep, signs = grid_fold(model, n)
+    domain = thetas[:m]
+    table = {**sphere_data(model, domain), "kappas": model.curvature_theta_many(domain)}
+    flips = {"points": signs, "supports": signs, "tangents": signs * signs.prod(axis=1, keepdims=True)}
+    out = {"thetas": thetas}
+    for key, rows in table.items():
+        out[key] = rows[rep]
+        if key in flips:
+            out[key] *= flips[key]
+    return out
 
 
 class OperatorNorm(float):
@@ -340,15 +398,11 @@ def _map_images(mats: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _operator_norms(model, mats, pts, iters: int, period: float = 2.0 * np.pi, centers=None, zoom=False):
-    """sup of gauge(T z) over the gauge-unit sphere for each T in mats (shape
-    (k, 2, 2)): the sphere points ``pts`` of phase_grid(len(pts), period),
-    gauged in blocks of BLOCK_POINTS images (whole maps' grids; the grid
-    stage is memory-bound), then one lane-wise search of all maps
-    (circle_max: golden of ``iters`` steps, or with ``zoom`` the zoom of as
-    fine a final step) around each map's best grid angle and its
-    ``centers``. The gauge works row by row, so the blocks change no value.
-    Returns (values, witness angles)."""
+def _grid_norms(model, mats, pts) -> np.ndarray:
+    """gauge(T z) for each T in mats (shape (k, 2, 2)) at each of the points
+    pts, shape (k, len(pts)), gauged in blocks of BLOCK_POINTS images (whole
+    maps' grids; the stage is memory-bound). The gauge works row by row, so
+    the blocks change no value."""
     k, grid = mats.shape[0], len(pts)
     vals = np.empty((k, grid))
     per = max(1, BLOCK_POINTS // grid)
@@ -356,11 +410,27 @@ def _operator_norms(model, mats, pts, iters: int, period: float = 2.0 * np.pi, c
         block = mats[lo : lo + per]
         images = _map_images(block[:, None], pts).reshape(len(block) * grid, 2)
         vals[lo : lo + per] = model.gauge_many(images).reshape(len(block), grid)
+    return vals
+
+
+def _operator_norms(model, mats, pts, iters: int, period: float = 2.0 * np.pi, centers=None, zoom=False):
+    """sup of gauge(T z) over the gauge-unit sphere for each T in mats (shape
+    (k, 2, 2)): _grid_norms at the sphere points ``pts`` of
+    phase_grid(len(pts), period), then one lane-wise search of all maps
+    (circle_max: golden of ``iters`` steps, or with ``zoom`` the zoom of as
+    fine a final step) around each map's best grid angle and its
+    ``centers``. Returns (values, witness angles)."""
+    return circle_max(_map_gauge(model, mats), _grid_norms(model, mats, pts), 1, iters, period, centers, zoom)
+
+
+def _map_gauge(model, mats):
+    """f(rows, ts) = gauge(T z) for the maps mats[rows] at the sphere points
+    of the angles ts, circle_max's lane function."""
 
     def val(rows, ts):
         return model.gauge_many(_map_images(mats[rows], model.sphere_points_at(ts)))
 
-    return circle_max(val, vals, 1, iters, period, centers, zoom)
+    return val
 
 
 def operator_norms(model, mats, centers=None) -> tuple[np.ndarray, np.ndarray]:
@@ -382,7 +452,7 @@ def operator_norm(model, t) -> OperatorNorm:
     return OperatorNorm(float(vals[0]), angles[0])
 
 
-def operator_norm_batch(model, mats: np.ndarray) -> np.ndarray:
+def operator_norm_batch(model, mats: np.ndarray, bound: float = np.inf) -> np.ndarray:
     """Operator norms of a batch of 2x2 matrices (shape (k, 2, 2)): the
     OPNORM_BATCH_GRID grid plus a 60-step golden refinement, all maps as
     lanes of one search; used by sweep-style callers where the one-at-a-time
@@ -392,6 +462,16 @@ def operator_norm_batch(model, mats: np.ndarray) -> np.ndarray:
     gauge(T(-z)) = gauge(T z), so only the first half of the grid is
     scanned, as a pi-periodic search (numerics.circle_max): the values are
     bit for bit those of the full scan of the points (z, -z), z on that
-    half."""
+    half. A map whose grid maximum exceeds ``bound`` is not refined and
+    reads that maximum, which the refined value, never below it, exceeds
+    as well; each refined lane is bit for bit its value in the full
+    search. Such a map's grid row is set to -inf in place, which circle_max
+    does not refine, so no copy of the grid is made."""
+    mats = np.asarray(mats, dtype=float)
     pts = model.sphere_points_at(phase_grid(OPNORM_BATCH_GRID // 2, np.pi))
-    return _operator_norms(model, np.asarray(mats, dtype=float), pts, 60, np.pi)[0]
+    vals = _grid_norms(model, mats, pts)
+    out = vals.max(axis=1)
+    done = out > bound
+    vals[done] = -np.inf
+    refined = circle_max(_map_gauge(model, mats), vals, 1, 60, np.pi)[0]
+    return np.where(done, out, refined)

@@ -6,7 +6,10 @@ otherwise).
 
 Every model is immutable after construction and carries two eagerly built
 caches: a 1024-point sphere table with supports/tangents/curvatures and a
-4096-point boundary table used for containment certificates.
+4096-point boundary table used for containment certificates. Each family
+declares its isometries among the eight signed permutations
+(``symmetries``), and both caches compute one fundamental domain of the
+declared sign flips, the other rows being its exact images.
 
 gauge(-v) == gauge(v) holds exactly, bit for bit, for every family. Most
 formulas are exactly even as written (absolute values, hypot, squares, a
@@ -58,6 +61,14 @@ TANGENT_TOL = 1e-9
 #: convexity slack for cross-product tests on the cache
 CONVEXITY_TOL = 1e-12
 
+#: validate() rejects a declared isometry that moves the gauge of a sphere
+#: point by more than this
+SYMMETRY_TOL = 1e-9
+
+#: parameter sets count as mapped onto themselves to this fraction of their
+#: largest entry, the rounding of a set built from its images
+PARAM_SYMMETRY_TOL = 1e-14
+
 
 def _rescaled(formula, pts: np.ndarray) -> np.ndarray:
     """formula(pts) -> (s, gauge), kept 1-homogeneous at every scale: on the
@@ -95,6 +106,26 @@ def _radial_gauge(pts: np.ndarray, radius) -> np.ndarray:
     The origin gauges to 0 and a NaN row to NaN."""
     pts = _canonical(pts)
     return np.hypot(pts[:, 0], pts[:, 1]) / radius(np.arctan2(pts[:, 1], pts[:, 0]))
+
+
+def _subgroup(keep) -> np.ndarray:
+    """The signed permutations (geometry.SIGNED_PERMUTATIONS) where keep holds."""
+    return geometry.SIGNED_PERMUTATIONS[np.asarray(keep, dtype=bool)]
+
+
+def _closed_under(rows: np.ndarray, act) -> np.ndarray:
+    """The signed permutations g whose images act(g, rows) of the rows (a
+    parameter set: vertices, arcs, forms) each lie within PARAM_SYMMETRY_TOL
+    of a row."""
+    tol = PARAM_SYMMETRY_TOL * np.abs(rows).max()
+    keep = []
+    for g in geometry.SIGNED_PERMUTATIONS:
+        images = act(g, rows)
+        gap = np.zeros((len(rows), len(rows)))
+        for j in range(rows.shape[1]):
+            np.maximum(gap, np.abs(images[:, j, None] - rows[None, :, j]), out=gap)
+        keep.append(bool(np.all(gap.min(axis=1) <= tol)))
+    return _subgroup(keep)
 
 
 def _units(thetas: np.ndarray) -> np.ndarray:
@@ -179,6 +210,7 @@ class NormModel:
         self._delta_curve = None
         self._corners = None
         self._support_table = None
+        self._symmetries = None
 
     # -- family hooks --------------------------------------------------------
 
@@ -196,6 +228,11 @@ class NormModel:
     def _sweep_hints(self) -> np.ndarray:
         """Angles worth adding to classification sweeps that are no corner rows."""
         return np.empty(0)
+
+    def _declared_symmetries(self) -> np.ndarray:
+        """The family's isometries among the signed permutations, from its
+        parameters; here {I, -I}, which every norm has."""
+        return geometry.SIGNED_PERMUTATIONS[:2]
 
     # -- shared machinery -----------------------------------------------------
 
@@ -228,6 +265,16 @@ class NormModel:
         form; here the polyhedral rule: 0, and inf within 1e-12 of a kink."""
         thetas = np.asarray(thetas, dtype=float)
         return _infinite_at_kinks(np.zeros_like(thetas), thetas, self.kink_thetas())
+
+    def symmetries(self) -> np.ndarray:
+        """The signed permutations g with gauge(g x) = gauge(x) that the
+        family declares, shape (k, 2, 2), in the order of
+        geometry.SIGNED_PERMUTATIONS (I and -I first); built on first use and
+        kept. The caches, the classification sweep and the UMST table fold by
+        them, and validate() checks them."""
+        if self._symmetries is None:
+            self._symmetries = self._declared_symmetries()
+        return self._symmetries
 
     # -- corners, served from the table -----------------------------------------
 
@@ -281,16 +328,27 @@ class NormModel:
         return self._cache
 
     def fine_points(self) -> np.ndarray:
+        """The sphere points of phase_grid(FINE_CACHE_N): those of
+        geometry.grid_fold's domain computed, the others their exact images."""
         if self._fine_points is None:
-            self._fine_points = self.sphere_points_at(phase_grid(FINE_CACHE_N))
+            m, rep, signs = geometry.grid_fold(self, FINE_CACHE_N)
+            self._fine_points = self.sphere_points_at(phase_grid(FINE_CACHE_N)[:m])[rep]
+            self._fine_points *= signs
             self._fine_points.setflags(write=False)
         return self._fine_points
 
     def validate(self) -> "NormModel":
-        """Build caches eagerly and run generic norm checks."""
+        """Build caches eagerly and run generic norm checks, the declared
+        symmetries among them: every g other than +-I (which hold exactly)
+        must keep the gauge of the fine cache's computed points to
+        SYMMETRY_TOL, so that its folded rows are sphere points too."""
         pts = self.fine_points()
         if not np.all(np.isfinite(pts)):
             raise NotConvex(f"{self.family}: sphere has non-finite points")
+        domain = pts[: geometry.grid_fold(self, FINE_CACHE_N)[0]]
+        for g in self.symmetries()[2:]:
+            if np.abs(self.gauge_many(domain @ g.T) - 1.0).max() > SYMMETRY_TOL:
+                raise NotSymmetric(f"{self.family}: gauge is not invariant under {g.astype(int).tolist()}")
         edges = np.diff(np.vstack([pts, pts[:1]]), axis=0)
         cross = edges[:-1, 0] * edges[1:, 1] - edges[:-1, 1] * edges[1:, 0]
         # absolute floor: flat stretches produce pure-noise crossings near 0
@@ -367,6 +425,9 @@ class LpNorm(NormModel):
     def _sweep_hints(self):
         # the axis points, where the curvature of p != 2 is 0 or inf
         return np.empty(0) if self.polyhedral or self.p == 2.0 else _AXES
+
+    def _declared_symmetries(self):
+        return geometry.SIGNED_PERMUTATIONS
 
     def _axis_kappa(self) -> float:
         if self.p == 2.0:
@@ -462,6 +523,18 @@ class PolarNorm(NormModel):
     def _gauge_raw(self, pts):
         return _radial_gauge(pts, self.g_many)
 
+    def _declared_symmetries(self):
+        # theta -> -theta keeps cos(n theta) and negates sin(n theta);
+        # theta -> theta + pi / 2 keeps both where 4 | n and negates both
+        # where not; theta -> pi / 2 - theta keeps cos(n theta) where 4 | n
+        # and sin(n theta) where not (n is even)
+        cos_n = [n % 4 for n, a in self.cos_terms if a != 0.0]
+        sin_n = [n % 4 for n, a in self.sin_terms if a != 0.0]
+        flips = not sin_n
+        swaps = not any(cos_n) and all(sin_n)
+        quarter = not any(cos_n + sin_n)
+        return _subgroup([True, True, flips, flips, swaps, swaps, quarter, quarter])
+
     def grad_many(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         th = np.arctan2(pts[:, 1], pts[:, 0])
@@ -522,6 +595,11 @@ class QuadrantMixNorm(NormModel):
 
     def _gauge_raw(self, pts):
         return np.where(_odd_quadrants(pts), self._lp._gauge_raw(pts), self._lq._gauge_raw(pts))
+
+    def _declared_symmetries(self):
+        # the swaps keep the quadrants I / III and II / IV, the flips and
+        # quarter turns exchange them
+        return _subgroup([True, True] + [self.p == self.q] * 2 + [True, True] + [self.p == self.q] * 2)
 
     def grad_many(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -620,6 +698,9 @@ class PolygonNorm(NormModel):
     def _corner_rows(self):
         th = np.arctan2(self.vertices[:, 1], self.vertices[:, 0]) % (2.0 * np.pi)
         return _polygon_corners(th, self.normals)
+
+    def _declared_symmetries(self):
+        return _closed_under(self.vertices, lambda g, v: v @ g.T)
 
 
 def make_polygon(vertices) -> PolygonNorm:
@@ -757,6 +838,12 @@ class ArcChainNorm(NormModel):
         junction = self.phi_bounds[:-1] % (2.0 * np.pi)
         return Corners(junction, f, f, np.roll(k, 1), k, np.zeros(len(k), dtype=bool))
 
+    def _declared_symmetries(self):
+        # an isometry maps each arc onto an arc, and the circles' centres and
+        # radii fix the closed G1 chain
+        arcs = np.column_stack([self.centers, self.radii])
+        return _closed_under(arcs, lambda g, a: np.column_stack([a[:, :2] @ g.T, a[:, 2]]))
+
     def _sweep_hints(self):
         # the arc midpoints
         mids = [a.point_at(0.5 * (a.start_angle + a.end_angle)) for a in self.arcs]
@@ -888,6 +975,11 @@ class EllipseMaxNorm(NormModel):
         self.m2 = m2
         self.is_c2 = self.single
 
+    def _declared_symmetries(self):
+        # g maps the ball onto itself when it permutes its ellipses
+        forms = np.array([self.m1.ravel(), self.m2.ravel()])
+        return _closed_under(forms, lambda g, f: (g @ f.reshape(-1, 2, 2) @ g.T).reshape(-1, 4))
+
     def _forms(self, pts):
         # a single ellipse evaluates its one form once
         q1 = quad_form(pts, self.m1)
@@ -996,6 +1088,10 @@ class BlendNorm(NormModel):
         # the base's curvature is 0 or inf there, and so the blend's may be
         return self.base._sweep_hints()
 
+    def _declared_symmetries(self):
+        # the Euclidean term is invariant under every orthogonal map
+        return self.base.symmetries()
+
     def _from_base(self, x, f, k):
         """(supports, curvatures) of the blend at its sphere points x, from the
         base's supports f and curvatures k on the same rays (inf where k is):
@@ -1094,6 +1190,10 @@ class SupportDual(NormModel):
     def _sweep_hints(self):
         g = self.base.grad_many(self.base.sphere_points_at(self.base._sweep_hints()))
         return np.arctan2(g[:, 1], g[:, 0]) % (2.0 * np.pi)
+
+    def _declared_symmetries(self):
+        # h_B(g f) = h_B(f) for an orthogonal g that keeps B
+        return self.base.symmetries()
 
 
 def _dual_kappas(kappas, x, fnorms):

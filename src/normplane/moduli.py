@@ -146,9 +146,10 @@ def _uc_depths(model, eps, thetas) -> np.ndarray:
 def _sweep_depths(model, eps: np.ndarray) -> np.ndarray:
     """_uc_depths on the first half of the sphere cache's n-point grid for
     every eps at once, shape (len(eps), n // 2), inf at the base points that
-    cannot hold their eps' minimum. The grid's second half is the first one
-    turned by pi, whose pairs (-x, -y) have the depths and distances of
-    (x, y).
+    cannot hold their eps' minimum. The cache's second half is its first
+    turned by pi, exactly (geometry.grid_fold: its points are the exact
+    negations), so its pairs (-x, -y) have the depths and distances of
+    (x, y) bit for bit.
 
     UC_BLOCK // n eps at a time, _sweep_brackets brackets each (eps, base,
     branch) lane's smallest root between two grid offsets. The midpoint

@@ -189,37 +189,44 @@ def _circle_pair(p: np.ndarray, k1: float):
     at p and a circle tangent to the line x = 1 at (1, 0), mutually tangent.
 
     The system is a one-parameter family in the common tangent angle phi;
-    each phi gives a linear 2x2 solve for the radii. The canonical pick is
-    the midpoint of the window where both radii are positive and the contact
-    point stays in the fourth quadrant; the window is returned as well.
+    each phi gives a linear 2x2 solve for the radii, all 512 phi of the grid
+    in one batched solve (the batch solves each system as the one-system
+    call does). The canonical pick is the midpoint of the window where both
+    radii are positive and the contact point stays in the fourth quadrant;
+    the window is returned as well.
     """
     nhat = np.array([-math.sin(k1), math.cos(k1)])
+    rhs = np.array([1.0 - p[0], -p[1]])
 
-    def solve(phi: float):
-        s, c = math.sin(phi), math.cos(phi)
-        a = np.array([[nhat[0] + s, 1.0 - s], [nhat[1] - c, c]])
-        rhs = np.array([1.0 - p[0], -p[1]])
+    def solve(phi: np.ndarray):
+        s, c = np.sin(phi), np.cos(phi)
+        a = np.empty(phi.shape + (2, 2))
+        a[:, 0, 0], a[:, 0, 1] = nhat[0] + s, 1.0 - s
+        a[:, 1, 0], a[:, 1, 1] = nhat[1] - c, c
+        # a singular system has no solution; the identity stands in for it
+        singular = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0] == 0.0
+        a[singular] = np.eye(2)
         try:
-            r, rp = np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        q = p + r * nhat + r * np.array([s, -c])
-        ok = r > 1e-9 and rp > 1e-9 and q[1] < -1e-12 and q[0] > 1e-12
-        return (float(r), float(rp), q, bool(ok))
+            r, rp = np.linalg.solve(a, np.broadcast_to(rhs[:, None], a.shape[:-1] + (1,)))[..., 0].T
+        except np.linalg.LinAlgError as exc:
+            raise TangencySolveFailed(f"closing pair for endpoint {p!r}: {exc}") from None
+        q = p + r[:, None] * nhat + r[:, None] * np.column_stack([s, -c])
+        ok = ~singular & (r > 1e-9) & (rp > 1e-9) & (q[:, 1] < -1e-12) & (q[:, 0] > 1e-12)
+        return r, rp, ok
 
     lo, hi = k1 + 1e-6, math.pi / 2.0 - 1e-6
     grid = np.linspace(lo, hi, 512)
-    valid = [phi for phi in grid if (sol := solve(phi)) is not None and sol[3]]
-    if not valid:
+    valid = grid[solve(grid)[2]]
+    if not len(valid):
         raise TangencySolveFailed(
             f"no valid tangent circle pair for endpoint {p!r}, tangent angle {k1!r}"
         )
-    phi_lo, phi_hi = min(valid), max(valid)
+    phi_lo, phi_hi = float(valid.min()), float(valid.max())
     phi = 0.5 * (phi_lo + phi_hi)
-    r, rp, q, ok = solve(phi)
-    if not ok:
+    r, rp, ok = solve(np.array([phi]))
+    if not ok[0]:
         raise TangencySolveFailed(f"inconsistent pair at phi = {phi!r}")
-    return r, rp, phi, (phi_lo, phi_hi)
+    return float(r[0]), float(rp[0]), phi, (phi_lo, phi_hi)
 
 
 def close_sphere(curve: BuiltCurve) -> ArcChainNorm:

@@ -16,6 +16,13 @@ moved from a vanishing modulus to "some point lacks an inner or outer disc",
 and no verdict kind moved. Nine UMST table deltas moved in their last digits
 (under 2e-15 relative), as the code before that change already computed them.
 
+It was regenerated by the same command when the caches came to be built on
+one fundamental domain of each model's declared sign flips, the other rows
+their exact images: eight floats moved, lambda by 3.5e-10 relative on
+euclidean and 6.2e-11 on spliced (a sweep radius there carries the rounding
+of the depth 1 - <f, z>, about 3e-7 at a grid row's nearest fine samples),
+the others under 1.2e-14; no kind, reason, count or interval moved.
+
 Regenerate it only together with a CHANGES.md line saying why the verdicts
 moved. Strings, bools, ints and None must match exactly, so a parameter given
 as the int 4 must not come back as 4.0; floats within 1e-12 relative.

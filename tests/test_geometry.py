@@ -203,15 +203,32 @@ def test_fd_supports_match_analytic(all_gallery):
         assert np.max(np.abs(_fd_supports(model, data["points"]) - data["supports"])) < 1e-9, name
 
 
+def _folded_rows(model, n):
+    """(m, rep, g, det): grid_fold's domain size, and per row of the n-grid
+    its representative, the diagonal of its sign flip g and det(g)."""
+    m, rep, signs = geometry.grid_fold(model, n)
+    return m, rep, signs, signs[:, 0] * signs[:, 1]
+
+
 def test_sphere_point_matches_the_cache_bit_for_bit(all_gallery):
-    for model in all_gallery.values():
+    # the cache computes the rows of its fundamental domain only; sphere_point
+    # gives those bit for bit, and each other row is the exact image of its
+    # representative: g x, g f, det(g) g t, its curvature and flags copied
+    for name, model in all_gallery.items():
         cache = model.sphere_cache()
-        for i in (0, 137, 511, 1023):
+        m, rep, g, det = _folded_rows(model, len(cache["thetas"]))
+        assert m == (256 if geometry.declares(model, geometry.AXIS_FLIP) else 512), name
+        for i in (0, 137, m - 1):
             sp = geometry.sphere_point(model, cache["thetas"][i])
             assert sp.point.as_array().tolist() == cache["points"][i].tolist()
             assert sp.support.as_array().tolist() == cache["supports"][i].tolist()
             assert sp.tangent.as_array().tolist() == cache["tangents"][i].tolist()
             assert sp.curvature == cache["kappas"][i]
+        assert np.array_equal(cache["points"], g * cache["points"][rep]), name
+        assert np.array_equal(cache["supports"], g * cache["supports"][rep]), name
+        assert np.array_equal(cache["tangents"], (det[:, None] * g) * cache["tangents"][rep]), name
+        for key in ("kappas", "kink", "smooth"):
+            assert np.array_equal(cache[key], cache[key][rep]), (name, key)
 
 
 def test_sphere_data_at_kinks(cornered):
@@ -293,13 +310,21 @@ def test_operator_norm_precision_contract(name):
     assert np.all(np.abs(geometry.operator_norm_batch(model, mats) - want) <= tol)
 
 
-def test_operator_norm_grid_is_the_fine_cache(pig_strict):
-    # operator_norm and certificates search the 4096 fine-cache points, the
-    # sphere points of the 4096-point phase grid, and refine with the zoom
+def test_operator_norm_grid_is_the_fine_cache(all_gallery, pig_strict):
+    # the fine cache holds the sphere points of the 4096-point phase grid:
+    # those of its fundamental domain bit for bit, the others as the exact
+    # images of their representatives under the declared sign flips
+    for name, model in all_gallery.items():
+        fine = model.fine_points()
+        m, rep, g, _ = _folded_rows(model, 4096)
+        grid = model.sphere_points_at(phase_grid(4096))
+        assert np.array_equal(fine[:m], grid[:m]), name
+        assert np.array_equal(fine, g * fine[rep]), name
+        assert np.max(np.abs(fine - grid)) <= 1e-13, name
+    # operator_norm and certificates search the fine cache and refine with
+    # the zoom
     mats = np.random.default_rng(37).normal(size=(8, 2, 2))
-    grid = pig_strict.sphere_points_at(phase_grid(4096))
-    assert np.array_equal(pig_strict.fine_points(), grid)
-    want = geometry._operator_norms(pig_strict, mats, grid, 80, zoom=True)[0]
+    want = geometry._operator_norms(pig_strict, mats, pig_strict.fine_points(), 80, zoom=True)[0]
     assert np.array_equal([float(geometry.operator_norm(pig_strict, m)) for m in mats], want)
 
 

@@ -151,6 +151,42 @@ def test_quarter_circle_closes_to_disc():
     assert np.allclose(model.gauge_many(pts), np.hypot(pts[:, 0], pts[:, 1]), atol=1e-9)
 
 
+def _loop_circle_pair(p, k1):
+    """staircase._circle_pair solved one phi at a time, the reference for
+    the batched solve."""
+    nhat = np.array([-math.sin(k1), math.cos(k1)])
+
+    def solve(phi):
+        s, c = math.sin(phi), math.cos(phi)
+        a = np.array([[nhat[0] + s, 1.0 - s], [nhat[1] - c, c]])
+        try:
+            r, rp = np.linalg.solve(a, np.array([1.0 - p[0], -p[1]]))
+        except np.linalg.LinAlgError:
+            return None
+        q = p + r * nhat + r * np.array([s, -c])
+        return float(r), float(rp), r > 1e-9 and rp > 1e-9 and q[1] < -1e-12 and q[0] > 1e-12
+
+    grid = np.linspace(k1 + 1e-6, math.pi / 2.0 - 1e-6, 512)
+    valid = [phi for phi in grid if (sol := solve(phi)) is not None and sol[2]]
+    phi_lo, phi_hi = float(min(valid)), float(max(valid))
+    phi = 0.5 * (phi_lo + phi_hi)
+    r, rp, _ = solve(phi)
+    return r, rp, phi, (phi_lo, phi_hi)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 5, 12, staircase.DEFAULT_DEPTH])
+def test_circle_pair_is_the_loop_solve(depth, monkeypatch):
+    # the 512 systems of the closing pair in one batched solve give the
+    # staircase sphere's parameters and arcs bit for bit
+    kfun = staircase.staircase_function(depth) if depth else staircase.CurvatureFunction((), 0)
+    curve = staircase.integrate_curve(kfun)
+    model = staircase.close_sphere(curve)
+    monkeypatch.setattr(staircase, "_circle_pair", _loop_circle_pair)
+    want = staircase.close_sphere(curve)
+    assert model.params == want.params
+    assert model.arcs == want.arcs
+
+
 def test_staircase_chain_fourfold_symmetry(nobst_model):
     # the chain is the fourfold reflection of its fourth-quadrant run
     rng = np.random.default_rng(11)

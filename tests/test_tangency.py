@@ -149,20 +149,20 @@ def test_per_point_discs_follow_the_sweep(all_gallery):
 
 
 _SWEEP_ORACLE_MODELS = {
-    "nobst": lambda: gallery.get("nobst"),
-    "hexagon": lambda: gallery.get("hexagon"),
-    "grandpa_pig_strict": lambda: gallery.get("grandpa_pig_strict"),
-    "l4": lambda: gallery.get("l4"),
+    **{name: lambda name=name: gallery.get(name) for name in gallery.names()},
+    **{f"dual:{name}": lambda name=name: models.dual_model(gallery.get(name)) for name in gallery.names()},
     "ellipse(100, 1)": lambda: models.make_ellipse(100.0, 1.0),
 }
 
 
 @pytest.mark.parametrize("name", _SWEEP_ORACLE_MODELS)
 def test_sweep_is_the_row_by_row_psi_table(name, monkeypatch):
-    """The blocked sweep (one GEMM per block, the zone found from grid
-    indices) gives bit for bit the radii and existence flags of a table
-    built one row at a time by disc_psi, which masks the zone over the whole
-    row with angle_dist."""
+    """The folded, blocked sweep gives bit for bit the radii and existence
+    flags of a table built by disc_psi on every row of the sphere cache and
+    on the sweep's feature and extremum rows, its zone masked over the whole
+    row with angle_dist. Only the cache's fundamental domain and the extra
+    rows reach sweep_radii (one GEMM per block, the zone found from grid
+    indices); the other grid rows are read from their representatives."""
     model = _SWEEP_ORACLE_MODELS[name]()
     seen = {}
     sweep_radii = tangency.sweep_radii
@@ -174,14 +174,29 @@ def test_sweep_is_the_row_by_row_psi_table(name, monkeypatch):
     monkeypatch.setattr(tangency, "sweep_radii", spy)
     monkeypatch.setattr(model, "_sweep", None)
     sweep = classify.tangency_sweep(model)
+    cache = model.sphere_cache()
+    n = len(cache["thetas"])
+    m = geometry.grid_fold(model, n)[0]
     thetas, points, supports, k_lo, k_hi, kink = seen["args"]
+    assert len(thetas) == m + len(sweep.thetas) - n
+    assert np.array_equal(thetas[:m], cache["thetas"][:m])
+    thetas, points, supports, kink = (
+        np.concatenate([cache[key], arg[m:]])
+        for key, arg in (("thetas", thetas), ("points", points), ("supports", supports), ("kink", kink))
+    )
+    k_lo, k_hi = (np.concatenate([cache["kappas"], k[m:]]) for k in (k_lo, k_hi))
+    assert np.array_equal(sweep.thetas, thetas)
     fine = model.fine_points()
     fine_thetas = phase_grid(len(fine))
     lo = np.empty(len(thetas))
     hi = np.empty(len(thetas))
-    for j in range(len(thetas)):
-        psi = tangency.disc_psi(points[j], supports[j], thetas[j], fine, fine_thetas)
-        lo[j], hi[j] = np.nanmin(psi), np.nanmax(psi)
+    # disc_psi works row by row, so rows are taken 64 at a time
+    for j in range(0, len(thetas), 64):
+        rows = slice(j, j + 64)
+        psi = tangency.disc_psi(
+            points[rows, None], supports[rows, None], thetas[rows, None], fine[None], fine_thetas[None]
+        )
+        lo[rows], hi[rows] = np.nanmin(psi, axis=1), np.nanmax(psi, axis=1)
     r_in, r_out = tangency.disc_bounds(lo, hi, k_lo, k_hi, kink)
     inner_ok, outer_ok = tangency.disc_exists(r_in, r_out)
     np.testing.assert_array_equal(sweep.r_inner, r_in)
