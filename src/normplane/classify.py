@@ -333,46 +333,8 @@ def umst_delta_table(model, eps_values, n_a: int = TABLE_A_POINTS, n_off: int = 
 
 
 def find_flat(model) -> tuple:
-    """Maximal angular intervals where the cached sphere is collinear.
-
-    Candidate runs come from consecutive-triple collinearity; each run must
-    then pass whole-run collinearity against its chord, which separates true
-    faces from merely low-curvature stretches at this resolution.
-    """
-    cache = model.sphere_cache()
-    pts = cache["points"]
-    thetas = cache["thetas"]
-    n = len(pts)
-    # flat[j]: the triple j, j + 1, j + 2 (cyclically) is collinear
-    flat = semigroup.collinear_triples(np.vstack([pts, pts[:2]]))
-    if not np.any(flat):
-        return ()
-    # walk runs of consecutive flat triples, with wraparound
-    first_break = int(np.argmin(flat))
-    if flat[first_break]:
-        return ()  # everything collinear would mean a degenerate sphere
-    intervals = []
-    order = (np.arange(n) + first_break) % n
-    run: list[int] = []
-    for j in order:
-        if flat[j]:
-            run.append(j)
-            continue
-        if run:
-            intervals.append(run)
-            run = []
-    if run:
-        intervals.append(run)
-    out = []
-    for run in intervals:
-        idx = [run[0]] + [(j + 1) % n for j in run] + [(run[-1] + 2) % n]
-        if semigroup.on_chord(pts[idx]):
-            lo = float(thetas[idx[0]])
-            hi = float(thetas[idx[-1]])
-            if hi < lo:
-                hi += 2.0 * np.pi
-            out.append((lo, hi))
-    return tuple(out)
+    """The sphere's flat faces, read from its corner table (NormModel.faces)."""
+    return model.faces()
 
 
 def pilgrim_probe(model, x: SpherePoint, grid: int = 512) -> str:

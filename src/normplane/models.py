@@ -294,12 +294,18 @@ class NormModel:
         the family's hints."""
         return sorted_unique(np.concatenate([self.corners().thetas, self._sweep_hints()]))
 
-    def one_sided_supports(self, theta: float):
-        """(f_minus, f_plus), the one-sided supports of the kink within
-        KINK_TOL of theta, or None off the kinks."""
-        kinks = self.corners().kinks()
-        near, rows = kinks.lookup(np.array([float(theta)]))
-        return (kinks.f_minus[rows[0]], kinks.f_plus[rows[0]]) if near[0] else None
+    def faces(self) -> tuple:
+        """The sphere's flat faces, as (lo, hi) polar-angle intervals sorted
+        by lo, hi past 2pi when the face wraps: the spans between cyclically
+        consecutive corner rows whose facing supports agree to KINK_TOL and
+        whose facing curvature limits are both 0."""
+        c = self.corners()
+        nxt = np.roll(np.arange(len(c.thetas)), -1)
+        gap = c.f_plus - c.f_minus[nxt]
+        flat = np.hypot(gap[:, 0], gap[:, 1]) <= geometry.KINK_TOL
+        flat &= (c.k_plus == 0.0) & (c.k_minus[nxt] == 0.0)
+        hi = c.thetas[nxt] + np.where(nxt == 0, 2.0 * np.pi, 0.0)
+        return tuple(zip(c.thetas[flat].tolist(), hi[flat].tolist()))
 
     def curvature_sided_many(self, thetas) -> tuple[np.ndarray, np.ndarray]:
         """(min, max) of the one-sided curvatures at each of thetas. Within
@@ -316,11 +322,6 @@ class NormModel:
         k_lo[near] = np.minimum(c.k_minus, c.k_plus)[rows]
         k_hi[near] = np.where(c.kink, INF, np.maximum(c.k_minus, c.k_plus))[rows]
         return k_lo, k_hi
-
-    def curvature_sided(self, theta: float) -> tuple[float, float]:
-        """curvature_sided_many at one angle."""
-        k_lo, k_hi = self.curvature_sided_many(np.array([theta]))
-        return float(k_lo[0]), float(k_hi[0])
 
     def sphere_cache(self) -> dict:
         if self._cache is None:

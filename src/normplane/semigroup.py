@@ -19,7 +19,6 @@ from .errors import (
     WrongModel,
 )
 from .geometry import LinearMap2, SpherePoint, Vec2
-from .numerics import angle_dist
 
 #: a map is accepted as contractive up to this operator-norm slack
 CERTIFY_TOL = 1e-7
@@ -28,12 +27,6 @@ CERTIFY_TOL = 1e-7
 #: more than this: about 1e3 times the rounding of orbit certificates' norms
 #: (|op - 1| up to 1.1e-15 on seeded gallery pairs), 1e5 times below CERTIFY_TOL
 BOUNDARY_TOL = 1e-12
-
-#: consecutive cache points that must be collinear for the flatness probe
-FLAT_WINDOW = 9
-
-#: collinearity tolerance of the flatness probe
-FLAT_TOL = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,36 +99,13 @@ def certify(model, t: LinearMap2, centers=None) -> ContractionCertificate:
     )
 
 
-def collinear_triples(points: np.ndarray) -> np.ndarray:
-    """For each consecutive triple of points, whether it is collinear: the
-    cross product of its two edges within FLAT_TOL (1 + |first edge|^2)."""
-    e = np.diff(points, axis=0)
-    cross = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0]
-    return np.abs(cross) <= FLAT_TOL * (1.0 + np.einsum("ij,ij->i", e[:-1], e[:-1]))
-
-
-def on_chord(points: np.ndarray) -> bool:
-    """Whether every point lies within FLAT_TOL of the chord between the
-    first and the last point."""
-    chord = points[-1] - points[0]
-    norm = float(np.hypot(chord[0], chord[1]))
-    if norm == 0.0:
-        return False
-    rel = points - points[0]
-    dev = np.abs(rel[:, 0] * chord[1] - rel[:, 1] * chord[0]) / norm
-    return bool(np.max(dev) <= FLAT_TOL)
-
-
 def is_flat(model, y: SpherePoint) -> bool:
-    """Flatness probe: a cache window around y lies on one line (both
-    consecutive triples and the whole window against its chord)."""
-    cache = model.sphere_cache()
-    thetas = cache["thetas"]
-    n = len(thetas)
-    j = int(np.argmin(angle_dist(thetas, y.theta)))
-    idx = (j + np.arange(-(FLAT_WINDOW // 2), FLAT_WINDOW // 2 + 1)) % n
-    pts = cache["points"][idx]
-    return bool(np.all(collinear_triples(pts))) and on_chord(pts)
+    """Whether y lies inside a face of the sphere (NormModel.faces), more
+    than KINK_TOL from both of its ends."""
+    return any(
+        geometry.KINK_TOL < (y.theta - lo) % (2.0 * math.pi) < hi - lo - geometry.KINK_TOL
+        for lo, hi in model.faces()
+    )
 
 
 def flat_transport(model, x: SpherePoint, y: SpherePoint, eps: float = 0.5) -> ContractionCertificate:
@@ -143,7 +113,7 @@ def flat_transport(model, x: SpherePoint, y: SpherePoint, eps: float = 0.5) -> C
     squeezes the complement of x's support line into the face direction,
     halving the squeeze until certification passes."""
     if not is_flat(model, y):
-        raise NotFlat(f"no supporting-line window at theta={y.theta!r}")
+        raise NotFlat(f"no face holds theta={y.theta!r}")
     src = np.column_stack([x.point.as_array(), x.tangent.as_array()])
     ty = y.tangent.as_array()
     e = float(eps)

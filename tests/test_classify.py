@@ -318,20 +318,39 @@ def test_dual_check_catches_the_stretched_circle():
         classify.classify(models.make_ellipse(100.0, 1.0), dual_check=True)
 
 
-def test_find_flat(l1, euclid, hybrid, l4):
-    faces = classify.find_flat(l1)
-    assert len(faces) == 4
-    # each face spans just under a quarter turn
-    for lo, hi in faces:
-        assert hi - lo == pytest.approx(np.pi / 2, abs=0.02)
+def test_find_flat(l1, euclid, hybrid, l4, hexagon):
+    # the faces run exactly from vertex to vertex, the last one past 2 pi
+    quarter = np.pi / 2
+    assert classify.find_flat(l1) == tuple((j * quarter, (j + 1) * quarter) for j in range(4))
     assert classify.find_flat(euclid) == ()
     assert classify.find_flat(l4) == ()
-    faces = classify.find_flat(hybrid)
-    assert len(faces) == 2
     # the flat quadrants are II and IV
-    mids = sorted(((lo + hi) / 2) % (2 * np.pi) for lo, hi in faces)
-    assert mids[0] == pytest.approx(3 * np.pi / 4, abs=0.02)
-    assert mids[1] == pytest.approx(7 * np.pi / 4, abs=0.02)
+    assert classify.find_flat(hybrid) == ((quarter, 2 * quarter), (3 * quarter, 4 * quarter))
+    faces = classify.find_flat(hexagon)
+    assert faces[0] == (0.0, math.atan2(1.0, 0.5))
+    assert faces[-1] == (math.atan2(-1.0, 0.5) + 2 * np.pi, 2 * np.pi)
+
+
+#: face counts of the gallery models and their duals that have faces
+_FACE_COUNTS = {
+    "l1": 4,
+    "linf": 4,
+    "l2_l1_hybrid": 2,
+    "hexagon": 6,
+    "dual:l1": 4,
+    "dual:linf": 4,
+    "dual:l2_l1_hybrid": 4,
+    "dual:two_ellipses": 4,
+    "dual:hexagon": 6,
+}
+
+
+def test_find_flat_reads_the_faces(all_gallery):
+    for name, model in all_gallery.items():
+        for key, m in ((name, model), (f"dual:{name}", models.dual_model(model))):
+            faces = classify.find_flat(m)
+            assert faces == m.faces(), key
+            assert len(faces) == _FACE_COUNTS.get(key, 0), key
 
 
 def test_pilgrim_probe(euclid, mix, l1):

@@ -23,6 +23,14 @@ euclidean and 6.2e-11 on spliced (a sweep radius there carries the rounding
 of the depth 1 - <f, z>, about 3e-7 at a grid row's nearest fine samples),
 the others under 1.2e-14; no kind, reason, count or interval moved.
 
+It was regenerated by the same command when the flat faces came to be read
+from each model's corner table (``NormModel.faces``) instead of probed for
+on the sphere cache: only ``flat_points`` of l1, linf, l2_l1_hybrid and
+hexagon moved, each interval from the cache angles around a face to the
+exact vertex angles, sorted by angle (l1's first face [0.0031, 1.5677]
+became [0, pi / 2], hexagon's [0.0031, 1.1014] became [0, atan2(1, 0.5)]).
+No kind, reason, lambda, kappa, table row or face count moved.
+
 Regenerate it only together with a CHANGES.md line saying why the verdicts
 moved. Strings, bools, ints and None must match exactly, so a parameter given
 as the int 4 must not come back as 4.0; floats within 1e-12 relative.

@@ -237,8 +237,11 @@ def test_sphere_data_at_kinks(cornered):
         data = geometry.sphere_data(model, np.concatenate([ks, ks + 0.1]))
         assert data["kink"].tolist() == [True] * len(ks) + [False] * len(ks)
         assert data["smooth"].tolist() == [False] * len(ks) + [True] * len(ks)
-        for j, theta in enumerate(ks):
-            f_lo, f_hi = model.one_sided_supports(float(theta))
+        c = model.corners()
+        near, rows = c.lookup(ks)
+        assert near.all()
+        for j, row in enumerate(rows):
+            f_lo, f_hi = c.f_minus[row], c.f_plus[row]
             mean = 0.5 * (np.asarray(f_lo) + np.asarray(f_hi))
             support = mean / (mean @ data["points"][j])
             assert data["supports"][j] == pytest.approx(support, abs=1e-15)

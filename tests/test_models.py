@@ -203,22 +203,31 @@ def _conic_kappa(m: np.ndarray, x: np.ndarray) -> float:
     return abs(t @ m @ t) / math.hypot(*g) ** 3
 
 
+def _one_sided_supports(model, theta):
+    """(f_minus, f_plus) of the corner row within KINK_TOL of theta."""
+    c = model.corners()
+    near, rows = c.lookup(np.array([theta]))
+    assert near[0], theta
+    return c.f_minus[rows[0]], c.f_plus[rows[0]]
+
+
 def test_blend_keeps_base_corners(l1, linf, hexagon):
     for base in (l1, linf, hexagon):
         blend = models.make_blend(base, 1.0)
         assert np.array_equal(blend.kink_thetas(), base.kink_thetas())
         pts = blend.fine_points()
-        for theta in blend.kink_thetas():
+        ks = blend.kink_thetas()
+        k_lo, k_hi = blend.curvature_sided_many(ks)
+        for j, theta in enumerate(ks):
             x = blend.sphere_points_at(np.array([theta]))[0]
-            for f in blend.one_sided_supports(theta):
+            for f in _one_sided_supports(blend, theta):
                 assert f @ x == pytest.approx(1.0, abs=1e-12)  # pairs to 1 ...
                 assert np.max(pts @ f) <= 1.0 + 1e-12  # ... and supports the ball
             # next to a face with normal n the blend's sphere is the ellipse
             # of the form n n^T + eps I
-            faces = base.one_sided_supports(theta)
-            k_lo = min(_conic_kappa(np.outer(n, n) + np.eye(2), x) for n in faces)
-            got = blend.curvature_sided(theta)
-            assert got[0] == pytest.approx(k_lo, rel=0, abs=1e-12) and got[1] == math.inf
+            faces = _one_sided_supports(base, theta)
+            want = min(_conic_kappa(np.outer(n, n) + np.eye(2), x) for n in faces)
+            assert k_lo[j] == pytest.approx(want, rel=0, abs=1e-12) and k_hi[j] == math.inf
     assert not models.make_blend(linf, 1.0).is_c2
 
 
@@ -444,10 +453,10 @@ def test_polyhedral_curvature_hooks(l1, linf, hexagon):
         assert np.all(model.curvature_theta_many(at_corner) == math.inf)
         on_face = np.concatenate([mids, ks + 2e-12, ks - 2e-12, ks + 0.9e-9])
         assert np.all(model.curvature_theta_many(on_face) == 0.0)
-        for th in np.concatenate([at_corner, ks + 0.9e-9, ks - 0.9e-9]):
-            assert model.curvature_sided(float(th)) == (0.0, math.inf)
-        for th in np.concatenate([mids, ks + 2e-9, ks - 2e-9]):
-            assert model.curvature_sided(float(th)) == (0.0, 0.0)
+        k_lo, k_hi = model.curvature_sided_many(np.concatenate([at_corner, ks + 0.9e-9, ks - 0.9e-9]))
+        assert np.all(k_lo == 0.0) and np.all(k_hi == math.inf)
+        k_lo, k_hi = model.curvature_sided_many(np.concatenate([mids, ks + 2e-9, ks - 2e-9]))
+        assert np.all(k_lo == 0.0) and np.all(k_hi == 0.0)
 
 
 def test_corner_rows_are_limits_of_sphere_data(cornered):
@@ -456,7 +465,7 @@ def test_corner_rows_are_limits_of_sphere_data(cornered):
     k_minus and k_plus are the curvatures at theta -/+ d and -/+ 2 d,
     extrapolated linearly to theta, and within 1e-3 of the curvature at
     theta -/+ 1e-4. A row is a kink exactly when its supports
-    differ. curvature_sided serves the row within KINK_TOL (1e-9) of theta,
+    differ. curvature_sided_many serves the row within KINK_TOL (1e-9) of theta,
     where sphere_data flags the row's kink, and (k, k) beyond it."""
     for name, model in cornered.items():
         c = model.corners()
@@ -483,7 +492,6 @@ def test_corner_rows_are_limits_of_sphere_data(cornered):
         for off in (0.9e-9, -0.9e-9, 2e-9, -2e-9):
             data = geometry.sphere_data(model, th + off)
             k_lo, k_hi = model.curvature_sided_many(th + off)
-            assert [model.curvature_sided(t) for t in th + off] == list(zip(k_lo, k_hi)), name
             if abs(off) < geometry.KINK_TOL:
                 assert data["kink"].tolist() == c.kink.tolist(), name
                 assert data["smooth"].tolist() == (~c.kink).tolist(), name
@@ -530,7 +538,7 @@ def test_hybrid_is_the_quadrant_mix_2_1(hybrid):
     assert dual.params == {"p": 2.0, "q": "inf"}
     assert models.dual_model(dual).params == {"p": 2.0, "q": 1.0}
     # the axis supports come from the exact axis vector
-    lo, hi = hybrid.one_sided_supports(np.pi / 2)
+    lo, hi = _one_sided_supports(hybrid, np.pi / 2)
     assert (lo.tolist(), hi.tolist()) == ([0.0, 1.0], [-1.0, 1.0])
     # params keep the exponents as given, an infinite one as the string
     assert models.make_quadrant_mix(1.5, 4).params == {"p": 1.5, "q": 4}

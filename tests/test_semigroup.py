@@ -7,9 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from normplane import gallery, geometry, semigroup, tangency
+from normplane import gallery, geometry, models, semigroup, tangency
 from normplane.errors import Degenerate, NotFlat, Singular, WrongModel
 from normplane.geometry import LinearMap2
+
+#: the angle between neighbouring points of the sphere cache
+_CACHE_STEP = 2 * math.pi / models.SPHERE_CACHE_N
 
 
 def test_perp(euclid, l1, pig):
@@ -230,6 +233,14 @@ def test_flat_transport(l1, linf, euclid):
     assert cert.is_contractive
     with pytest.raises(NotFlat):
         semigroup.flat_transport(euclid, x, geometry.sphere_point(euclid, 1.0))
+    # a face point two cache steps from the vertex e1 is a target too
+    near_vertex = geometry.sphere_point(l1, 2 * _CACHE_STEP)
+    cert = semigroup.flat_transport(l1, y, near_vertex)
+    assert cert.is_contractive
+    assert l1.gauge(cert.T.apply(y.point) - near_vertex.point) < 1e-12
+    # the vertex itself is on no face
+    with pytest.raises(NotFlat):
+        semigroup.flat_transport(l1, y, x)
 
 
 def test_l1_orbit(l1, euclid):
@@ -286,6 +297,11 @@ def test_is_flat_probe(l1, euclid, l4):
     assert semigroup.is_flat(l1, geometry.sphere_point(l1, 0.8))
     assert not semigroup.is_flat(euclid, geometry.sphere_point(euclid, 0.8))
     assert not semigroup.is_flat(l4, geometry.sphere_point(l4, 0.003))
+    # flat up to KINK_TOL from the vertices, both sides of each
+    for theta in (2 * _CACHE_STEP, 2e-9, math.pi / 2 - 2e-9, 2 * math.pi - 2e-9):
+        assert semigroup.is_flat(l1, geometry.sphere_point(l1, theta)), theta
+    for theta in (0.0, 0.5e-9, math.pi / 2, 2 * math.pi - 0.5e-9):
+        assert not semigroup.is_flat(l1, geometry.sphere_point(l1, theta)), theta
 
 
 def _sampled_operator_norm(model, mat):

@@ -403,7 +403,7 @@ def _dense_extremes(psi, model, x):
             h /= 128.0
         extremes.append((sign * top, 2.0 * max(noise, _scatter(psi, model, x, at))))
     (inf_psi, slack_in), (sup_psi, slack_out) = extremes
-    k_lo, k_hi = model.curvature_sided(x.theta)
+    k_lo, k_hi = (float(k[0]) for k in model.curvature_sided_many([x.theta]))
     r_in, r_out = tangency.disc_bounds(inf_psi, sup_psi, k_lo, k_hi, False)
     return (float(r_in), slack_in), (float(r_out), slack_out)
 
@@ -451,7 +451,7 @@ def test_extremal_ellipses_match_a_dense_oracle(name, theta, at_corner, family):
     if family == "disc":
         present = tangency.disc_exists(r_in, r_out)
     else:
-        present = (True, model.curvature_sided(sp.theta)[0] >= 1e-9)
+        present = (True, model.curvature_sided_many([sp.theta])[0][0] >= 1e-9)
     for got, (r, slack), there in zip(radii, extremes, present):
         if not there:
             assert got is None
