@@ -12,8 +12,11 @@ declares its isometries among the eight signed permutations
 declared sign flips, the other rows being its exact images.
 
 gauge(-v) == gauge(v) holds exactly, bit for bit, for every family. Most
-formulas are exactly even as written (absolute values, hypot, squares, a
-quadrant picked by a sign product), so their rows are evaluated as given. The
+formulas are exactly even as written (absolute values, hypot, a quadrant
+picked by a sign product), so their rows are evaluated as given. No gauge
+squares a component or raises it to the p: lp takes the p-th power of a
+ratio in [0, 1], ellipse forms are |R z| with R the Cholesky factor, and a
+blend is a hypot, so every gauge is 1-homogeneous at every scale. The
 four families whose gauge reads an angle or a face normal (polar profiles, arc
 chains, support duals: arctan2(-v) is theta + pi only to rounding; polygons:
 normals are antipodal only to make_polygon's tolerance) flip each row to a
@@ -46,8 +49,9 @@ from .errors import (
 from .geometry import Vec2, as_vec
 from .numerics import (
     angle_dist,
+    form_factor,
+    form_norm,
     phase_grid,
-    quad_form,
     rotation,
     sorted_unique,
 )
@@ -68,21 +72,6 @@ SYMMETRY_TOL = 1e-9
 #: parameter sets count as mapped onto themselves to this fraction of their
 #: largest entry, the rounding of a set built from its images
 PARAM_SYMMETRY_TOL = 1e-14
-
-
-def _rescaled(formula, pts: np.ndarray) -> np.ndarray:
-    """formula(pts) -> (s, gauge), kept 1-homogeneous at every scale: on the
-    finite nonzero rows whose squares (or p-th powers) s leave [1e-300,
-    1e300], where they under- or overflow, the gauge is formula's on the row
-    with the larger component factored out, once (factoring again is exact
-    and changes nothing)."""
-    s, out = formula(pts)
-    # written so that a NaN row (NaN min and max) takes the row-wise path
-    if s.size and not (s.min() >= 1e-300 and s.max() <= 1e300):
-        hi = np.abs(pts).max(axis=1)
-        off = ~((s >= 1e-300) & (s <= 1e300)) & (hi > 0) & (hi < INF)
-        out[off] = hi[off] * formula(pts[off] / hi[off, None])[1]
-    return out
 
 
 def _odd_quadrants(pts: np.ndarray) -> np.ndarray:
@@ -391,14 +380,12 @@ class LpNorm(NormModel):
             return np.abs(pts).sum(axis=1)
         if self.p == 2.0:
             return np.hypot(pts[:, 0], pts[:, 1])
-        return _rescaled(self._power_sum, pts)
-
-    def _power_sum(self, pts):
         a = np.abs(pts)
-        with np.errstate(over="ignore", under="ignore"):
-            a **= self.p
-            s = a[:, 0] + a[:, 1]
-        return s, s ** (1.0 / self.p)
+        hi, lo = np.maximum(a[:, 0], a[:, 1]), np.minimum(a[:, 0], a[:, 1])
+        # hi (1 + (lo / hi)^p)^(1/p): only a ratio in [0, 1] is raised to the
+        # p; equal components (0 and inf among them) have the ratio 1
+        t = np.divide(lo, hi, out=np.ones(len(hi)), where=lo < hi)
+        return hi * (t**self.p + 1.0) ** (1.0 / self.p)
 
     def grad_many(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -906,6 +893,8 @@ def make_spliced_arcs(radius: float = 2.0, junction_angle: float = -np.pi / 4) -
     put the splice point in the open fourth quadrant.
     """
     r = float(radius)
+    if not (math.isfinite(r) and math.isfinite(junction_angle)):
+        raise BadParameter("radius and junction angle must be finite")
     if r <= 1.0:
         raise BadParameter("radius must exceed 1")
     a = np.array([0.0, r - 1.0])
@@ -958,7 +947,8 @@ def _reflect_q4_chain(q4: list[Arc]) -> list[Arc]:
 
 
 class EllipseMaxNorm(NormModel):
-    """Gauge max(|v|_E1, |v|_E2): intersection of two ellipse balls."""
+    """Gauge max(|v|_E1, |v|_E2): intersection of two ellipse balls, each
+    |v|_E = |R v| with R the Cholesky factor of its form."""
 
     family = "ellipse_intersection"
 
@@ -974,6 +964,8 @@ class EllipseMaxNorm(NormModel):
             m1 = m2 = m1 if w[0] >= 0.0 else m2
         self.m1 = m1
         self.m2 = m2
+        # each gauge is a form norm |R z|, its Cholesky factor computed once
+        self.r1, self.r2 = form_factor(m1), form_factor(m2)
         self.is_c2 = self.single
 
     def _declared_symmetries(self):
@@ -983,22 +975,17 @@ class EllipseMaxNorm(NormModel):
 
     def _forms(self, pts):
         # a single ellipse evaluates its one form once
-        q1 = quad_form(pts, self.m1)
-        return q1, q1 if self.single else quad_form(pts, self.m2)
+        n1 = form_norm(pts, self.r1)
+        return n1, n1 if self.single else form_norm(pts, self.r2)
 
     def _gauge_raw(self, pts):
-        return _rescaled(self._max_form, pts)
-
-    def _max_form(self, pts):
-        with np.errstate(over="ignore", under="ignore"):
-            s = quad_form(pts, self.m1) if self.single else np.maximum(*self._forms(pts))
-        return s, np.sqrt(s)
+        return form_norm(pts, self.r1) if self.single else np.maximum(*self._forms(pts))
 
     def grad_many(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        q1, q2 = self._forms(pts)
-        g = np.sqrt(np.maximum(q1, q2))
-        pick = (q1 >= q2)[:, None]
+        n1, n2 = self._forms(pts)
+        g = np.maximum(n1, n2)
+        pick = (n1 >= n2)[:, None]
         mv = np.where(pick, pts @ self.m1.T, pts @ self.m2.T)
         return mv / g[:, None]
 
@@ -1013,7 +1000,7 @@ class EllipseMaxNorm(NormModel):
         z = np.array([[a, b], [a, -b], [-a, -b], [-a, b]]) @ v.T
         thetas = np.arctan2(z[:, 1], z[:, 0]) % (2.0 * np.pi)
         pts = self.sphere_points_at(thetas)
-        f1, f2 = (pts @ m / quad_form(pts, m)[:, None] for m in (self.m1, self.m2))
+        f1, f2 = (pts @ m / n[:, None] ** 2 for m, n in zip((self.m1, self.m2), self._forms(pts)))
         k1, k2 = (curvature_implicit_many(2.0 * pts @ m.T, 2.0 * m) for m in (self.m1, self.m2))
         # q1 - q2 changes at rate 2 <z_perp, D z> turning through a corner, so
         # m1 is the larger form just before it where that rate is negative
@@ -1030,9 +1017,9 @@ class EllipseMaxNorm(NormModel):
     def curvature_theta_many(self, thetas):
         thetas = np.asarray(thetas, dtype=float)
         pts = self.sphere_points_at(thetas)
-        q1, q2 = self._forms(pts)
+        n1, n2 = self._forms(pts)
         out = np.empty_like(thetas)
-        for mask, m in ((q1 >= q2, self.m1), (q1 < q2, self.m2)):
+        for mask, m in ((n1 >= n2, self.m1), (n1 < n2, self.m2)):
             if np.any(mask):
                 out[mask] = curvature_implicit_many(2.0 * pts[mask] @ m.T, 2.0 * m)
         return _infinite_at_kinks(out, thetas, self.kink_thetas())
@@ -1074,6 +1061,7 @@ class BlendNorm(NormModel):
         super().__init__({"eps": eps, "base": dict(base.params), "base_family": base.family})
         self.base = base
         self.eps = float(eps)
+        self.root_eps = math.sqrt(self.eps)
         self.is_c2 = base.is_c2
 
     def _corner_rows(self):
@@ -1111,18 +1099,13 @@ class BlendNorm(NormModel):
         return support, np.where(finite, curvature_implicit_many(2.0 * support, hess), INF)
 
     def _gauge_raw(self, pts):
-        return _rescaled(self._square_sum, pts)
-
-    def _square_sum(self, pts):
-        b = self.base.gauge_many(pts)
-        with np.errstate(over="ignore", under="ignore"):
-            s = b * b + self.eps * (pts[:, 0] ** 2 + pts[:, 1] ** 2)
-        return s, np.sqrt(s)
+        # hypot(b, sqrt(eps) |x|) takes no square, so it stays in range
+        return np.hypot(self.base.gauge_many(pts), self.root_eps * np.hypot(pts[:, 0], pts[:, 1]))
 
     def grad_many(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         b = self.base.gauge_many(pts)
-        g = np.sqrt(b * b + self.eps * (pts[:, 0] ** 2 + pts[:, 1] ** 2))
+        g = np.hypot(b, self.root_eps * np.hypot(pts[:, 0], pts[:, 1]))
         return (b[:, None] * self.base.grad_many(pts) + self.eps * pts) / g[:, None]
 
     def curvature_theta_many(self, thetas):

@@ -3,7 +3,7 @@ distinct values of an array, two lane-wise minimum searches (golden section,
 one point per lane a step, and a zoom, one batched call of ZOOM_POINTS points
 per lane a round) and the circle maximum that refines with either, batched
 bisection and Illinois root polishing, finite-difference stencils, 2x2
-matrix helpers (quadratic forms, symmetric powers, rotations), and the block
+matrix helpers (form norms, symmetric powers, rotations), and the block
 size of the memory-bound classification tables.
 
 Golden section needs the fewest evaluations, the zoom the fewest calls: on a
@@ -265,13 +265,21 @@ def spd_power(mat: np.ndarray, exponent: float) -> np.ndarray:
     return (v * w**exponent) @ v.T
 
 
-def quad_form(pts: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """z^T M z for each row z = (x, y) of pts: x m00 x + x m01 y + y m10 x +
-    y m11 y, the operand order of np.einsum("ij,jk,ik->i"), so the values
-    match it bit for bit at a fraction of its cost on size-2 axes (on a
-    single row einsum adds the two cross terms in the other order)."""
+def form_factor(m) -> tuple[float, float, float]:
+    """(r00, r01, r11): the upper-triangular Cholesky factor R of the
+    symmetric positive-definite 2x2 form m, R^T R = m."""
+    r00 = math.sqrt(m[0][0])
+    r01 = m[0][1] / r00
+    return r00, r01, math.sqrt(m[1][1] - r01 * r01)
+
+
+def form_norm(pts: np.ndarray, r) -> np.ndarray:
+    """sqrt(z^T M z) for each row z = (x, y) of pts, as |R z| = hypot(r00 x +
+    r01 y, r11 y) with r = form_factor(M): no square is taken, so the value
+    stays in the float range wherever R z does, and it is exactly even (-z
+    negates both coordinates of R z)."""
     x, y = pts[:, 0], pts[:, 1]
-    return x * m[0, 0] * x + x * m[0, 1] * y + y * m[1, 0] * x + y * m[1, 1] * y
+    return np.hypot(r[0] * x + r[1] * y, r[2] * y)
 
 
 def rotation(angle: float) -> np.ndarray:

@@ -108,15 +108,15 @@ def is_flat(model, y: SpherePoint) -> bool:
     )
 
 
-def flat_transport(model, x: SpherePoint, y: SpherePoint, eps: float = 0.5) -> ContractionCertificate:
+def flat_transport(model, x: SpherePoint, y: SpherePoint) -> ContractionCertificate:
     """Contractive map x -> y onto a flat point: fixes the ray through y and
-    squeezes the complement of x's support line into the face direction,
-    halving the squeeze until certification passes."""
+    squeezes the complement of x's support line into the face direction, by
+    0.5 at first, halving the squeeze until certification passes."""
     if not is_flat(model, y):
         raise NotFlat(f"no face holds theta={y.theta!r}")
     src = np.column_stack([x.point.as_array(), x.tangent.as_array()])
     ty = y.tangent.as_array()
-    e = float(eps)
+    e = 0.5
     last = None
     while e >= 1e-12:
         dst = np.column_stack([y.point.as_array(), e * ty])

@@ -261,9 +261,9 @@ def close_sphere(curve: BuiltCurve) -> ArcChainNorm:
     return make_arc_chain(_reflect_q4_chain(arcs + closing))._replace_params(params)
 
 
-def build_nobst(depth: int = DEFAULT_DEPTH, step: float = 1e-4) -> ArcChainNorm:
+def build_nobst(depth: int = DEFAULT_DEPTH) -> ArcChainNorm:
     """Staircase curvature -> integrated curve -> closed sphere."""
-    return close_sphere(integrate_curve(staircase_function(depth), step))
+    return close_sphere(integrate_curve(staircase_function(depth)))
 
 
 def nobst_witness(model: ArcChainNorm, n_list) -> list[tuple[int, float]]:

@@ -32,7 +32,7 @@ import numpy as np
 from .curvature import INF
 from .errors import NotPositiveDefinite
 from .geometry import Disc, SpherePoint, Vec2
-from .numerics import BLOCK_POINTS, angle_dist, circle_max, phase_grid, quad_form, spd_power
+from .numerics import BLOCK_POINTS, angle_dist, circle_max, form_factor, form_norm, phase_grid, spd_power
 
 #: no disc below this radius counts as existing
 MIN_DISC_RADIUS = 1e-6
@@ -84,7 +84,7 @@ class Ellipse:
 
     def gauge_many(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.sqrt(quad_form(pts, self.matrix()))
+        return form_norm(pts, form_factor(self.matrix()))
 
     def boundary_points(self, n: int) -> np.ndarray:
         phis = phase_grid(n)
@@ -319,20 +319,20 @@ def tangent_ellipse(x: SpherePoint, t: float) -> Ellipse:
     return Ellipse.from_matrix(np.outer(f, f) + t * np.outer(xp, xp))
 
 
-def ellipse_inside_ball(model, ellipse: Ellipse, tol: float = CONTAIN_TOL) -> bool:
+def ellipse_inside_ball(model, ellipse: Ellipse) -> bool:
     """Certified check that the ellipse is contained in the unit ball."""
     inv_half = spd_power(ellipse.matrix(), -0.5)
 
     def val(phi):
         return model.gauge_many(np.column_stack([np.cos(phi), np.sin(phi)]) @ inv_half.T)
 
-    return _max_within(val, val(phase_grid(2048)), 1.0 + tol)
+    return _max_within(val, val(phase_grid(2048)), 1.0 + CONTAIN_TOL)
 
 
-def ball_inside_ellipse(model, ellipse: Ellipse, tol: float = CONTAIN_TOL) -> bool:
+def ball_inside_ellipse(model, ellipse: Ellipse) -> bool:
     """Certified check that the unit ball is contained in the ellipse."""
     vals = ellipse.gauge_many(model.fine_points())
-    return _max_within(_sphere_form(model, ellipse), vals, 1.0 + tol)
+    return _max_within(_sphere_form(model, ellipse), vals, 1.0 + CONTAIN_TOL)
 
 
 def ellipse_psi(x, f, thetas, z, z_thetas) -> np.ndarray:

@@ -40,8 +40,12 @@ def test_every_gauge_homogeneous_at_every_scale(all_gallery):
     rng = np.random.default_rng(11)
     phis = rng.uniform(0.0, 2.0 * np.pi, 200)
     dirs = np.column_stack([np.cos(phis), np.sin(phis)])
-    # a form entry of 1e-302 leaves the range even on unit rows
-    extreme = {"ellipse_1e151_1": models.make_ellipse(1e151, 1.0)}
+    # a form entry of 1e-302 leaves the range even on unit rows, and the
+    # rotated needle's quadratic form would cancel inf - inf at 1e300
+    extreme = {
+        "ellipse_1e151_1": models.make_ellipse(1e151, 1.0),
+        "ellipse_1e3_1e-3_rotated": models.make_ellipse(1e3, 1e-3, angle=0.3),
+    }
     for name, model in {**all_gallery, **extreme}.items():
         base = model.gauge_many(dirs)
         for t in (1e-300, 1e-170, 1e-100, 1e100, 1e170, 1e300):

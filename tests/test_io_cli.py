@@ -194,13 +194,15 @@ def test_gallery_names():
         "family = arc_chain\narc = 1,2\n",
         "family = nobst\ndepth = 2.5\n",
         "family = spliced\nradius = x\n",
+        "family = spliced\njunction_angle = inf\n",
+        "family = spliced\nradius = inf\n",
         None,  # no such file
     ],
     ids=[
         "lp_p_below_1", "blend_eps_inf", "arc_nan", "arc_inf", "polygon_winds_twice",
         "vertex_one_field", "p_not_a_number", "sin_amplitude_not_a_number", "sin_no_amplitude",
         "form_two_fields", "arc_two_fields", "depth_not_an_integer", "radius_not_a_number",
-        "missing_file",
+        "junction_angle_inf", "radius_inf", "missing_file",
     ],
 )
 def test_cli_invalid_model_exits_2(tmp_path, text):
