@@ -25,8 +25,8 @@ KINK_TOL = 1e-9
 #: declared invertibility threshold for 2x2 maps
 DET_TOL = 1e-12
 
-#: coarse grid sizes (operator_norm and certificates search the model's
-#: 4096-point fine cache)
+#: the grid of operator_norm_batch's search, scanned on its first half
+#: (operator_norms searches the first half of the model's fine cache)
 OPNORM_BATCH_GRID = 512
 
 #: the support table's tolerance on the maximiser's angle, its halvings of
@@ -433,16 +433,74 @@ def _map_gauge(model, mats):
     return val
 
 
+def form_operator_norms(mats, r=(1.0, 0.0, 1.0)) -> tuple[np.ndarray, np.ndarray]:
+    """Exact operator norms of the finite maps mats (shape (k, 2, 2)) for the
+    gauge |R z|, R = [[r00, r01], [0, r11]] with r = (r00, r01, r11) from
+    numerics.form_factor (R = I, the Euclidean norm, by default): sigma_max
+    of M = R T R^-1 = [[a, b], [c, d]], (hypot(a + d, c - b) + hypot(a - d,
+    c + b)) / 2, which squares no entry. M^T M has its top eigenvector at
+    half the angle arg((a - d) + i(c + b)) - arg((a + d) + i(c - b)), and
+    the witness is the polar angle of R^-1 of it. Returns (values,
+    angles)."""
+    r00, r01, r11 = r
+    u = r01 / r00
+    a, b, c, d = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
+    a, b, c, d = a + u * c, (r00 / r11) * (b + u * (d - a - u * c)), (r11 / r00) * c, d - u * c
+    e, h, f, g = a + d, c - b, a - d, c + b
+    half = 0.5 * (np.arctan2(g, f) - np.arctan2(h, e))
+    sin = np.sin(half)
+    return 0.5 * (np.hypot(e, h) + np.hypot(f, g)), np.arctan2(r00 * sin, r11 * np.cos(half) - r01 * sin)
+
+
+def vertex_operator_norms(model, mats, vertices) -> tuple[np.ndarray, np.ndarray]:
+    """Exact operator norms of the finite maps mats (shape (k, 2, 2)) on a
+    polygonal ball, one of each pair +-v of whose vertices is a row of
+    vertices: z -> gauge(T z) is convex, so its sup over the ball is
+    max gauge(T v) over the vertices, and gauge(T(-v)) = gauge(T v). The
+    witness is the polar angle of the first maximising vertex. Returns
+    (values, angles)."""
+    vals = _grid_norms(model, mats, vertices)
+    best = np.argmax(vals, axis=1)
+    return vals[np.arange(len(vals)), best], np.arctan2(vertices[best, 1], vertices[best, 0])
+
+
+def _exact_norms(model, mats):
+    """model._exact_operator_norms(mats), or None where the model has no
+    closed form. A map with a non-finite entry reaches the hook as the zero
+    map and reads as the search reads it: NaN where an entry is NaN, inf
+    where one is infinite."""
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    if finite.all():
+        return model._exact_operator_norms(mats)
+    exact = model._exact_operator_norms(np.where(finite[:, None, None], mats, 0.0))
+    if exact is None:
+        return None
+    degenerate = np.where(np.isnan(mats).any(axis=(1, 2)), np.nan, np.inf)
+    return np.where(finite, exact[0], degenerate), exact[1]
+
+
 def operator_norms(model, mats, centers=None) -> tuple[np.ndarray, np.ndarray]:
     """sup of gauge(T z) over the gauge-unit sphere for each 2x2 map T of
-    mats (shape (k, 2, 2)), at the certificate settings: the 4096 points of
-    the model's fine cache plus a zoom as fine as an 80-step golden search
-    (14 rounds of 33 points, one gauge call a round for all maps), all maps
-    as lanes of one search, so each value and witness angle is bit for bit
-    the one-map result, ``centers`` as in circle_max. Returns (values,
-    angles)."""
+    mats (shape (k, 2, 2)), with the polar angle of a maximiser: the model's
+    closed form where it has one (NormModel._exact_operator_norms), else the
+    certificate search (_certificate_search). Returns (values, angles)."""
     mats = np.asarray(mats, dtype=float)
-    return _operator_norms(model, mats, model.fine_points(), 80, centers=centers, zoom=True)
+    exact = _exact_norms(model, mats)
+    return exact if exact is not None else _certificate_search(model, mats, centers)
+
+
+def _certificate_search(model, mats, centers=None):
+    """operator_norms by search: the first half of the model's fine cache,
+    2048 of its 4096 points, as a pi-periodic search, since gauge(T(-z)) =
+    gauge(T z); then a zoom as fine as an 80-step golden search (14 rounds
+    of 33 points, one gauge call a round for all maps), all maps as lanes
+    of one search, so each value and witness angle is bit for bit the
+    one-map result, ``centers`` as in circle_max. The cache's second half is
+    the exact negation of its first, and circle_max keeps the first of two
+    tied samples, so values and angles are bit for bit those of the search
+    over the whole cache."""
+    fine = model.fine_points()
+    return _operator_norms(model, mats, fine[: len(fine) // 2], 80, np.pi, centers, zoom=True)
 
 
 def operator_norm(model, t) -> OperatorNorm:
@@ -453,11 +511,20 @@ def operator_norm(model, t) -> OperatorNorm:
 
 
 def operator_norm_batch(model, mats: np.ndarray, bound: float = np.inf) -> np.ndarray:
-    """Operator norms of a batch of 2x2 matrices (shape (k, 2, 2)): the
-    OPNORM_BATCH_GRID grid plus a 60-step golden refinement, all maps as
-    lanes of one search; used by sweep-style callers where the one-at-a-time
-    path would dominate the runtime. It stays golden, not zoomed as
-    operator_norms is, so the classification's output stays as it was.
+    """Operator norms of a batch of 2x2 matrices (shape (k, 2, 2)), for
+    sweep-style callers where the certificate search would dominate the
+    runtime: the model's closed form where it has one, else _batch_search
+    (whose reading of ``bound`` the exact values meet too)."""
+    mats = np.asarray(mats, dtype=float)
+    exact = _exact_norms(model, mats)
+    return exact[0] if exact is not None else _batch_search(model, mats, bound)
+
+
+def _batch_search(model, mats, bound: float = np.inf) -> np.ndarray:
+    """operator_norm_batch by search: the OPNORM_BATCH_GRID grid plus a
+    60-step golden refinement, all maps as lanes of one search. It stays
+    golden, not zoomed as the certificate search is, so the classification's
+    output stays as it was.
 
     gauge(T(-z)) = gauge(T z), so only the first half of the grid is
     scanned, as a pi-periodic search (numerics.circle_max): the values are
@@ -467,7 +534,6 @@ def operator_norm_batch(model, mats: np.ndarray, bound: float = np.inf) -> np.nd
     as well; each refined lane is bit for bit its value in the full
     search. Such a map's grid row is set to -inf in place, which circle_max
     does not refine, so no copy of the grid is made."""
-    mats = np.asarray(mats, dtype=float)
     pts = model.sphere_points_at(phase_grid(OPNORM_BATCH_GRID // 2, np.pi))
     vals = _grid_norms(model, mats, pts)
     out = vals.max(axis=1)

@@ -223,6 +223,13 @@ class NormModel:
         parameters; here {I, -I}, which every norm has."""
         return geometry.SIGNED_PERMUTATIONS[:2]
 
+    def _exact_operator_norms(self, mats):
+        """(values, witness angles): sup of gauge(T z) over the sphere for
+        the finite maps mats (shape (k, 2, 2)) in the family's closed form,
+        which geometry.operator_norms and operator_norm_batch read before
+        they search; here None, no closed form."""
+        return None
+
     # -- shared machinery -----------------------------------------------------
 
     def gauge_many(self, points) -> np.ndarray:
@@ -416,6 +423,17 @@ class LpNorm(NormModel):
 
     def _declared_symmetries(self):
         return geometry.SIGNED_PERMUTATIONS
+
+    def _exact_operator_norms(self, mats):
+        # l2 is sigma_max; l1 and linf take one vertex of each pair +-v, the
+        # axis units and the diagonals (1, 1), (-1, 1)
+        if self.p == 2.0:
+            return geometry.form_operator_norms(mats)
+        if self.p == 1.0:
+            return geometry.vertex_operator_norms(self, mats, _AXIS_UNITS[:2])
+        if self.p == INF:
+            return geometry.vertex_operator_norms(self, mats, _AXIS_UNITS[:2] + _AXIS_UNITS[1:3])
+        return None
 
     def _axis_kappa(self) -> float:
         if self.p == 2.0:
@@ -677,7 +695,16 @@ class PolygonNorm(NormModel):
         self.normals = np.asarray(normals)
 
     def _gauge_raw(self, pts):
-        return (_canonical(pts) @ self.normals.T).max(axis=1)
+        pts = _canonical(pts)
+        inf = np.isinf(pts).any(axis=1)
+        if not inf.any():
+            return (pts @ self.normals.T).max(axis=1)
+        # a row with an infinite component lies outside every multiple of the
+        # ball, so it gauges to inf (NaN if it holds a NaN); the product would
+        # meet inf * 0 or inf - inf on it
+        out = np.where(np.isnan(pts).any(axis=1), np.nan, INF)
+        out[~inf] = (pts[~inf] @ self.normals.T).max(axis=1)
+        return out
 
     def grad_many(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -686,6 +713,11 @@ class PolygonNorm(NormModel):
     def _corner_rows(self):
         th = np.arctan2(self.vertices[:, 1], self.vertices[:, 0]) % (2.0 * np.pi)
         return _polygon_corners(th, self.normals)
+
+    def _exact_operator_norms(self, mats):
+        # the vertices run counterclockwise around a symmetric polygon, so the
+        # second half are the first's antipodes
+        return geometry.vertex_operator_norms(self, mats, self.vertices[: len(self.vertices) // 2])
 
     def _declared_symmetries(self):
         return _closed_under(self.vertices, lambda g, v: v @ g.T)
@@ -980,6 +1012,10 @@ class EllipseMaxNorm(NormModel):
 
     def _gauge_raw(self, pts):
         return form_norm(pts, self.r1) if self.single else np.maximum(*self._forms(pts))
+
+    def _exact_operator_norms(self, mats):
+        # a single ellipse is |R z|, so ||T|| = sigma_max(R T R^-1)
+        return geometry.form_operator_norms(mats, self.r1) if self.single else None
 
     def grad_many(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))

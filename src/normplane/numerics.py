@@ -277,9 +277,12 @@ def form_norm(pts: np.ndarray, r) -> np.ndarray:
     """sqrt(z^T M z) for each row z = (x, y) of pts, as |R z| = hypot(r00 x +
     r01 y, r11 y) with r = form_factor(M): no square is taken, so the value
     stays in the float range wherever R z does, and it is exactly even (-z
-    negates both coordinates of R z)."""
+    negates both coordinates of R z). A diagonal form (r01 == 0) leaves its
+    zero term out, which changes no finite value and keeps 0 * inf from an
+    infinite y."""
     x, y = pts[:, 0], pts[:, 1]
-    return np.hypot(r[0] * x + r[1] * y, r[2] * y)
+    u = r[0] * x if r[1] == 0.0 else r[0] * x + r[1] * y
+    return np.hypot(u, r[2] * y)
 
 
 def rotation(angle: float) -> np.ndarray:

@@ -81,7 +81,9 @@ def make_L_ab(model, a: SpherePoint, b: SpherePoint, eps: float) -> LinearMap2:
 
 def certify(model, t: LinearMap2, centers=None) -> ContractionCertificate:
     """Operator-norm certificate for t; Singular if t is not invertible.
-    ``centers`` (2, m): angles also refined for t and its inverse."""
+    ``centers`` (2, m): angles also refined for t and its inverse where the
+    norms are searched; a model with a closed form
+    (NormModel._exact_operator_norms) has no use for them."""
     if not t.is_invertible():
         raise Singular(f"determinant {t.det()!r}")
     # T and its inverse are two lanes of one operator-norm search

@@ -17,7 +17,9 @@ One search serves both (``extremal_radii``): psi on the fine cache, refined
 at the worst angles and on the rims of the zone around x (``numerics.
 circle_max``), then ``disc_bounds``. ``disc_radii`` is a lane of it, whose
 disc ``disc_exists`` accepts and ``verify_disc`` certifies; ``extremal_ts``
-is |f|^3 over it, whose ellipses are certified the same way. The
+is |f|^3 over it, whose ellipses are certified the same way. ellipse_psi is
+even in z, so ``extremal_ts`` searches the cache's first half only, with
+period pi; disc_psi is not, so the discs search the whole circle. The
 classification sweep (``sweep_radii``) takes disc_psi's extremes on the
 fine cache unrefined, under the same rule, in cache-sized blocks.
 """
@@ -181,7 +183,7 @@ def disc_exists(r_in, r_out):
     return tuple((r >= MIN_DISC_RADIUS) & (r <= OUTER_DISC_CAP) for r in (r_in, r_out))
 
 
-def extremal_radii(model, psi, xs, outer) -> tuple[np.ndarray, np.ndarray]:
+def extremal_radii(model, psi, xs, outer, even=False) -> tuple[np.ndarray, np.ndarray]:
     """Radii of curvature at the sphere points xs of the extremal members of
     one tangent family, lanes of one search: psi(x, f, thetas, z, z_thetas)
     is the radius of the family's member through z (disc_psi, ellipse_psi),
@@ -190,22 +192,28 @@ def extremal_radii(model, psi, xs, outer) -> tuple[np.ndarray, np.ndarray]:
     curvatures by disc_bounds. psi is taken on the fine cache and refined by
     circle_max: REFINE_WORST seeds and a window on each rim of the unsampled
     zone around x, zoomed as finely as 40 golden steps, 7 calls for all
-    lanes. Returns the radii, 0 / inf where a member does not exist, and
-    k_lo at xs."""
+    lanes. A psi that is ``even`` in z (ellipse_psi) is taken on the cache's
+    first half only, as a pi-periodic search with REFINE_WORST // 2 seeds:
+    the second half is the exact negation of the first, so its samples
+    are the first half's twins, and the full table's REFINE_WORST seeds are
+    these seeds and their twins. Returns the radii, 0 / inf where a member
+    does not exist, and k_lo at xs."""
     outer = np.asarray(outer, dtype=bool)
     pts = np.array([x.point.as_array() for x in xs])
     f = np.array([x.support.as_array() for x in xs])
     thetas = np.array([x.theta for x in xs])
     sign = np.where(outer, 1.0, -1.0)
     fine = model.fine_points()
-    table = psi(pts[:, None], f[:, None], thetas[:, None], fine[None], phase_grid(len(fine))[None])
+    n = len(fine)
+    m, period, seeds = (n // 2, np.pi, REFINE_WORST // 2) if even else (n, 2.0 * np.pi, REFINE_WORST)
+    table = psi(pts[:, None], f[:, None], thetas[:, None], fine[None, :m], phase_grid(m, period)[None])
 
     def lane(rows, th):
         return sign[rows] * psi(pts[rows], f[rows], thetas[rows], model.sphere_points_at(th), th)
 
-    rims = thetas[:, None] + (PSI_EXCLUDE + 2.0 * np.pi / len(fine)) * np.array([-1.0, 1.0])
+    rims = thetas[:, None] + (PSI_EXCLUDE + 2.0 * np.pi / n) * np.array([-1.0, 1.0])
     vals = np.where(np.isnan(table), -INF, sign[:, None] * table)
-    best = sign * circle_max(lane, vals, REFINE_WORST, 40, centers=rims, zoom=True)[0]
+    best = sign * circle_max(lane, vals, seeds, 40, period, centers=rims, zoom=True)[0]
     k_lo, k_hi = model.curvature_sided_many(thetas)
     kink = model.corners().kinks().lookup(thetas)[0]
     r_in, r_out = disc_bounds(best, best, k_lo, k_hi, kink)
@@ -354,13 +362,14 @@ def ellipse_psi(x, f, thetas, z, z_thetas) -> np.ndarray:
 
 def extremal_ts(model, xs, outer) -> np.ndarray:
     """t of the extremal tangent ellipses at the sphere points xs, lanes of
-    one search: |f|^3 over extremal_radii on ellipse_psi, so t_in =
-    max(sup g, k_hi |f|^3) where ``outer`` is False and t_out = min(inf g,
-    k_lo |f|^3) where it is True. NaN where the member does not exist: at a
-    corner, outer at k_lo < 1e-9, or t not in (0, inf)."""
+    one search: |f|^3 over extremal_radii on ellipse_psi (even in z, so
+    searched on half the fine cache), so t_in = max(sup g, k_hi |f|^3)
+    where ``outer`` is False and t_out = min(inf g, k_lo |f|^3) where it is
+    True. NaN where the member does not exist: at a corner, outer at k_lo <
+    1e-9, or t not in (0, inf)."""
     outer = np.asarray(outer, dtype=bool)
     f = np.array([x.support.as_array() for x in xs])
-    r, k_lo = extremal_radii(model, ellipse_psi, xs, outer)
+    r, k_lo = extremal_radii(model, ellipse_psi, xs, outer, even=True)
     with np.errstate(divide="ignore"):
         t = np.hypot(f[:, 0], f[:, 1]) ** 3 / r
     ok = np.array([x.smooth for x in xs]) & ~(outer & (k_lo < 1e-9)) & (t > 0) & (t < INF)

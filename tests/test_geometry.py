@@ -328,11 +328,14 @@ def test_operator_norm_grid_is_the_fine_cache(all_gallery, pig_strict):
         assert np.array_equal(fine[:m], grid[:m]), name
         assert np.array_equal(fine, g * fine[rep]), name
         assert np.max(np.abs(fine - grid)) <= 1e-13, name
-    # operator_norm and certificates search the fine cache and refine with
-    # the zoom
+    # operator_norm and certificates search the first half of the fine cache
+    # as a pi-periodic grid and refine with the zoom: bit for bit the search
+    # over the whole cache
     mats = np.random.default_rng(37).normal(size=(8, 2, 2))
-    want = geometry._operator_norms(pig_strict, mats, pig_strict.fine_points(), 80, zoom=True)[0]
+    fine = pig_strict.fine_points()
+    want = geometry._operator_norms(pig_strict, mats, fine[:2048], 80, np.pi, zoom=True)[0]
     assert np.array_equal([float(geometry.operator_norm(pig_strict, m)) for m in mats], want)
+    assert np.array_equal(want, geometry._operator_norms(pig_strict, mats, fine, 80, zoom=True)[0])
 
 
 def test_operator_norms_are_one_map_calls(all_gallery):
@@ -354,13 +357,83 @@ def test_operator_norms_are_one_map_calls(all_gallery):
             assert one[0] == values[k] and angle[0] == angles[k], (name, k)
 
 
+#: the gallery models with a closed-form operator norm
+_EXACT_NORM_MODELS = ("euclidean", "l1", "linf", "ellipse_2_1", "hexagon")
+
+
+def _exact_norm_models():
+    """The models of _EXACT_NORM_MODELS and the duals of the last two (l2 is
+    its own dual, and l1 and linf are each other's)."""
+    for name in _EXACT_NORM_MODELS:
+        yield name, gallery.get(name)
+    for name in _EXACT_NORM_MODELS[3:]:
+        yield name + "*", models.dual_model(gallery.get(name))
+
+
+def test_unhooked_operator_norms_are_the_full_fine_scan(all_gallery):
+    # without a closed form, operator_norms searches half of the fine cache;
+    # values and witness angles are bit for bit the search over all of it,
+    # also with a centre per map, as certify passes them, and
+    # operator_norm_batch is its own search
+    rng = np.random.default_rng(61)
+    mats = rng.normal(size=(64, 2, 2))
+    centers = rng.uniform(0.0, 2.0 * np.pi, (64, 1))
+    for name, model in all_gallery.items():
+        if name in _EXACT_NORM_MODELS:
+            assert model._exact_operator_norms(mats) is not None, name
+            continue
+        assert model._exact_operator_norms(mats) is None, name
+        fine = model.fine_points()
+        for c in (None, centers):
+            got = geometry.operator_norms(model, mats, c)
+            want = geometry._operator_norms(model, mats, fine, 80, centers=c, zoom=True)
+            np.testing.assert_array_equal(got[0], want[0], err_msg=name)
+            np.testing.assert_array_equal(got[1], want[1], err_msg=name)
+        np.testing.assert_array_equal(geometry.operator_norm_batch(model, mats), geometry._batch_search(model, mats))
+
+
+def test_closed_form_operator_norms_match_the_search():
+    # sigma_max(R T R^-1) on euclidean and the ellipses, the vertex maximum
+    # on l1, linf and the hexagons: within 4e-15 relative of the certificate
+    # search on 2000 seeded maps (measured: 5.9e-16), and the gauge of T at
+    # the witness's sphere point is the value to rounding
+    rng = np.random.default_rng(67)
+    mats = rng.normal(size=(2000, 2, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, (2000, 1, 1))
+    for name, model in _exact_norm_models():
+        values, angles = geometry.operator_norms(model, mats)
+        search = geometry._certificate_search(model, mats)[0]
+        assert np.all(np.abs(values - search) <= 4e-15 * search), name
+        at_witness = model.gauge_many(geometry._map_images(mats, model.sphere_points_at(angles)))
+        assert np.all(np.abs(at_witness - values) <= 4e-15 * values), name
+        np.testing.assert_array_equal(geometry.operator_norm_batch(model, mats), values, err_msg=name)
+
+
+def test_closed_form_operator_norms_of_degenerate_maps():
+    # as the search reads them, with no float warning: a NaN entry gives NaN,
+    # an infinite one inf, the zero map 0, and entries of 1e300 stay in range
+    nan, inf = math.nan, math.inf
+    mats = np.array(
+        [[[nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [inf, 1.0]], [[1.0, -inf], [0.0, 1.0]], np.zeros((2, 2)), np.full((2, 2), 1e300)]
+    )
+    big = {"euclidean": 2e300, "l1": 2e300, "ellipse_2_1": 2.5e300, "hexagon": 2.25e300}
+    for name, model in _exact_norm_models():
+        for values in (geometry.operator_norms(model, mats)[0], geometry.operator_norm_batch(model, mats)):
+            search = geometry._certificate_search(model, mats)[0]
+            assert math.isnan(values[0]) and math.isnan(search[0]), name
+            assert values[1:4].tolist() == search[1:4].tolist() == [inf, inf, 0.0], name
+            assert values[4] == pytest.approx(search[4], rel=4e-15), name
+            if name in big:
+                assert values[4] == pytest.approx(big[name], rel=4e-15), name
+
+
 def test_operator_norm_zoom_agrees_with_golden(all_gallery):
     # the certificates' zoom and an 80-step golden search from the same grid
     # agree to rounding on every gallery model (within 7.4e-16 relative on
-    # these maps)
+    # these maps); the search is called directly, since the models with a
+    # closed form do not search
     mats = np.random.default_rng(47).normal(size=(64, 2, 2))
     for name, model in all_gallery.items():
-        zoom = geometry.operator_norms(model, mats)[0]
+        zoom = geometry._certificate_search(model, mats)[0]
         golden = geometry._operator_norms(model, mats, model.fine_points(), 80)[0]
         assert np.all(np.abs(zoom - golden) <= 4e-15 * golden), name
 
@@ -378,7 +451,8 @@ def test_operator_norm_batch_is_lane_wise(pig_strict, ellipse_2_1):
 def test_operator_norm_batch_is_the_antipodal_full_scan(all_gallery):
     # gauge(T(-z)) = gauge(T z): scanning the first half of the grid gives,
     # bit for bit, the full scan of the points (z, -z), z on that half, on
-    # seeded UMST-style shrink maps and Gaussian maps
+    # seeded UMST-style shrink maps and Gaussian maps; the search is called
+    # directly, since euclidean and ellipse_2_1 read their closed form
     n = geometry.OPNORM_BATCH_GRID
     rng = np.random.default_rng(43)
     theta = rng.uniform(0.0, 2.0 * np.pi, 16)
@@ -391,7 +465,7 @@ def test_operator_norm_batch_is_the_antipodal_full_scan(all_gallery):
         mats = np.concatenate([shrink, rng.normal(size=(16, 2, 2))])
         half = model.sphere_points_at(phase_grid(n)[: n // 2])
         want = geometry._operator_norms(model, mats, np.concatenate([half, -half]), 60)[0]
-        assert np.array_equal(geometry.operator_norm_batch(model, mats), want), name
+        assert np.array_equal(geometry._batch_search(model, mats), want), name
 
 
 def _one_call_operator_norms(model, mats, pts, iters, period=2.0 * np.pi, zoom=False):
@@ -430,12 +504,14 @@ def test_blocked_operator_norms_are_the_one_call_grid(all_gallery, k):
 
 
 def test_blocked_operator_norms_certificate_shape(all_gallery):
-    """Two maps on the 4096-point fine cache, zoomed, as certificates search
-    them: one block, bit for bit the one-call grid."""
+    """Two maps on the first half of the 4096-point fine cache, pi-periodic
+    and zoomed, as the certificate search takes them: one block, bit for bit
+    the one-call grid."""
     mats = np.random.default_rng(59).normal(size=(2, 2, 2))
     for name, model in all_gallery.items():
-        got = geometry._operator_norms(model, mats, model.fine_points(), 80, zoom=True)
-        want = _one_call_operator_norms(model, mats, model.fine_points(), 80, zoom=True)
+        half = model.fine_points()[:2048]
+        got = geometry._operator_norms(model, mats, half, 80, np.pi, zoom=True)
+        want = _one_call_operator_norms(model, mats, half, 80, np.pi, zoom=True)
         np.testing.assert_array_equal(got[0], want[0], err_msg=name)
         np.testing.assert_array_equal(got[1], want[1], err_msg=name)
 

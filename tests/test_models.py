@@ -190,11 +190,17 @@ def test_nan_row_keeps_other_rows_homogeneous(name):
     assert np.isnan(got[2])
 
 
-@pytest.mark.parametrize("name", ["l4", "l1_5", "blend_l4"])
+@pytest.mark.parametrize("name", gallery.names())
 def test_non_finite_rows(name):
-    # no errstate here: a float warning from the package fails the test
-    got = gallery.get(name).gauge_many([[0.0, 0.0], [INF, 1.0], [1.0, -INF], [INF, INF], [NAN, 1.0]])
-    assert got[:4].tolist() == [0.0, INF, INF, INF] and np.isnan(got[4])
+    # no errstate here: a float warning from the package fails the test; the
+    # finite rows of a batch read as they do without the others
+    rows = [[0.0, 0.0], [INF, 0.0], [INF, 1.0], [1.0, -INF], [INF, INF], [0.0, INF], [NAN, 1.0]]
+    finite = np.random.default_rng(71).normal(size=(64, 2))
+    model = gallery.get(name)
+    for m in (model, models.dual_model(model)):
+        got = m.gauge_many(np.vstack([finite, rows]))
+        assert got[64:70].tolist() == [0.0, INF, INF, INF, INF, INF] and np.isnan(got[70]), m.family
+        assert np.array_equal(got[:64], m.gauge_many(finite)), m.family
 
 
 def test_nan_rows_gauge_to_nan(all_gallery):
